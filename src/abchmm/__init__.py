@@ -20,8 +20,7 @@ from .fisher import (FisherEstimate, LossCurve, LossPoint, MissingInfoCheck,
                      estimate_fisher, information_loss_curve, loss_point,
                      missing_information_check)
 from .models import (ModelSpec, ParameterVector, PerturbationSpec,
-                     builtin_model, load_model_config, perturb_model,
-                     stationary_dist)
+                     builtin_model, load_model_config, stationary_dist)
 from .oracle import (brute_force_loglik, exact_smc_target, filter_tv_forgetting,
                      forward_filter, forward_loglik, forward_loglik_grid,
                      forward_score, iid_abc_log_likelihood)
@@ -43,7 +42,7 @@ __all__ = [
     "estimate_fisher", "information_loss_curve", "loss_point",
     "missing_information_check",
     "ModelSpec", "ParameterVector", "PerturbationSpec", "builtin_model",
-    "load_model_config", "perturb_model", "stationary_dist",
+    "load_model_config", "stationary_dist",
     "brute_force_loglik", "exact_smc_target", "filter_tv_forgetting",
     "forward_filter", "forward_loglik", "forward_loglik_grid",
     "forward_score", "iid_abc_log_likelihood",

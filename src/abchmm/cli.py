@@ -17,7 +17,7 @@ from . import estimate as est, experiments, fisher as fishermod, \
     sampling, smc as smcmod
 from .errors import ConfigError, EstimationFailedError
 from .models import PerturbationSpec, builtin_model, load_model_config
-from .oracle import exact_smc_target, forward_loglik
+from .oracle import exact_smc_target, forward_loglik, has_closed_form
 from .rng import derive_seed
 
 
@@ -145,8 +145,7 @@ def _cmd_estimate(args) -> int:
     pert = _pert_from_args(args)
     objective = args.objective
     if objective is None:
-        supports_oracle = model.tractable or model.name == "iid_pm_theta"
-        objective = "oracle" if supports_oracle else "smc"
+        objective = "oracle" if has_closed_form(model, pert) else "smc"
     opts = {}
     if args.grid_points is not None:
         opts["grid_points"] = args.grid_points

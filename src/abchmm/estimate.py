@@ -3,7 +3,7 @@
 Three objective flavours share one optimizer front end:
 
 * ``abc_mle``: maximize the ABC likelihood (particle estimate, or the exact
-  perturbed-model value for tractable models when ``objective="oracle"``);
+  value when ``objective="oracle"`` and ``oracle.has_closed_form`` holds);
 * ``noisy_abc_mle``: first add matching kernel noise to the data, then run
   the same maximization -- the noise-calibrated variant whose target the
   data-generating parameter actually maximizes asymptotically;
@@ -192,25 +192,9 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
 
 def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
     """Exact objective on the same scale as the particle estimator."""
-    if model.name == "iid_pm_theta":
-        if pert is None or pert.kernel != "uniform":
-            raise ValueError("the two-point model's closed form covers the "
-                             "uniform kernel only")
-        obs = oracle.as_obs_1d(data)
-
-        def fn(theta):
-            return float(oracle.iid_abc_log_likelihood_grid(
-                theta[:1], obs, pert.epsilon)[0]), 0.0
-
-        def batch(thetas):
-            values = oracle.iid_abc_log_likelihood_grid(
-                np.asarray(thetas)[:, 0], obs, pert.epsilon)
-            return values, np.zeros(len(values))
-
-        return fn, batch
-    if not model.tractable:
-        raise ValueError(f"model {model.name!r} has no oracle objective; "
-                         "use the particle objective")
+    if not oracle.has_closed_form(model, pert):
+        raise ValueError(f"model {model.name!r} has no oracle objective for "
+                         "this perturbation; use the particle objective")
     n = oracle.as_obs_1d(data).shape[0]
     shift = n * oracle.log_weight_scale(model, pert)
 

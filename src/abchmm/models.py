@@ -9,22 +9,24 @@ everywhere that only requires forward simulation.
 
 A :class:`PerturbationSpec` describes the observation-space perturbation used
 by the ABC constructions: a kernel (``uniform`` ball indicator or ``gaussian``
-smooth weight), a tolerance ``epsilon`` and a ball norm.  ``perturb_model``
-produces the corresponding perturbed model: the observation channel gains
-additive ``epsilon``-scaled kernel noise, and for tractable 1-D emissions the
-perturbed density is closed-form:
+smooth weight), a tolerance ``epsilon`` and a ball norm.  Perturbed emissions
+are not built here: :func:`abchmm.oracle.emission_matrix` turns the closed
+forms a 1-D model registers into each state's kernel weight, the quantity
+the particle estimator averages,
 
-    uniform  kernel: g_eps(y | x) = (F(y + eps | x) - F(y - eps | x)) / (2 eps)
-    gaussian kernel: g_eps(y | x) = emission density convolved with N(0, eps^2)
+    uniform  kernel: P(|Y - y| <= eps | x) = F(y + eps | x) - F(y - eps | x)
+    gaussian kernel: eps * (emission density convolved with N(0, eps^2))(y)
 
-with ``F`` the per-state emission CDF.
+with ``F`` the per-state emission CDF.  ``emission_interval_prob`` supplies
+the first (point-mass emissions have one too), ``emission_smooth_density``
+the convolved density.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -148,8 +150,6 @@ class ModelSpec:
     emission_smooth_density_jac: Callable | None = None
     transition_matrix_jac: Callable | None = None
     initial_dist_jac: Callable | None = None
-    perturbation: PerturbationSpec | None = None
-    state_kind: str = "finite"
 
     @property
     def tractable(self) -> bool:
@@ -207,72 +207,6 @@ def sample_categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
     u = rng.random(probs.shape[0])
     idx = (cum < u[:, None]).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
-
-
-# ---------------------------------------------------------------------------
-# perturbed models
-
-
-def perturb_model(model: ModelSpec, pert: PerturbationSpec) -> ModelSpec:
-    """Return the observation-perturbed version of ``model``.
-
-    The new model's observation sampler adds ``epsilon``-scaled kernel noise;
-    when the base model exposes the required closed forms (1-D observations),
-    the perturbed emission density and its Jacobian are closed-form as well.
-    """
-    if model.perturbation is not None:
-        raise ValueError(f"model {model.name!r} is already perturbed")
-    base_sampler = model.obs_sampler
-    m = model.obs_dim
-
-    def obs_sampler(theta, states, rng):
-        y = base_sampler(theta, states, rng)
-        return y + pert.noise(m, y.shape[0], rng)
-
-    density = model.emission_density
-    density_jac = model.emission_density_jac
-    if not pert.is_exact and m == 1:
-        eps = pert.epsilon
-        if pert.kernel == "uniform" and model.emission_interval_prob is not None:
-            base_interval = model.emission_interval_prob
-            base_interval_jac = model.emission_interval_prob_jac
-
-            def density(theta, ys, _f=base_interval, _e=eps):
-                return _f(theta, ys - _e, ys + _e) / (2.0 * _e)
-
-            density_jac = None
-            if base_interval_jac is not None:
-                def density_jac(theta, ys, _f=base_interval_jac, _e=eps):
-                    return _f(theta, ys - _e, ys + _e) / (2.0 * _e)
-        elif pert.kernel == "gaussian" and model.emission_smooth_density is not None:
-            base_smooth = model.emission_smooth_density
-            base_smooth_jac = model.emission_smooth_density_jac
-
-            def density(theta, ys, _f=base_smooth, _e=eps):
-                return _f(theta, ys, _e)
-
-            density_jac = None
-            if base_smooth_jac is not None:
-                def density_jac(theta, ys, _f=base_smooth_jac, _e=eps):
-                    return _f(theta, ys, _e)
-        else:
-            density = None
-            density_jac = None
-    elif not pert.is_exact:
-        density = None
-        density_jac = None
-
-    return replace(
-        model,
-        obs_sampler=obs_sampler,
-        emission_density=density,
-        emission_density_jac=density_jac,
-        emission_interval_prob=None,
-        emission_interval_prob_jac=None,
-        emission_smooth_density=None,
-        emission_smooth_density_jac=None,
-        perturbation=pert,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +390,10 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         values = np.array([-theta[0], theta[0]])
         return values[states][:, None]
 
+    def emission_interval_prob(theta, lo, hi):
+        values = np.array([-theta[0], theta[0]])
+        return ((lo[:, None] <= values) & (values <= hi[:, None])).astype(float)
+
     box = np.asarray([[0.0, 3.0]] if theta_box is None else theta_box, dtype=float)
     return ModelSpec(
         name="iid_pm_theta",
@@ -467,6 +405,7 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
+        emission_interval_prob=emission_interval_prob,
     )
 
 
@@ -516,8 +455,9 @@ def builtin_model(name: str, hyper: dict | None = None,
         ``mean_scale`` (both).
     ``iid_pm_theta``
         i.i.d. observations equal to -theta or +theta with probability 1/2
-        each; no emission density (point masses), but closed-form ABC
-        likelihoods live in the oracle module.
+        each; no emission density (point masses), but a closed-form
+        interval probability, so the oracle evaluates its ABC likelihood
+        under the uniform kernel.
     ``two_state_alpha_stable``
         Two-state regime-switching chain with symmetric alpha-stable
         emissions centred at the state value plus a location parameter;

@@ -8,12 +8,17 @@ grid of parameter candidates, or a whole batch of replicate data sets --
 because a Python-level loop over time with vectorized numpy steps is the
 only tight loop in the package.
 
-Perturbed quantities: passing a :class:`PerturbationSpec` evaluates the
-perturbed model (observation channel convolved with the epsilon-kernel).
-``forward_loglik`` uses normalized perturbed densities; ``exact_smc_target``
-additionally applies the kernel mass (ball volume for the uniform kernel) so
-that it equals the quantity the particle estimator in :mod:`abchmm.smc`
-targets, whose all-accept value is probability one.
+Perturbed quantities: passing a :class:`PerturbationSpec` makes each
+emission weight the kernel weight the particle estimator in :mod:`abchmm.smc`
+averages -- the probability that the state's observation lands in the
+epsilon-ball around the data (uniform kernel), or epsilon times the
+epsilon-smoothed density (gaussian kernel).  The recursion runs on that
+ball-probability scale, so ``exact_smc_target`` is its own output and an
+all-accept series gives exactly 0.0.  The likelihood-scale functions
+(``forward_loglik``, ``forward_loglik_grid``, ``forward_filter`` increments,
+the log-likelihood of ``forward_score_batch`` and ``brute_force_loglik``)
+subtract ``log_weight_scale`` once per perturbed step, which gives the
+log-likelihood of the perturbed model with its normalized densities.
 
 ``forward_score`` propagates filter derivatives alongside the filter (exact
 sensitivity recursion), never differencing the log-likelihood itself; finite
@@ -30,7 +35,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .models import ModelSpec, PerturbationSpec, check_theta
-from .sampling import Trajectory
+from .sampling import Trajectory, check_finite_obs
 
 Array = np.ndarray
 
@@ -44,77 +49,65 @@ def as_obs_1d(data) -> Array:
     if isinstance(data, Trajectory):
         if data.obs_dim != 1:
             raise ValueError("exact computations support 1-D observations only")
-        return data.observations[:, 0].copy()
-    obs = np.asarray(data, dtype=float)
-    if obs.ndim == 2 and obs.shape[1] == 1:
-        obs = obs[:, 0]
-    if obs.ndim != 1:
-        raise ValueError(f"expected a 1-D observation series, got shape {obs.shape}")
+        obs = data.observations[:, 0].copy()
+    else:
+        obs = np.asarray(data, dtype=float)
+        if obs.ndim == 2 and obs.shape[1] == 1:
+            obs = obs[:, 0]
+        if obs.ndim != 1:
+            raise ValueError(
+                f"expected a 1-D observation series, got shape {obs.shape}")
+    check_finite_obs(obs)
     return obs
 
 
-def _resolve_pert(model: ModelSpec, pert: PerturbationSpec | None):
-    """Reconcile an explicit perturbation with a possibly-perturbed model."""
-    if pert is not None and model.perturbation is not None:
-        raise ValueError("pass a perturbation for a base model, or a perturbed "
-                         "model, not both")
-    if model.perturbation is not None:
-        # densities installed on the model are already the perturbed ones
-        return "plain", model.perturbation
+def _emission_fns(model: ModelSpec, pert: PerturbationSpec | None):
+    """The model's ``(theta, ys) -> (n, K)`` emission weight and Jacobian
+    callables for ``pert``; None where the model lacks the closed form."""
     if pert is None or pert.is_exact:
-        return "plain", pert
-    return pert.kernel, pert
+        return model.emission_density, model.emission_density_jac
+    if model.obs_dim != 1:
+        return None, None
+    eps = pert.epsilon
+    if pert.kernel == "uniform":
+        pair = (model.emission_interval_prob, model.emission_interval_prob_jac)
+
+        def weight(f):
+            return lambda theta, ys: f(theta, ys - eps, ys + eps)
+    else:
+        pair = (model.emission_smooth_density, model.emission_smooth_density_jac)
+
+        def weight(f):
+            return lambda theta, ys: eps * f(theta, ys, eps)
+    return tuple(None if f is None else weight(f) for f in pair)
+
+
+def has_closed_form(model: ModelSpec, pert: PerturbationSpec | None = None) -> bool:
+    """True when :func:`emission_matrix` can evaluate ``model`` under ``pert``."""
+    return _emission_fns(model, pert)[0] is not None
 
 
 def emission_matrix(model: ModelSpec, theta, ys: Array,
                     pert: PerturbationSpec | None = None) -> Array:
-    """Per-step emission weights, one column per state: shape (n, K)."""
-    theta = check_theta(model, theta)
-    mode, pert = _resolve_pert(model, pert)
-    if mode == "plain":
-        if model.emission_density is None:
-            raise ValueError(f"model {model.name!r} has no tractable emission "
-                             "density")
-        return model.emission_density(theta, ys)
-    if model.obs_dim != 1:
-        raise ValueError("closed-form perturbed emissions require 1-D observations")
-    eps = pert.epsilon
-    if mode == "uniform":
-        if model.emission_interval_prob is None:
-            raise ValueError(f"model {model.name!r} has no closed-form emission "
-                             "interval probability")
-        return model.emission_interval_prob(theta, ys - eps, ys + eps) / (2.0 * eps)
-    if model.emission_smooth_density is None:
-        raise ValueError(f"model {model.name!r} has no closed-form smoothed "
-                         "emission density")
-    return model.emission_smooth_density(theta, ys, eps)
+    """Per-step emission weights, one column per state: shape (n, K).
 
-
-def emission_matrix_jac(model: ModelSpec, theta, ys: Array,
-                        pert: PerturbationSpec | None = None) -> Array | None:
-    """Analytic (d, n, K) Jacobian of :func:`emission_matrix`, if registered."""
+    Without a perturbation these are emission densities.  Under ``pert``
+    they are the kernel weights the particle filter averages:
+    ``emission_interval_prob(theta, y - eps, y + eps)`` for the uniform
+    kernel and ``eps * emission_smooth_density(theta, y, eps)`` for the
+    gaussian kernel.
+    """
     theta = check_theta(model, theta)
-    mode, pert = _resolve_pert(model, pert)
-    if mode == "plain":
-        if model.emission_density_jac is None:
-            return None
-        return model.emission_density_jac(theta, ys)
-    eps = pert.epsilon
-    if mode == "uniform":
-        if model.emission_interval_prob_jac is None:
-            return None
-        return model.emission_interval_prob_jac(theta, ys - eps, ys + eps) \
-            / (2.0 * eps)
-    if model.emission_smooth_density_jac is None:
-        return None
-    return model.emission_smooth_density_jac(theta, ys, eps)
+    fn = _emission_fns(model, pert)[0]
+    if fn is None:
+        raise ValueError(f"model {model.name!r} has no closed-form emission "
+                         f"weights under perturbation {pert}")
+    return fn(theta, ys)
 
 
 def log_weight_scale(model: ModelSpec, pert: PerturbationSpec | None) -> float:
-    """Per-observation log factor between normalized perturbed densities and
-    the unnormalized kernel weights the particle estimator accumulates."""
-    if pert is None and model.perturbation is not None:
-        pert = model.perturbation
+    """Per-observation log factor between the kernel weights of
+    :func:`emission_matrix` and the normalized perturbed densities."""
     if pert is None or pert.is_exact:
         return 0.0
     if pert.kernel == "uniform":
@@ -209,15 +202,22 @@ def _transition_and_init(model: ModelSpec, theta: Array):
     return np.asarray(p, dtype=float), np.asarray(init, dtype=float)
 
 
+def _native_loglik(model: ModelSpec, theta: Array, ys: Array,
+                   pert: PerturbationSpec | None) -> float:
+    """Forward log-likelihood on the ball-probability (kernel-weight) scale."""
+    emis = emission_matrix(model, theta, ys, pert)[None]
+    p, init = _transition_and_init(model, theta)
+    ll, _, _ = _forward_batch(p, init, emis)
+    return float(ll[0])
+
+
 def forward_loglik(model: ModelSpec, theta, data,
                    pert: PerturbationSpec | None = None) -> float:
     """Exact log-likelihood (perturbed when ``pert`` is given)."""
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
-    emis = emission_matrix(model, theta, ys, pert)[None]
-    p, init = _transition_and_init(model, theta)
-    ll, _, _ = _forward_batch(p, init, emis)
-    return float(ll[0])
+    return _native_loglik(model, theta, ys, pert) \
+        - ys.shape[0] * log_weight_scale(model, pert)
 
 
 def forward_loglik_grid(model: ModelSpec, thetas, data,
@@ -231,16 +231,7 @@ def forward_loglik_grid(model: ModelSpec, thetas, data,
     same_p = all(p is ps[0] for p in ps)
     p = np.asarray(ps[0], float) if same_p else np.stack(ps).astype(float)
     ll, _, _ = _forward_batch(p, inits, emis)
-    return ll
-
-
-@dataclass
-class ForwardState:
-    """Filter distribution and accumulated log-normalizer after ``step`` obs."""
-
-    step: int
-    log_norm: float
-    filter: Array
+    return ll - ys.shape[0] * log_weight_scale(model, pert)
 
 
 def forward_filter(model: ModelSpec, theta, data,
@@ -263,7 +254,7 @@ def forward_filter(model: ModelSpec, theta, data,
         else:
             init_dist = np.asarray(init, dtype=float)
     _, filters, incr = _forward_batch(p, init_dist, emis, keep_filters=True)
-    return filters[0], incr[0]
+    return filters[0], incr[0] - log_weight_scale(model, pert)
 
 
 def exact_smc_target(model: ModelSpec, theta, data,
@@ -271,67 +262,51 @@ def exact_smc_target(model: ModelSpec, theta, data,
     """Exact value of the quantity the particle ABC estimator targets.
 
     For the uniform kernel this is the log probability that a fresh model
-    trajectory lands inside every acceptance ball (forward log-likelihood of
-    the perturbed model plus n times the log ball volume); for the gaussian
-    kernel, the log expectation of the accumulated smooth weights.
+    trajectory lands inside every acceptance ball; for the gaussian kernel,
+    the log expectation of the accumulated smooth weights.  It is the
+    forward recursion's own output on the kernel-weight scale.
     """
-    ys = as_obs_1d(data)
-    return forward_loglik(model, theta, data, pert) \
-        + ys.shape[0] * log_weight_scale(model, pert)
+    return _native_loglik(model, check_theta(model, theta), as_obs_1d(data),
+                          pert)
 
 
 # ---------------------------------------------------------------------------
 # scores
 
 
-def _fd_step(x: float) -> float:
-    return 1e-6 * max(1.0, abs(x))
+def _central_diff(fn, theta: Array) -> Array:
+    """Central-difference Jacobian of ``fn`` at ``theta``, shape (d, ...)."""
+    rows = []
+    for j in range(theta.shape[0]):
+        h = 1e-6 * max(1.0, abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        rows.append((np.asarray(fn(up), float)
+                     - np.asarray(fn(dn), float)) / (2.0 * h))
+    return np.stack(rows)
 
 
-def _emission_jac_or_fd(model, theta, ys, pert):
-    jac = emission_matrix_jac(model, theta, ys, pert)
+def _emission_jac(model, theta, ys, pert):
+    """(n, d, K) Jacobian of :func:`emission_matrix`: analytic when the
+    model registers one, central differences otherwise."""
+    jac = _emission_fns(model, pert)[1]
     if jac is not None:
-        return np.transpose(jac, (1, 0, 2))          # (n, d, K)
-    d = model.param_dim
-    cols = []
-    for j in range(d):
-        h = _fd_step(theta[j])
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((emission_matrix(model, up, ys, pert)
-                     - emission_matrix(model, dn, ys, pert)) / (2.0 * h))
-    return np.stack(cols, axis=1)                    # (n, d, K)
+        jac = jac(theta, ys)
+    else:
+        jac = _central_diff(lambda th: emission_matrix(model, th, ys, pert),
+                            theta)
+    return np.transpose(jac, (1, 0, 2))
 
 
-def _transition_jac_or_fd(model, theta):
-    if model.transition_matrix_jac is not None:
-        return np.asarray(model.transition_matrix_jac(theta), dtype=float)
-    d = model.param_dim
-    rows = []
-    for j in range(d):
-        h = _fd_step(theta[j])
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        rows.append((np.asarray(model.transition_matrix(up), float)
-                     - np.asarray(model.transition_matrix(dn), float)) / (2.0 * h))
-    return np.stack(rows)
-
-
-def _initial_jac_or_fd(model, theta):
-    if model.initial_dist_jac is not None:
-        return np.asarray(model.initial_dist_jac(theta), dtype=float)
-    d = model.param_dim
-    rows = []
-    for j in range(d):
-        h = _fd_step(theta[j])
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        rows.append((np.asarray(model.initial_dist(up), float)
-                     - np.asarray(model.initial_dist(dn), float)) / (2.0 * h))
-    return np.stack(rows)
+def _transition_and_init_jac(model, theta):
+    dp = model.transition_matrix_jac(theta) \
+        if model.transition_matrix_jac is not None \
+        else _central_diff(model.transition_matrix, theta)
+    dinit = model.initial_dist_jac(theta) \
+        if model.initial_dist_jac is not None \
+        else _central_diff(model.initial_dist, theta)
+    return np.asarray(dp, dtype=float), np.asarray(dinit, dtype=float)
 
 
 def forward_score(model: ModelSpec, theta, data,
@@ -340,10 +315,9 @@ def forward_score(model: ModelSpec, theta, data,
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
     emis = emission_matrix(model, theta, ys, pert)[None]
-    demis = _emission_jac_or_fd(model, theta, ys, pert)[None]
+    demis = _emission_jac(model, theta, ys, pert)[None]
     p, init = _transition_and_init(model, theta)
-    dp = _transition_jac_or_fd(model, theta)
-    dinit = _initial_jac_or_fd(model, theta)
+    dp, dinit = _transition_and_init_jac(model, theta)
     _, score = _forward_sens_batch(p, dp, init, dinit, emis, demis)
     return score[0]
 
@@ -366,12 +340,13 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
     def emis_and_jac(use_pert):
         pp = pert if use_pert else None
         e = emission_matrix(model, theta, flat, pp).reshape(r, n, -1)
-        de = _emission_jac_or_fd(model, theta, flat, pp)
+        de = _emission_jac(model, theta, flat, pp)
         de = de.reshape(r, n, de.shape[1], de.shape[2])
         return e, de
 
     if perturbed_steps is None:
         emis, demis = emis_and_jac(pert is not None)
+        n_perturbed = n
     else:
         perturbed_steps = np.asarray(perturbed_steps, dtype=bool)
         if perturbed_steps.shape != (n,):
@@ -380,10 +355,11 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
         e_pe, de_pe = emis_and_jac(True)
         emis = np.where(perturbed_steps[None, :, None], e_pe, e_ex)
         demis = np.where(perturbed_steps[None, :, None, None], de_pe, de_ex)
+        n_perturbed = int(perturbed_steps.sum())
     p, init = _transition_and_init(model, theta)
-    dp = _transition_jac_or_fd(model, theta)
-    dinit = _initial_jac_or_fd(model, theta)
-    return _forward_sens_batch(p, dp, init, dinit, emis, demis)
+    dp, dinit = _transition_and_init_jac(model, theta)
+    ll, score = _forward_sens_batch(p, dp, init, dinit, emis, demis)
+    return ll - n_perturbed * log_weight_scale(model, pert), score
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +397,8 @@ def brute_force_loglik(model: ModelSpec, theta, data,
             + log_p[paths[:, :-1], paths[:, 1:]].sum(axis=1) \
             + log_e[t_idx[None, :], paths].sum(axis=1)
         chunks.append(logsumexp(lp))
-    return float(logsumexp(np.asarray(chunks)))
+    return float(logsumexp(np.asarray(chunks))) \
+        - n * log_weight_scale(model, pert)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +449,10 @@ def filter_tv_forgetting(model: ModelSpec, theta, data,
     """Track the TV distance between filters started from two initializations.
 
     The envelope constant is ``rho_hat = 1 - (c_lo / c_hi)**2`` with ``c_lo``
-    / ``c_hi`` the smallest / largest value among transition probabilities and
-    emission weights evaluated over the observed data range -- the standard
-    one-step minorization constant for the filter map.
+    / ``c_hi`` the smallest / largest transition probability -- the standard
+    one-step minorization constant for the filter map.  It depends on the
+    transition matrix alone, so neither the data nor the scale of the
+    emission weights moves it.
     """
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
@@ -486,10 +464,8 @@ def filter_tv_forgetting(model: ModelSpec, theta, data,
     fb, _ = forward_filter(model, theta, ys, pert=pert, init=init_b)
     tv = 0.5 * np.abs(fa - fb).sum(axis=1)
     p = np.asarray(model.transition_matrix(theta), dtype=float)
-    emis = emission_matrix(model, theta, ys, pert)
-    c_lo = float(min(p.min(), emis.min()))
-    c_hi = float(max(p.max(), emis.max()))
-    rho = 1.0 - (c_lo / c_hi) ** 2 if c_hi > 0 and c_lo > 0 else 1.0
+    c_lo, c_hi = float(p.min()), float(p.max())
+    rho = 1.0 - (c_lo / c_hi) ** 2 if c_lo > 0 else 1.0
     k = np.arange(1, ys.shape[0] + 1)
     return FilterForgetting(tv=tv, bound=rho ** k, rho_hat=float(rho),
                             c_lo=c_lo, c_hi=c_hi)

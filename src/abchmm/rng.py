@@ -15,9 +15,6 @@ import hashlib
 
 import numpy as np
 
-_KeyPart = "str | int"
-
-
 def derive_seed(*keys: object) -> int:
     """Collapse a tuple of tags into a 128-bit integer seed.
 

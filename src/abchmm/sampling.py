@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from . import stable
-from .kernels import ball_uniform  # noqa: F401  (public here per the API layout)
-from .models import ModelSpec, PerturbationSpec, check_theta, sample_categorical_rows
-
-alpha_stable = stable.sample
+from .models import ModelSpec, PerturbationSpec, check_theta
 
 SUMMARIES = {
     "identity": lambda y: y,
@@ -67,6 +63,16 @@ class Trajectory:
     @property
     def obs_dim(self) -> int:
         return self.observations.shape[1]
+
+
+def check_finite_obs(obs: np.ndarray) -> np.ndarray:
+    """Return ``obs`` (n, ...) unchanged, or raise ``ValueError`` naming the
+    first step whose observation is not finite."""
+    bad = ~np.isfinite(obs)
+    if bad.any():
+        t = int(np.argmax(bad.reshape(obs.shape[0], -1).any(axis=1)))
+        raise ValueError(f"observation at step {t} is not finite: {obs[t]}")
+    return obs
 
 
 def simulate(model: ModelSpec, theta, n: int, seed: int,

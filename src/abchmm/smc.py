@@ -33,26 +33,9 @@ from . import rng as rngmod
 from .kernels import GAUSS_SUP, smooth_weight, within_ball
 from .models import ModelSpec, PerturbationSpec, check_theta, \
     sample_categorical_rows
-from .sampling import Trajectory
+from .sampling import Trajectory, check_finite_obs
 
 RESAMPLING_SCHEMES = ("multinomial_always", "systematic_ess")
-
-
-@dataclass
-class ParticleEnsemble:
-    """States and normalized weights of a particle population."""
-
-    states: np.ndarray
-    weights: np.ndarray
-    step: int = 0
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def ess(self) -> float:
-        return float(1.0 / np.sum(self.weights ** 2))
 
 
 @dataclass
@@ -87,28 +70,14 @@ def _systematic_indices(weights, n, rng):
     return np.searchsorted(cum, positions, side="right").clip(0, len(weights) - 1)
 
 
-def resample(ensemble: ParticleEnsemble, rng: np.random.Generator,
-             scheme: str = "multinomial") -> ParticleEnsemble:
-    """Resample an ensemble to uniform weights (multinomial or systematic)."""
-    if scheme == "multinomial":
-        idx = _multinomial_indices(ensemble.weights, ensemble.n_particles, rng)
-    elif scheme == "systematic":
-        idx = _systematic_indices(ensemble.weights, ensemble.n_particles, rng)
-    else:
-        raise ValueError(f"unknown resampling scheme {scheme!r}")
-    n = ensemble.n_particles
-    return ParticleEnsemble(states=ensemble.states[idx],
-                            weights=np.full(n, 1.0 / n),
-                            step=ensemble.step)
-
-
 def _observations(data) -> np.ndarray:
     if isinstance(data, Trajectory):
-        return data.observations
-    obs = np.asarray(data, dtype=float)
-    if obs.ndim == 1:
-        obs = obs[:, None]
-    return obs
+        obs = data.observations
+    else:
+        obs = np.asarray(data, dtype=float)
+        if obs.ndim == 1:
+            obs = obs[:, None]
+    return check_finite_obs(obs)
 
 
 def smc_abc_likelihood(model: ModelSpec, theta, data, pert: PerturbationSpec,
@@ -123,9 +92,6 @@ def smc_abc_likelihood(model: ModelSpec, theta, data, pert: PerturbationSpec,
     ``ess_threshold * n_particles``).
     """
     theta = check_theta(model, theta)
-    if model.perturbation is not None:
-        raise ValueError("pass the base model; the perturbation enters through "
-                         "the comparison kernel")
     if not isinstance(n_particles, (int, np.integer)) or n_particles < 1:
         raise ValueError(f"n_particles must be a positive integer, got {n_particles}")
     if resampling not in RESAMPLING_SCHEMES:
@@ -137,6 +103,9 @@ def smc_abc_likelihood(model: ModelSpec, theta, data, pert: PerturbationSpec,
     n = obs.shape[0]
     if n < 1:
         raise ValueError("data must contain at least one observation")
+    if obs.ndim != 2 or obs.shape[1] != model.obs_dim:
+        raise ValueError(f"model {model.name!r} emits {model.obs_dim}-D "
+                         f"observations, got data of shape {obs.shape}")
     eps = pert.epsilon
 
     p = np.asarray(model.transition_matrix(theta), dtype=float)
@@ -178,8 +147,10 @@ def smc_abc_likelihood(model: ModelSpec, theta, data, pert: PerturbationSpec,
             log_value = -math.inf
             break
 
-        # crude delta-method variance proxy, treating steps as independent
-        var_log += max(second - step_val ** 2, 0.0) / (n_eff * step_val ** 2)
+        # crude delta-method variance proxy, treating steps as independent;
+        # dividing twice by step_val (no square) keeps a tiny step_val from
+        # underflowing to a zero denominator, at worst giving inf
+        var_log += max(second / step_val / step_val - 1.0, 0.0) / n_eff
 
         new_weights = (w / (n_particles * step_val)) if uniform \
             else weights * w / step_val

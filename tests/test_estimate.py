@@ -6,8 +6,7 @@ import pytest
 
 from abchmm import estimate as est, rng, sampling
 from abchmm.errors import EstimationFailedError
-from abchmm.models import (ModelSpec, PerturbationSpec, builtin_model,
-                           perturb_model)
+from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
 
 def test_maximize_grid_finds_quadratic_peak():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from abchmm import rng
+from abchmm import oracle, rng
 from abchmm.errors import ConfigError
 from abchmm.models import (ModelSpec, ParameterVector, PerturbationSpec,
                            builtin_model, check_transition, load_model_config,
-                           perturb_model, stationary_dist)
+                           stationary_dist)
 
 
 def test_parameter_vector_validation():
@@ -125,38 +125,28 @@ def test_emission_jacobians_vs_fd(gauss2):
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
 
-def test_perturbed_sampler_adds_uniform_noise(gauss2):
-    pert = PerturbationSpec(epsilon=0.6)
-    pm = perturb_model(gauss2, pert)
-    theta = np.array([0.0, 1.0])
-    states = np.zeros(200_000, dtype=np.int64)
-    y0 = gauss2.obs_sampler(theta, states, rng.stream(1, "a"))
-    y1 = pm.obs_sampler(theta, states, rng.stream(1, "a"))
-    # same base draws, extra variance eps^2/3 from the ball noise
-    assert abs(y1.var() - y0.var() - 0.6 ** 2 / 3) < 4e-3
-
-
 def test_perturbed_density_is_interval_prob(gauss2):
+    # uniform kernel: the oracle's perturbed emission is the ball
+    # probability itself, the weight the particle filter averages
     pert = PerturbationSpec(epsilon=0.5)
-    pm = perturb_model(gauss2, pert)
     theta = np.array([0.3, 1.1])
     ys = np.array([-0.4, 0.9])
-    expect = gauss2.emission_interval_prob(theta, ys - 0.5, ys + 0.5) / 1.0
-    np.testing.assert_allclose(pm.emission_density(theta, ys), expect,
-                               rtol=1e-12)
-    with pytest.raises(ValueError, match="already"):
-        perturb_model(pm, pert)
+    expect = gauss2.emission_interval_prob(theta, ys - 0.5, ys + 0.5)
+    np.testing.assert_array_equal(
+        oracle.emission_matrix(gauss2, theta, ys, pert), expect)
 
 
 def test_gaussian_kernel_perturbed_model_variance(gauss2):
+    # gaussian kernel: eps times the density of N(mu, s^2) convolved with
+    # N(0, eps^2), i.e. variance s^2 + eps^2
     pert = PerturbationSpec(epsilon=0.4, kernel="gaussian")
-    pm = perturb_model(gauss2, pert)
     theta = np.array([0.0, 1.0])
-    # closed form: convolving N(mu, s^2) with N(0, eps^2)
     ys = np.linspace(-3, 3, 7)
-    expect = gauss2.emission_smooth_density(theta, ys, 0.4)
-    np.testing.assert_allclose(pm.emission_density(theta, ys), expect,
-                               rtol=1e-12)
+    expect = 0.4 * gauss2.emission_smooth_density(theta, ys, 0.4)
+    np.testing.assert_array_equal(
+        oracle.emission_matrix(gauss2, theta, ys, pert), expect)
+    widened = np.exp(-0.5 * ys ** 2 / 1.16) / math.sqrt(2 * math.pi * 1.16)
+    np.testing.assert_allclose(expect[:, 1] / 0.4, widened, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

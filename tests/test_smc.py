@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abchmm import oracle, rng, sampling, smc
-from abchmm.models import PerturbationSpec, builtin_model
+from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
 
 def test_systematic_resampling_counts():
@@ -31,14 +31,6 @@ def test_multinomial_resampling_frequencies():
     idx = smc._multinomial_indices(w, 100_000, g)
     freq = np.bincount(idx, minlength=3) / 100_000
     np.testing.assert_allclose(freq, w, atol=5e-3)
-
-
-def test_resample_op():
-    ens = smc.ParticleEnsemble(states=np.array([0, 1, 2, 3]),
-                               weights=np.array([0.0, 1.0, 0.0, 0.0]))
-    out = smc.resample(ens, rng.stream(0, "r"))
-    np.testing.assert_array_equal(out.states, [1, 1, 1, 1])
-    np.testing.assert_allclose(out.weights, 0.25)
 
 
 def _pm_data(n=30, seed=7):
@@ -130,15 +122,6 @@ def test_unknown_scheme_rejected():
                                resampling="stratified")
 
 
-def test_perturbed_model_rejected():
-    from abchmm.models import perturb_model
-    model, data = _pm_data()
-    pert = PerturbationSpec(epsilon=1.5)
-    with pytest.raises(ValueError, match="base model"):
-        smc.smc_abc_likelihood(perturb_model(model, pert), [0.0], data, pert,
-                               100, seed=0)
-
-
 def test_estimate_metadata():
     model, data = _pm_data()
     pert = PerturbationSpec(epsilon=1.5)
@@ -147,3 +130,42 @@ def test_estimate_metadata():
     assert res.n_particles == 128
     assert res.epsilon == 1.5
     assert res.seed == 9
+
+
+def test_gaussian_weight_underflow_gives_finite_estimate():
+    # an observation 12 sd out gives mean weights near 1e-40, whose square
+    # underflows; the variance proxy must not divide by that square
+    res = smc.smc_abc_likelihood(builtin_model("finite_gaussian"), [1.0],
+                                 np.array([13.0]),
+                                 PerturbationSpec(0.3, "gaussian"), 2000,
+                                 seed=1)
+    assert math.isfinite(res.log_value)
+    assert res.collapsed_at is None
+
+
+def test_non_finite_observation_rejected():
+    model, data = _pm_data()
+    obs = data.observations.copy()
+    obs[4, 0] = np.nan
+    with pytest.raises(ValueError, match="step 4 is not finite"):
+        smc.smc_abc_likelihood(model, [1.0], obs,
+                               PerturbationSpec(epsilon=1.5), 64, seed=0)
+
+
+def test_observation_dimension_mismatch_rejected():
+    model = ModelSpec(
+        name="gauss_2d", param_dim=1, obs_dim=2,
+        theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
+        transition_matrix=lambda theta: np.ones((1, 1)),
+        initial_dist=lambda theta: np.ones(1),
+        obs_sampler=lambda theta, states, g: theta[0] + g.standard_normal(
+            (states.shape[0], 2)))
+    pert = PerturbationSpec(epsilon=1.0)
+    with pytest.raises(ValueError, match="2-D observations"):
+        smc.smc_abc_likelihood(model, [0.0], np.zeros(10), pert, 64, seed=0)
+    with pytest.raises(ValueError, match="2-D observations"):
+        smc.smc_abc_likelihood(model, [0.0], np.zeros((10, 3)), pert, 64,
+                               seed=0)
+    ok = smc.smc_abc_likelihood(model, [0.0], np.zeros((10, 2)), pert, 64,
+                                seed=0)
+    assert math.isfinite(ok.log_value)
