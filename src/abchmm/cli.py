@@ -111,8 +111,7 @@ def _cmd_likelihood(args) -> int:
         if pert is None:
             raise ConfigError("--epsilon is required for the particle estimator")
         res = smcmod.smc_abc_likelihood(
-            model, theta, data, pert, args.n_particles, args.seed,
-            resampling=args.resampling, ess_threshold=args.ess_threshold)
+            model, theta, data, pert, args.n_particles, args.seed)
         payload = {
             "estimator": "particle",
             "log_ball_probability": res.log_value,
@@ -259,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("particle", "oracle"))
     p.add_argument("--n-particles", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resampling", default="multinomial_always",
-                   choices=sorted(smcmod.RESAMPLING_SCHEMES))
-    p.add_argument("--ess-threshold", type=float, default=0.5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_likelihood)
 

@@ -209,21 +209,19 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
 
 
 def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
-                   n_particles: int, seed: int, resampling: str,
-                   ess_threshold: float):
+                   n_particles: int, seed: int):
     crn_seed = rngmod.derive_seed(seed, "crn")
 
     def fn(theta):
         est = smcmod.smc_abc_likelihood(
-            model, theta, data, pert, n_particles, crn_seed,
-            resampling=resampling, ess_threshold=ess_threshold)
+            model, theta, data, pert, n_particles, crn_seed)
         return est.log_value, est.se_proxy
 
     return fn, None
 
 
-def _run(model, data, pert, objective, method, n_particles, seed,
-         resampling, ess_threshold, opts, label):
+def _run(model, data, pert, objective, method, n_particles, seed, opts,
+         label):
     if method is None:
         method = "grid_then_golden" if model.param_dim <= 2 else "nelder_mead"
     if objective == "oracle":
@@ -231,8 +229,7 @@ def _run(model, data, pert, objective, method, n_particles, seed,
     elif objective == "smc":
         if pert is None:
             raise ValueError("the particle objective needs a perturbation")
-        fn, batch = _smc_objective(model, data, pert, n_particles, seed,
-                                   resampling, ess_threshold)
+        fn, batch = _smc_objective(model, data, pert, n_particles, seed)
     else:
         raise ValueError(f"unknown objective {objective!r}; "
                          "expected 'smc' or 'oracle'")
@@ -252,21 +249,19 @@ def _run(model, data, pert, objective, method, n_particles, seed,
 def abc_mle(model: ModelSpec, data, pert: PerturbationSpec, *,
             objective: str = "smc", method: str | None = None,
             n_particles: int = 1000, seed: int = 0,
-            resampling: str = "multinomial_always", ess_threshold: float = 0.5,
             **opts) -> EstimateResult:
     """ABC maximum-likelihood estimate on raw (un-noisified) data."""
     if isinstance(data, Trajectory) and data.meta.get("noise_epsilon") is not None:
         raise ValueError("data is already noisified; this estimator expects raw "
                          "data (the noise-calibrated variant is noisy_abc_mle)")
     return _run(model, data, pert, objective, method, n_particles, seed,
-                resampling, ess_threshold, opts, "abc_mle")
+                opts, "abc_mle")
 
 
 def noisy_abc_mle(model: ModelSpec, data: Trajectory, pert: PerturbationSpec, *,
                   objective: str = "smc", method: str | None = None,
                   n_particles: int = 1000, seed: int = 0,
-                  resampling: str = "multinomial_always",
-                  ess_threshold: float = 0.5, **opts) -> EstimateResult:
+                  **opts) -> EstimateResult:
     """Noise-calibrated ABC estimate: noisify the data, then maximize.
 
     The noisification stream is independent of the particle streams, both
@@ -276,7 +271,7 @@ def noisy_abc_mle(model: ModelSpec, data: Trajectory, pert: PerturbationSpec, *,
         data = Trajectory(observations=np.asarray(data, dtype=float))
     noisy = noisify(data, pert, rngmod.derive_seed(seed, "noise"))
     result = _run(model, noisy, pert, objective, method, n_particles, seed,
-                  resampling, ess_threshold, opts, "noisy_abc_mle")
+                  opts, "noisy_abc_mle")
     result.settings["noise_epsilon"] = float(pert.epsilon)
     return result
 
@@ -284,8 +279,8 @@ def noisy_abc_mle(model: ModelSpec, data: Trajectory, pert: PerturbationSpec, *,
 def exact_mle(model: ModelSpec, data, *, method: str | None = None,
               seed: int = 0, **opts) -> EstimateResult:
     """Exact maximum-likelihood estimate (tractable models only)."""
-    return _run(model, data, None, "oracle", method, 0, seed,
-                "multinomial_always", 0.5, opts, "exact_mle")
+    return _run(model, data, None, "oracle", method, 0, seed, opts,
+                "exact_mle")
 
 
 # ---------------------------------------------------------------------------

@@ -328,14 +328,6 @@ def _expand_info_loss(config: ExperimentConfig) -> list:
     return tasks
 
 
-def _loglog_slope(xs, ys) -> float:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
-    if xs.size < 2:
-        return math.nan
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def _summarize_two_point(config, rows):
     derived = {r["method"] + "_theta_hat": r["theta_hat"] for r in rows}
     return rows, [], derived, None
@@ -353,8 +345,8 @@ def _summarize_bias_curve(config, rows):
             "n_replicates": int(biases.size),
         })
     fit = [s for s in summary[:4] if s["abs_mean_bias"] > 0]
-    derived = {"slope": _loglog_slope([s["epsilon"] for s in fit],
-                                      [s["abs_mean_bias"] for s in fit])}
+    derived = {"slope": fishermod.loglog_slope([s["epsilon"] for s in fit],
+                                               [s["abs_mean_bias"] for s in fit])}
     plot = _plot_script(
         title="ABC scale bias vs tolerance",
         xlabel="tolerance", ylabel="|mean bias|", logscale=True,
@@ -386,8 +378,8 @@ def _summarize_info_loss(config, rows):
     exact = next(r for r in fishers if r["epsilon"] is None)
     huge = next(r for r in fishers if r["epsilon"] is not None)
     derived = {
-        "slope": _loglog_slope([r["epsilon"] for r in curve[:4]],
-                               [r["loss_frobenius"] for r in curve[:4]]),
+        "slope": fishermod.loglog_slope([r["epsilon"] for r in curve[:4]],
+                                        [r["loss_frobenius"] for r in curve[:4]]),
         "fisher_frobenius": exact["fisher_frobenius"],
         "huge_epsilon_fisher_frobenius": huge["fisher_frobenius"],
         "huge_epsilon_ratio": huge["fisher_frobenius"] / exact["fisher_frobenius"],

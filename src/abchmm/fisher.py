@@ -103,18 +103,35 @@ class MissingInfoCheck:
 
 
 # ---------------------------------------------------------------------------
-# batched simulation helpers
+# helpers
+
+
+def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of ``log ys`` on ``log xs``; NaN below two points.
+
+    ``ys`` is floored at 1e-300 so a zero entry gives a finite, very negative
+    log instead of -inf.
+    """
+    xs = np.log(np.asarray(xs, dtype=float))
+    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+    if xs.size < 2:
+        return math.nan
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def _simulate_paths(model: ModelSpec, theta: Array, reps: int, n: int,
                     seed: int) -> Array:
-    """(reps, n) hidden paths, one vectorized categorical draw per step."""
+    """(reps, n) hidden paths, one vectorized categorical draw per step.
+
+    The first state has law ``initial_dist @ P``: ``initial_dist`` is the
+    law of the state before the first observation.
+    """
     p = np.asarray(model.transition_matrix(theta), dtype=float)
-    init = np.asarray(model.initial_dist(theta), dtype=float)
+    first = np.asarray(model.initial_dist(theta), dtype=float) @ p
     path_rng = rngmod.stream(seed, "paths")
     states = np.empty((reps, n), dtype=np.int64)
     states[:, 0] = sample_categorical_rows(
-        np.broadcast_to(init, (reps, init.shape[0])), path_rng)
+        np.broadcast_to(first, (reps, first.shape[0])), path_rng)
     for t in range(1, n):
         states[:, t] = sample_categorical_rows(p[states[:, t - 1]], path_rng)
     return states
@@ -240,9 +257,8 @@ def information_loss_curve(model: ModelSpec, theta, epsilons, *,
         for i, eps in enumerate(epsilons)
     ]
     small = points[:4]
-    xs = np.log([p.epsilon for p in small])
-    ys = np.log([max(p.frobenius, 1e-300) for p in small])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(small) >= 2 else math.nan
+    slope = loglog_slope([p.epsilon for p in small],
+                         [p.frobenius for p in small])
     return LossCurve(points=points, fisher_exact=fisher_exact, slope=slope,
                      slope_epsilons=[p.epsilon for p in small])
 

@@ -131,6 +131,12 @@ class ModelSpec:
     one column per latent state.  Jacobian callables return ``(d, n, K)``.
     All of them are optional; samplers alone support simulation and
     particle-based likelihood work.
+
+    ``initial_dist`` is the law of the latent state *before* the first
+    observation: the first observed state has law ``initial_dist @ P``.
+    Simulation, the forward recursions, brute-force enumeration and the
+    particle filter all read it this way; for a stationary initial law the
+    two coincide.
     """
 
     name: str
@@ -310,8 +316,12 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
 
     def emission_interval_prob(theta, lo, hi):
         mu, s = mu_s(theta)
-        return ndtr((hi[:, None] - mu[None, :]) / s) \
-            - ndtr((lo[:, None] - mu[None, :]) / s)
+        zh = (hi[:, None] - mu[None, :]) / s
+        zl = (lo[:, None] - mu[None, :]) / s
+        # above the mean, Phi(zh) - Phi(zl) cancels to 0; there the equal
+        # difference of upper tails, Phi(-zl) - Phi(-zh), keeps its digits
+        upper = zl > 0.0
+        return ndtr(np.where(upper, -zl, zh)) - ndtr(np.where(upper, -zh, zl))
 
     def emission_smooth_density(theta, ys, sd):
         mu, s = mu_s(theta)

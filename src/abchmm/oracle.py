@@ -334,6 +334,7 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
     """
     theta = check_theta(model, theta)
     obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
+    check_finite_obs(obs_batch.T)
     r, n = obs_batch.shape
     flat = obs_batch.reshape(-1)
 
@@ -384,7 +385,7 @@ def brute_force_loglik(model: ModelSpec, theta, data,
         log_e = np.log(emission_matrix(model, theta, ys, pert))   # (n, K)
         p, init = _transition_and_init(model, theta)
         log_p = np.log(p)
-        log_init = np.log(init)
+        log_first = np.log(init @ p)      # law of the first observed state
     t_idx = np.arange(n)
     chunks = []
     paths_iter = itertools.product(range(k), repeat=n)
@@ -393,7 +394,7 @@ def brute_force_loglik(model: ModelSpec, theta, data,
         if not block:
             break
         paths = np.asarray(block, dtype=np.int64)                 # (B, n)
-        lp = log_init[paths[:, 0]] \
+        lp = log_first[paths[:, 0]] \
             + log_p[paths[:, :-1], paths[:, 1:]].sum(axis=1) \
             + log_e[t_idx[None, :], paths].sum(axis=1)
         chunks.append(logsumexp(lp))

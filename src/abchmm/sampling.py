@@ -89,14 +89,14 @@ def simulate(model: ModelSpec, theta, n: int, seed: int,
     path_rng = rngmod.stream(seed, "path")
     obs_rng = rngmod.stream(seed, "obs")
 
-    p = model.transition_matrix(theta)
+    p = np.asarray(model.transition_matrix(theta), dtype=float)
     cum = np.cumsum(p, axis=1)
-    init = model.initial_dist(theta)
-    cum_init = np.cumsum(init)
+    # initial_dist is the law of the state before the first observation
+    cum_first = np.cumsum(np.asarray(model.initial_dist(theta), dtype=float) @ p)
     u = path_rng.random(n)
     states = np.empty(n, dtype=np.int64)
-    s = int(np.searchsorted(cum_init, u[0], side="left"))
-    states[0] = min(s, len(init) - 1)
+    s = int(np.searchsorted(cum_first, u[0], side="left"))
+    states[0] = min(s, p.shape[1] - 1)
     for t in range(1, n):
         s = int(np.searchsorted(cum[states[t - 1]], u[t], side="left"))
         states[t] = min(s, p.shape[1] - 1)

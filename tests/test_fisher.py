@@ -101,3 +101,11 @@ def test_missing_information_guards(gauss2):
     with pytest.raises(ValueError, match="n <= 8"):
         fisher.missing_information_check(gauss2, [1.0, 1.0], 0.5, n=9,
                                          n_replicates=10, seed=0)
+
+
+def test_simulated_paths_start_after_one_transition():
+    # the replicate paths read initial_dist as the law before the first
+    # observation, like the forward recursion that scores them
+    model = builtin_model("finite_gaussian", hyper={"initial": [1.0, 0.0]})
+    states = fisher._simulate_paths(model, np.array([0.5]), 20000, 2, seed=4)
+    assert np.mean(states[:, 0] == 0) == pytest.approx(0.7, abs=0.01)

@@ -315,3 +315,34 @@ def test_non_finite_observation_rejected(gauss):
     with pytest.raises(ValueError, match="step 2 is not finite"):
         oracle.forward_loglik_grid(gauss, [[0.7, 1.1]], ys,
                                    PerturbationSpec(epsilon=0.3))
+
+
+def test_score_batch_rejects_non_finite_observations(gauss):
+    ys = np.array([[0.1, -0.4, 0.3], [0.2, np.nan, 0.5]])
+    with pytest.raises(ValueError, match="step 1 is not finite"):
+        oracle.forward_score_batch(gauss, [0.7, 1.1], ys)
+
+
+def test_nonstationary_initial_forward_matches_brute_force():
+    # initial_dist is the law before the first observation, in the forward
+    # recursion and in brute-force enumeration alike
+    model = builtin_model("finite_gaussian", hyper={"initial": [1.0, 0.0]})
+    ys = [0.3, -1.2, 0.8]
+    assert oracle.brute_force_loglik(model, [1.0], ys) == pytest.approx(
+        -4.751949017233476, rel=1e-8)
+    for pert in (None, PerturbationSpec(epsilon=0.4),
+                 PerturbationSpec(epsilon=0.4, kernel="gaussian")):
+        assert oracle.forward_loglik(model, [1.0], ys, pert) == pytest.approx(
+            oracle.brute_force_loglik(model, [1.0], ys, pert), rel=1e-8)
+
+
+def test_upper_tail_ball_probability_does_not_cancel():
+    # the model is symmetric under y -> -y with the states swapped, so the
+    # ball probabilities at +-10 agree; Phi(hi) - Phi(lo) used to cancel to
+    # 0 in the upper tail
+    model = builtin_model("finite_gaussian")
+    pert = PerturbationSpec(epsilon=0.3)
+    up = oracle.exact_smc_target(model, [1.0], [10.0], pert)
+    down = oracle.exact_smc_target(model, [1.0], [-10.0], pert)
+    assert up == pytest.approx(down, rel=1e-12)
+    assert up == pytest.approx(-41.637, abs=1e-3)

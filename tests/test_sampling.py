@@ -96,3 +96,12 @@ def test_raw_array_trajectory():
     t = sampling.Trajectory(observations=np.arange(6.0).reshape(3, 2))
     assert t.observations.shape == (3, 2)
     assert t.meta.get("seed") is None
+
+
+def test_first_state_law_is_initial_times_transition():
+    # initial_dist is the law before the first observation: from a point
+    # mass on state 0 the first observed state is 0 with probability 0.7
+    model = builtin_model("finite_gaussian", hyper={"initial": [1.0, 0.0]})
+    first = np.array([sampling.simulate(model, [0.5], 1, seed=s).hidden[0]
+                      for s in range(2000)])
+    assert np.mean(first == 0) == pytest.approx(0.7, abs=0.03)

@@ -7,32 +7,6 @@ from abchmm import oracle, rng, sampling, smc
 from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
 
-def test_systematic_resampling_counts():
-    w = np.array([0.5, 0.25, 0.125, 0.125])
-    g = rng.stream(0, "sys")
-    for _ in range(20):
-        idx = smc._systematic_indices(w, 8, g)
-        counts = np.bincount(idx, minlength=4)
-        # systematic resampling leaves each count within one of N * w
-        np.testing.assert_array_equal(counts, 8 * w)
-
-
-def test_systematic_resampling_fractional():
-    w = np.array([0.6, 0.4])
-    g = rng.stream(1, "sys")
-    for _ in range(50):
-        counts = np.bincount(smc._systematic_indices(w, 5, g), minlength=2)
-        assert counts[0] in (3, 4) and counts.sum() == 5
-
-
-def test_multinomial_resampling_frequencies():
-    w = np.array([0.7, 0.2, 0.1])
-    g = rng.stream(2, "mult")
-    idx = smc._multinomial_indices(w, 100_000, g)
-    freq = np.bincount(idx, minlength=3) / 100_000
-    np.testing.assert_allclose(freq, w, atol=5e-3)
-
-
 def _pm_data(n=30, seed=7):
     model = builtin_model("iid_pm_theta")
     return model, sampling.simulate(model, [1.0], n, seed=seed,
@@ -101,25 +75,40 @@ def test_gaussian_kernel_against_oracle():
     assert abs(ratios.mean() - 1.0) < 3 * se + 1e-3
 
 
-def test_systematic_ess_scheme_runs():
-    model = builtin_model("finite_gaussian")
-    data = sampling.simulate(model, [0.8], 25, seed=5, with_hidden=False)
+def test_unbiased_with_asymmetric_chain_and_nonstationary_start():
+    # P is not symmetric and initial_dist is not stationary, so a transposed
+    # prediction (P @ q for q @ P) or drawing the first state from
+    # initial_dist instead of initial_dist @ P moves the mean ratio off 1
+    model = builtin_model("finite_gaussian", hyper={
+        "transition": [[0.9, 0.1], [0.4, 0.6]], "initial": [0.2, 0.8],
+        "mu_coeff": [-2.0, 2.0]})
+    data = np.array([1.8, 2.3, -1.9, 2.1, 1.7, -2.2, -1.8, 2.0])
     pert = PerturbationSpec(epsilon=0.5)
-    res = smc.smc_abc_likelihood(model, [0.8], data, pert, 500, seed=11,
-                                 resampling="systematic_ess",
-                                 ess_threshold=0.5)
-    assert math.isfinite(res.log_value)
-    assert res.ess_trace.shape == (25,)
-    exact = oracle.exact_smc_target(model, [0.8], data, pert)
-    assert abs(res.log_value - exact) < 2.0
+    target = oracle.exact_smc_target(model, [1.0], data, pert)
+    ratios = np.asarray([
+        math.exp(smc.smc_abc_likelihood(model, [1.0], data, pert, 1000,
+                                        seed=rng.derive_seed(300, rep)).log_value
+                 - target)
+        for rep in range(60)])
+    se = ratios.std(ddof=1) / math.sqrt(ratios.size)
+    assert abs(ratios.mean() - 1.0) < 3 * se + 1e-3
 
 
-def test_unknown_scheme_rejected():
+def test_boolean_particle_count_rejected():
     model, data = _pm_data()
-    with pytest.raises(ValueError, match="resampling"):
-        smc.smc_abc_likelihood(model, [0.0], data,
-                               PerturbationSpec(epsilon=1.5), 100, seed=0,
-                               resampling="stratified")
+    with pytest.raises(ValueError, match="n_particles must be a positive"):
+        smc.smc_abc_likelihood(model, [1.0], data,
+                               PerturbationSpec(epsilon=1.5), True, seed=0)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "gaussian"])
+def test_zero_tolerance_rejected(kernel):
+    model, data = _pm_data()
+    with pytest.raises(ValueError,
+                       match=r"particle estimator needs epsilon > 0, got 0.0"):
+        smc.smc_abc_likelihood(model, [1.0], data,
+                               PerturbationSpec(epsilon=0.0, kernel=kernel),
+                               64, seed=0)
 
 
 def test_estimate_metadata():
