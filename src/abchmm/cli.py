@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except ValueError as exc:   # ConfigError and bad input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationFailedError as exc:

@@ -197,6 +197,21 @@ def test_cli_exit_codes(tmp_path, capsys):
                     "grid", "--grid-points", "6"]) == 1
     err = capsys.readouterr().err
     assert "estimation failed" in err
+    # a ValueError from the library -> an error line and status 2, not a
+    # traceback
+    data = tmp_path / "g.csv"
+    run_cli(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+             "--n", "10", "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    likelihood = ["likelihood", "--model", "finite_gaussian", "--data",
+                  str(data), "--epsilon", "0.5"]
+    assert run_cli(likelihood + ["--theta", "9", "--estimator", "oracle"]) == 2
+    assert capsys.readouterr().err == (
+        "error: theta[0] = 9.0 outside box [-3.0, 3.0] for model "
+        "'finite_gaussian'\n")
+    assert run_cli(likelihood + ["--theta", "0.8", "--n-particles", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: n_particles must be a positive integer, got 0\n")
 
 
 def test_cli_estimate_out_file(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The forward machinery against independent brute-force enumeration."""
 
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,6 +281,110 @@ def test_native_scale_identities_on_random_models(draw):
     assert target == pytest.approx(
         ll + n * oracle.log_weight_scale(model, pert), rel=1e-12)
     assert ll == pytest.approx(bf, rel=1e-8, abs=1e-8)
+
+
+def _forward_loop(p, init, emis):
+    """Per-step scaled forward recursion, one batch row at a time: the
+    reference for the product reduction in ``oracle._forward_batch``.
+
+    Returns the log-likelihoods (G,) and the sums of the absolute log
+    increments (G,), the magnitude the log-likelihood is accumulated from.
+    """
+    g, n, k = emis.shape
+    ps = np.broadcast_to(p, (g, k, k))
+    inits = np.broadcast_to(init, (g, k))
+    out, size = np.empty(g), np.zeros(g)
+    for r in range(g):
+        alpha, ll = inits[r], 0.0
+        for t in range(n):
+            b = (alpha @ ps[r]) * emis[r, t]
+            c = b.sum()
+            if c == 0.0:
+                ll = -math.inf
+                break
+            alpha, ll = b / c, ll + math.log(c)
+            size[r] += abs(math.log(c))
+        out[r] = ll
+    return out, size
+
+
+def _assert_same_loglik(got, want, size, n):
+    """-inf in the same rows; elsewhere equal to 1e-12 relative to the
+    summed magnitude ``size``, plus 1e-12 per step: either side rounds each
+    step's weight, so a log-likelihood near zero (weights near one, or
+    increments that cancel) has no relative precision of its own."""
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    live = np.isfinite(want)
+    assert np.all(np.abs(got[live] - want[live]) <= 1e-12 * (size[live] + n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_product_reduction_matches_step_loop(draw):
+    k = draw.draw(st.integers(1, 3), label="n_states")
+    g = draw.draw(st.integers(1, 4), label="batch")
+    n = draw.draw(st.integers(1, 300), label="n")
+    shared = draw.draw(st.booleans(), label="shared_p")
+    spread = draw.draw(st.floats(0.0, 20.0), label="log_spread")
+    offset = draw.draw(st.floats(0.0, 600.0), label="log_offset")
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    rows = gen.uniform(0.05, 1.0, size=(1 if shared else g, k, k))
+    p = rows / rows.sum(axis=-1, keepdims=True)
+    p = p[0] if shared else p
+    init = gen.dirichlet(np.ones(k), size=g)
+    # weights over many orders of magnitude within a step and from step to
+    # step (so that the product of two raw steps can leave the double range),
+    # zeros that spare one state per step, and one all-zero step in each
+    # dead row: the batch mixes dead and live rows
+    emis = np.exp(gen.normal(0.0, 1.0, size=(g, n, k)) * spread
+                  + gen.uniform(-1.0, 1.0, size=(g, n, 1)) * offset)
+    zero = gen.random((g, n, k)) < 0.2
+    np.put_along_axis(zero, gen.integers(0, k, size=(g, n, 1)), False, axis=-1)
+    emis[zero] = 0.0
+    dead = np.array(draw.draw(st.lists(st.booleans(), min_size=g, max_size=g),
+                              label="dead"))
+    emis[dead, gen.integers(0, n)] = 0.0
+    # a small matrix budget cuts the batch into parts, the last one ragged
+    budget = draw.draw(st.integers(1, 4 * (n + 1)), label="batch_matrices")
+    with mock.patch.object(oracle, "_BATCH_MATRICES", budget):
+        got = oracle._forward_batch(p, init, emis)
+    _assert_same_loglik(got, *_forward_loop(p, init, emis), n)
+
+
+def test_grid_with_theta_dependent_transition_matches_loop():
+    # a transition matrix that moves with theta: each grid row runs on its
+    # own; grids with dead rows are covered by the point-mass closed-form
+    # test and the property test above
+    model = dataclasses.replace(
+        builtin_model("finite_gaussian"),
+        transition_matrix=lambda th: np.array([[0.5 + 0.1 * th[0],
+                                                0.5 - 0.1 * th[0]],
+                                               [0.3, 0.7]]))
+    ys = oracle.as_obs_1d(sampling.simulate(model, [1.0], 300, seed=6,
+                                            with_hidden=False))
+    pert = PerturbationSpec(epsilon=0.5)
+    thetas = np.linspace(-2.0, 2.0, 5)[:, None]
+    want, size = _forward_loop(
+        np.stack([model.transition_matrix(th) for th in thetas]),
+        model.initial_dist(thetas[0]),
+        np.stack([oracle.emission_matrix(model, th, ys, pert) for th in thetas]))
+    _assert_same_loglik(oracle.forward_loglik_grid(model, thetas, ys, pert)
+                        + 300 * oracle.log_weight_scale(model, pert),
+                        want, size, 300)
+
+
+@pytest.mark.parametrize("n", [1, 100, 257, 1000])
+def test_all_accept_run_is_exactly_zero(n):
+    # every ball holds both support points of the point-mass model at
+    # theta 0, so each step's weight is exactly one and so is the product
+    model = builtin_model("iid_pm_theta")
+    data = sampling.simulate(model, [1.0], n, seed=n, with_hidden=False)
+    pert = PerturbationSpec(epsilon=1.5)
+    assert oracle.exact_smc_target(model, [0.0], data, pert) == 0.0
+    grid = oracle.forward_loglik_grid(model, [[0.0], [0.2], [0.4]], data,
+                                      pert)
+    assert np.all(grid + n * oracle.log_weight_scale(model, pert) == 0.0)
 
 
 def test_filter_forgetting_bound(gauss):
