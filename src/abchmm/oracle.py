@@ -3,10 +3,12 @@
 The workhorse is the forward log-likelihood, taken as a log-depth product
 reduction: the likelihood is a product of one matrix ``P·diag(e_t)`` per
 step, so adjacent pairs are multiplied in one batched ``@`` per level, and
-exact power-of-two rescaling keeps a series of length 10^6 (20 levels)
-stable.  It is batched over a whole grid of parameter candidates.  Two
-recursions still loop over time steps: ``forward_filter``, which returns
-every filter, and the sensitivity recursion behind the scores, which is
+exact power-of-two rescaling keeps a series of length 10^6 stable.  It is
+batched over a whole grid of parameter candidates and runs in time blocks
+of bounded memory.  Three recursions still loop over time steps:
+``forward_filter``, which returns every filter; the log-likelihood under a
+transition matrix with zeros that would let the reduction lose a row to
+underflow; and the sensitivity recursion behind the scores, which is
 vectorized over a whole batch of replicate data sets.
 
 Perturbed quantities: passing a :class:`PerturbationSpec` makes each
@@ -122,25 +124,87 @@ def log_weight_scale(model: ModelSpec, pert: PerturbationSpec | None) -> float:
 # forward recursions (batched)
 
 
-def _rescale(m: Array, shift: Array) -> Array:
+def _rescale(m: Array) -> Array:
     """Divide each (K, K) matrix of ``m`` (G, L, K, K), in place, by the
-    power of two that puts its largest row sum in [1, 2); return ``shift``
-    (G,) plus the exponents.  A power of two divides exactly, so an all-zero
-    matrix stays zero and a product that is exactly one stays exactly one."""
+    power of two that puts its largest row sum in [1, 2); return the
+    exponents summed over L (G,).  A power of two divides exactly, so an
+    all-zero matrix stays zero and a product that is exactly one stays
+    exactly one."""
+    # numpy reduces a short last axis slowly: with m.sum(-1).max(-1) here,
+    # bench/run.py oracle_fit took 0.057 s per fit instead of 0.041 s
     k = m.shape[-1]
     rows = (m.reshape(-1, k) @ np.ones(k)).reshape(m.shape[:-1])
     top = rows[..., 0]
-    for i in range(1, k):       # numpy reduces a short last axis slowly
+    for i in range(1, k):
         top = np.maximum(top, rows[..., i])
-    exp = np.frexp(top)[1] - 1                                   # (G, L)
+    exp = np.frexp(top)[1] - 1
     np.ldexp(m, -exp[..., None, None], out=m)
-    return shift + exp.sum(axis=1)
+    return exp.sum(axis=1)
 
 
-# Most step matrices one reduction holds; a larger batch runs in parts.  On
-# a 21-theta grid at n=2000 (parts of 2 thetas) this keeps a fit's traced
-# peak memory at 1.3 MB instead of 3.4 MB, for about 2 ms more per grid call.
-_BATCH_MATRICES = 4096
+# Most entries the step matrices of one time block hold: a batch of G
+# series runs in blocks of _BLOCK_ENTRIES // (G·K²) steps (at least one),
+# which bounds the reduction's memory for every n and G.
+_BLOCK_ENTRIES = 1 << 16
+
+# Largest ratio between two entries of one column of P that the reduction
+# accepts (see _forward_batch); past it, the batch runs one step at a time.
+_MAX_COLUMN_RATIO = 2.0 ** 256
+
+
+def _column_ratio(p: Array) -> float:
+    """Largest ratio between two entries of one column of any P (G, K, K);
+    inf where a column holds both zero and nonzero entries."""
+    hi, lo = p.max(axis=-2), p.min(axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(hi > 0.0, hi / lo, 1.0).max())
+
+
+def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
+    """:func:`_forward_batch` as a product reduction over time blocks.
+
+    Each block's sequence starts with a matrix whose rows all equal the row
+    carried from the previous block (``init`` for the first), then holds
+    one ``P·diag(e_t)`` per step.  Each level multiplies adjacent pairs in
+    one batched ``@``, after multiplying an odd last matrix into its left
+    neighbour, so L steps take ceil(log2(L + 1)) levels and leave one
+    matrix whose rows all hold the carried row.  Every matrix is rescaled
+    by an exact power of two (:func:`_rescale`) before the first level and
+    after each one, and the integer exponents are summed.
+    """
+    g, n, k = emis.shape
+    v = np.array(init, dtype=float)
+    shift = np.zeros(g, dtype=np.int64)
+    block = max(1, _BLOCK_ENTRIES // (g * k * k))
+    for s in range(0, n, block):
+        e = emis[:, s:s + block]
+        m = np.empty((g, e.shape[1] + 1, k, k))
+        m[:, 0] = v[:, None, :]
+        np.einsum("gij,gnj->gnij", p, e, out=m[:, 1:])
+        shift += _rescale(m)
+        while m.shape[1] > 1:
+            if m.shape[1] % 2:
+                m[:, -2] = m[:, -2] @ m[:, -1]
+                m = m[:, :-1]
+            m = m[:, 0::2] @ m[:, 1::2]
+            shift += _rescale(m)
+        v = m[:, 0, 0]
+    with np.errstate(divide="ignore"):
+        return shift * math.log(2.0) + np.log(v.sum(axis=-1))
+
+
+def _forward_steps(p: Array, init: Array, emis: Array) -> Array:
+    """:func:`_forward_batch` one step at a time, the row rescaled by the
+    power of two that puts its sum in [1, 2)."""
+    v = np.array(init, dtype=float)
+    shift = np.zeros(v.shape[0], dtype=np.int64)
+    for t in range(emis.shape[1]):
+        v = (v[:, None, :] @ p)[:, 0] * emis[:, t]
+        exp = np.frexp(v.sum(axis=-1))[1] - 1
+        v = np.ldexp(v, -exp[:, None])
+        shift += exp
+    with np.errstate(divide="ignore"):
+        return shift * math.log(2.0) + np.log(v.sum(axis=-1))
 
 
 def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
@@ -148,42 +212,32 @@ def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
 
     The likelihood is ``init · P·diag(e_1) · ... · P·diag(e_n) · 1``, and
     matrix products are associative (Hassan, Särkkä & García-Fernández,
-    "Temporal parallelization of inference in hidden Markov models", 2021).
-    The sequence starts with a matrix whose rows all equal ``init``, then
-    holds one ``P·diag(e_t)`` per step.  Each level multiplies adjacent
-    pairs in one batched ``@``, after multiplying an odd last matrix into
-    its left neighbour, so ceil(log2(n + 1)) levels leave one matrix whose
-    rows all hold the likelihood.  Every matrix is rescaled by an exact
-    power of two (:func:`_rescale`) before the first level and after each
-    one, and the integer exponents are summed, so the result is stable for
-    n = 10^6.  A series with a zero-probability step ends in an all-zero
-    product, which gives -inf.  A batch of more than ``_BATCH_MATRICES``
-    step matrices runs in parts.
+    "Temporal parallelization of inference in hidden Markov models", 2021),
+    so :func:`_forward_tree` takes it in log2 levels per time block.  A
+    series with a zero-probability step ends in an all-zero row, which
+    gives -inf.
+
+    Each partial product is divided by a power of two set by its largest
+    row, so a row more than ~2^1074 below that one underflows to zero.  A
+    product that starts with P takes each row from the same row of P, so
+    when the entries of each column of P lie within a factor r of each
+    other (zero columns aside), every entry is within r of the same entry
+    in any other row: no row falls far behind, and what underflows is a
+    share of about r²·2^-1022 of the likelihood or less.  A P that holds a
+    zero beside a nonzero entry in one column (an identity, absorbing or
+    left-to-right chain), or whose r passes ``_MAX_COLUMN_RATIO``, lets the
+    rows drift apart by a factor per step.  Such a batch runs one step at
+    a time (:func:`_forward_steps`), where only the filter row is scaled.
 
     p: (K, K) or (G, K, K); init: (K,) or (G, K); emis: (G, n, K).
     Returns loglik (G,).
     """
     g, n, k = emis.shape
-    part = max(1, _BATCH_MATRICES // (n + 1))
-    if g > part:
-        p = np.broadcast_to(p, (g, k, k))
-        init = np.broadcast_to(init, (g, k))
-        return np.concatenate([
-            _forward_batch(p[i:i + part], init[i:i + part], emis[i:i + part])
-            for i in range(0, g, part)])
-    m = np.empty((g, n + 1, k, k))
-    m[:, 0] = np.reshape(init, (-1, 1, k))
-    np.einsum("gij,gnj->gnij", np.broadcast_to(p, (g, k, k)), emis,
-              out=m[:, 1:])
-    shift = _rescale(m, np.zeros(g, dtype=np.int64))
-    while m.shape[1] > 1:
-        if m.shape[1] % 2:
-            m[:, -2] = m[:, -2] @ m[:, -1]
-            m = m[:, :-1]
-        m = m[:, 0::2] @ m[:, 1::2]
-        shift = _rescale(m, shift)
-    with np.errstate(divide="ignore"):
-        return shift * math.log(2.0) + np.log(m[:, 0, 0].sum(axis=-1))
+    p = np.broadcast_to(p, (g, k, k))
+    init = np.broadcast_to(init, (g, k))
+    if _column_ratio(p) <= _MAX_COLUMN_RATIO:
+        return _forward_tree(p, init, emis)
+    return _forward_steps(p, init, emis)
 
 
 def _forward_sens_batch(p: Array, dp: Array, init: Array, dinit: Array,

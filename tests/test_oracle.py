@@ -318,7 +318,26 @@ def _assert_same_loglik(got, want, size, n):
     assert np.all(np.abs(got[live] - want[live]) <= 1e-12 * (size[live] + n))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def _draw_transition(draw, gen, k, size):
+    """(size, K, K) transition matrices: strictly positive, or with exact
+    zeros -- the identity, an absorbing last state, a left-to-right chain,
+    or a state that no row enters."""
+    rows = gen.uniform(0.05, 1.0, size=(size, k, k))
+    shape = draw.draw(st.sampled_from(
+        ["positive", "identity", "absorbing", "left_to_right", "unentered"]),
+        label="transition")
+    if shape == "identity":
+        rows = np.broadcast_to(np.eye(k), rows.shape).copy()
+    elif shape == "absorbing":
+        rows[:, -1, :-1] = 0.0
+    elif shape == "left_to_right":
+        rows *= np.triu(np.ones((k, k)))
+    elif shape == "unentered" and k > 1:
+        rows[:, :, 0] = 0.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_product_reduction_matches_step_loop(draw):
     k = draw.draw(st.integers(1, 3), label="n_states")
@@ -329,27 +348,62 @@ def test_product_reduction_matches_step_loop(draw):
     offset = draw.draw(st.floats(0.0, 600.0), label="log_offset")
     gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
-    rows = gen.uniform(0.05, 1.0, size=(1 if shared else g, k, k))
-    p = rows / rows.sum(axis=-1, keepdims=True)
+    p = _draw_transition(draw, gen, k, 1 if shared else g)
     p = p[0] if shared else p
     init = gen.dirichlet(np.ones(k), size=g)
+    if draw.draw(st.booleans(), label="point_mass_init"):
+        init = np.eye(k)[gen.integers(0, k, size=g)]
+    trend = draw.draw(st.floats(0.0, 10.0), label="log_trend")
+    zeros = draw.draw(st.floats(0.0, 0.3), label="zero_share")
     # weights over many orders of magnitude within a step and from step to
     # step (so that the product of two raw steps can leave the double range),
-    # zeros that spare one state per step, and one all-zero step in each
-    # dead row: the batch mixes dead and live rows
-    emis = np.exp(gen.normal(0.0, 1.0, size=(g, n, k)) * spread
-                  + gen.uniform(-1.0, 1.0, size=(g, n, 1)) * offset)
-    zero = gen.random((g, n, k)) < 0.2
+    # a per-state trend (so that states drift apart over the series), zeros
+    # that spare one state per step, and one all-zero step in each dead row:
+    # the batch mixes dead and live rows
+    log_w = gen.normal(0.0, 1.0, size=(g, n, k)) * spread \
+        + gen.uniform(-1.0, 1.0, size=(g, n, 1)) * offset \
+        + gen.normal(0.0, 1.0, size=(g, 1, k)) * trend * np.arange(n)[:, None]
+    emis = np.exp(np.clip(log_w, -700.0, 700.0))
+    zero = gen.random((g, n, k)) < zeros
     np.put_along_axis(zero, gen.integers(0, k, size=(g, n, 1)), False, axis=-1)
     emis[zero] = 0.0
     dead = np.array(draw.draw(st.lists(st.booleans(), min_size=g, max_size=g),
                               label="dead"))
     emis[dead, gen.integers(0, n)] = 0.0
-    # a small matrix budget cuts the batch into parts, the last one ragged
-    budget = draw.draw(st.integers(1, 4 * (n + 1)), label="batch_matrices")
-    with mock.patch.object(oracle, "_BATCH_MATRICES", budget):
+    # a small entry budget cuts the series into time blocks, the last one
+    # ragged
+    budget = draw.draw(st.integers(1, g * k * k * (n + 1)), label="block")
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", budget):
         got = oracle._forward_batch(p, init, emis)
     _assert_same_loglik(got, *_forward_loop(p, init, emis), n)
+
+
+@pytest.mark.parametrize("p, init", [
+    (np.eye(3), [0.0, 0.0, 1.0]),                          # identity
+    (np.array([[0.5, 0.5, 0.0],                            # absorbing
+               [0.0, 0.5, 0.5],                            # last state
+               [0.0, 0.0, 1.0]]), [0.0, 0.0, 1.0]),
+])
+def test_chain_with_zero_transitions_keeps_the_unlikely_state(p, init):
+    # the chain never leaves the last state, the least likely one at every
+    # step: a partial product scaled by its likeliest row loses that row to
+    # underflow after about a hundred steps, so the loglik must not come
+    # from such products
+    n = 400
+    emis = np.broadcast_to([1.0, 0.5, 1e-3], (1, n, 3))
+    got = oracle._forward_batch(p, np.asarray(init), emis)
+    assert got[0] == pytest.approx(n * math.log(1e-3), rel=1e-12)
+
+
+def test_identity_chain_model_keeps_the_unlikely_state():
+    # the same through a model: a chain that never switches, started in
+    # the state that fits y=3 far worse
+    model = builtin_model("finite_gaussian", hyper={
+        "transition": [[1.0, 0.0], [0.0, 1.0]], "initial": [1.0, 0.0]})
+    ys = np.full(300, 3.0)
+    want = np.log(oracle.emission_matrix(model, [1.0], ys)[:, 0]).sum()
+    assert oracle.forward_loglik(model, [1.0], ys) == pytest.approx(want,
+                                                                    rel=1e-12)
 
 
 def test_grid_with_theta_dependent_transition_matches_loop():
