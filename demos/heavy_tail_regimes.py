@@ -23,8 +23,10 @@ P = np.array([[0.95, 0.05], [0.20, 0.80]])
 
 
 def draw_obs(theta, states, rng):
-    y = stable.sample(ALPHA, 0.0, float(theta[0]), 0.0, states.shape[0], rng)
-    return (y + LEVELS[states])[:, None]
+    # theta (G, 1) and states (G, N): one set of N stable draws, scaled by
+    # each row's sigma, serves the whole batch
+    y = stable.sample(ALPHA, 0.0, theta[:, :1], 0.0, states.shape[1], rng)
+    return (y + LEVELS[states])[:, :, None]
 
 
 model = ModelSpec(

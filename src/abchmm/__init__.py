@@ -27,7 +27,7 @@ from .oracle import (brute_force_loglik, exact_smc_target, filter_tv_forgetting,
 from .rng import derive_seed, stream
 from .sampling import (Trajectory, apply_summary, load_trajectory, noisify,
                        save_trajectory, simulate)
-from .smc import LikelihoodEstimate, smc_abc_likelihood
+from .smc import LikelihoodEstimate, smc_abc_likelihood, smc_abc_likelihood_batch
 from .stable import sample as alpha_stable_sample
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "derive_seed", "stream",
     "Trajectory", "apply_summary", "load_trajectory", "noisify",
     "save_trajectory", "simulate",
-    "LikelihoodEstimate", "smc_abc_likelihood",
+    "LikelihoodEstimate", "smc_abc_likelihood", "smc_abc_likelihood_batch",
     "alpha_stable_sample",
     "__version__",
 ]

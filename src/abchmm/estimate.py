@@ -11,7 +11,10 @@ Three objective flavours share one optimizer front end:
 
 The particle objective uses common random numbers: one stream key is derived
 from the run seed and reused for every candidate theta, making the objective
-a deterministic surface the optimizer can trust.
+a deterministic surface the optimizer can trust.  The grid stage hands all
+its candidates to ``smc.smc_abc_likelihood_batch`` in one call, so they share
+the filter's draws step by step, not only the seed; the golden-section and
+Nelder-Mead stages evaluate one theta at a time, with the same draws.
 
 Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
 ``grid_then_golden`` (coarse grid, then cyclic per-coordinate golden-section
@@ -217,7 +220,12 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
             model, theta, data, pert, n_particles, crn_seed)
         return est.log_value, est.se_proxy
 
-    return fn, None
+    def batch(thetas):
+        ests = smcmod.smc_abc_likelihood_batch(
+            model, thetas, data, pert, n_particles, crn_seed)
+        return [e.log_value for e in ests], [e.se_proxy for e in ests]
+
+    return fn, batch
 
 
 def _run(model, data, pert, objective, method, n_particles, seed, opts,

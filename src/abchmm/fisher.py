@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .models import ModelSpec, PerturbationSpec, check_theta, \
-    sample_categorical_rows
+    sample_categorical_rows, sample_observations
 from .oracle import forward_score_batch
 
 Array = np.ndarray
@@ -142,7 +142,8 @@ def _coupled_obs(model: ModelSpec, theta: Array, states: Array,
     """Clean observations and, when perturbed, their coupled noisy twins."""
     reps, n = states.shape
     obs_rng = rngmod.stream(seed, "obs")
-    y = model.obs_sampler(theta, states.reshape(-1), obs_rng)[:, 0].reshape(reps, n)
+    y = sample_observations(model, theta[None], states.reshape(1, -1),
+                            obs_rng)[0, :, 0].reshape(reps, n)
     if pert is None or pert.is_exact:
         return y, y
     z = pert.noise(1, reps * n, rngmod.stream(seed, "pertnoise"))[:, 0]

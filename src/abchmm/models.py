@@ -137,6 +137,15 @@ class ModelSpec:
     Simulation, the forward recursions, brute-force enumeration and the
     particle filter all read it this way; for a stationary initial law the
     two coincide.
+
+    ``obs_sampler(theta, states, rng)`` is batched over parameters: ``theta``
+    is (G, d), ``states`` (G, N) integer states, and the result (G, N,
+    obs_dim) holds row g's pseudo-observations at ``theta[g]``.  It draws its
+    N noise values from ``rng`` once per call, without reference to
+    ``theta``, and transforms them by each row's parameter and states.  So a
+    G=1 call draws exactly what each row of a G-row call uses, and the
+    particle filter can run a whole batch of candidate parameters on one set
+    of draws (common random numbers).  Simulation calls it with G=1.
     """
 
     name: str
@@ -207,12 +216,44 @@ def stationary_dist(p: Array) -> Array:
     return pi / pi.sum()
 
 
-def sample_categorical_rows(probs: Array, rng: np.random.Generator) -> Array:
-    """One categorical draw per row of ``probs`` (N, K), vectorized."""
+def sample_categorical_rows(probs: Array, rng: np.random.Generator,
+                            size: int | None = None) -> Array:
+    """Categorical draws from the rows of ``probs`` (R, K), by inversion.
+
+    A draw is the number of entries of the row's cumulative sum below a
+    uniform ``u``, capped at K - 1.  Without ``size``, each row gets its own
+    ``u`` and one draw: the result is (R,).  With ``size``, ``size`` uniforms
+    are drawn once and shared by every row: the result is (R, size), and row
+    r holds the draws that ``size`` copies of ``probs[r]`` would get without
+    ``size`` from the same stream.
+    """
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
-    idx = (cum < u[:, None]).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+    if size is None:
+        u = rng.random(cum.shape[0])
+        idx = np.zeros(cum.shape[0], dtype=np.int64)
+    else:
+        u = rng.random(size)
+        cum = cum[:, :, None]          # (R, K, 1) against the shared u
+        idx = np.zeros((cum.shape[0], size), dtype=np.int64)
+    # the cumulative sum is nondecreasing, so counting the first K - 1
+    # entries below u is the full count capped at K - 1
+    for j in range(cum.shape[1] - 1):
+        idx += cum[:, j] < u
+    return idx
+
+
+def sample_observations(model: ModelSpec, theta: Array, states: Array,
+                        rng: np.random.Generator) -> Array:
+    """``model.obs_sampler(theta, states, rng)`` with its result's shape
+    checked against the batched contract: (G, N, obs_dim)."""
+    y = model.obs_sampler(theta, states, rng)
+    want = states.shape + (model.obs_dim,)
+    if np.shape(y) != want:
+        raise ValueError(
+            f"obs_sampler of model {model.name!r} returned shape "
+            f"{np.shape(y)}, expected {want}: it takes theta (G, d) and "
+            "states (G, N) and returns (G, N, obs_dim)")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +339,20 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         default_box = [[-3.0, 3.0], [0.05, 5.0]]
 
     def mu_s(theta):
+        """Per-state means and the emission sd at ``theta`` (d,); or, with
+        ``theta`` (d, G, 1), means (G, K) and sds (G, 1)."""
         if mode == "mean":
             return coeff * theta[0], sigma_fixed
         if mode == "scale":
-            return mu_fixed, float(theta[0])
-        return coeff * theta[0], float(theta[1])
+            return mu_fixed, theta[0]
+        return coeff * theta[0], theta[1]
 
     def obs_sampler(theta, states, rng):
-        mu, s = mu_s(theta)
-        y = mu[states] + s * rng.standard_normal(states.shape[0])
-        return y[:, None]
+        mu, s = mu_s(theta.T[:, :, None])
+        mu = np.broadcast_to(mu, (states.shape[0], k))
+        y = np.take_along_axis(mu, states, axis=1) \
+            + s * rng.standard_normal(states.shape[1])
+        return y[:, :, None]
 
     def emission_density(theta, ys):
         mu, s = mu_s(theta)
@@ -397,8 +442,8 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
     initial = np.array([0.5, 0.5])
 
     def obs_sampler(theta, states, rng):
-        values = np.array([-theta[0], theta[0]])
-        return values[states][:, None]
+        values = np.concatenate([-theta[:, :1], theta[:, :1]], axis=1)
+        return np.take_along_axis(values, states, axis=1)[:, :, None]
 
     def emission_interval_prob(theta, lo, hi):
         values = np.array([-theta[0], theta[0]])
@@ -427,9 +472,13 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
     initial = _initial_from_hyper(hyper, transition)
 
     def obs_sampler(theta, states, rng):
-        sigma, delta = theta
-        y = stable.sample(alpha, 0.0, sigma, 0.0, states.shape[0], rng)
-        return (y + values[states] + delta)[:, None]
+        sigma, delta = theta.T[:, :, None]
+        # (sigma * x + 0.0) + value + delta, in that order: the bytes of
+        # the one-theta sampler this replaces
+        y = stable.sample(alpha, 0.0, sigma, 0.0, states.shape[1], rng)
+        y += values[states]
+        y += delta
+        return y[:, :, None]
 
     box = np.asarray([[0.2, 5.0], [-3.0, 3.0]] if theta_box is None else theta_box,
                      dtype=float)

@@ -324,21 +324,18 @@ def forward_filter(model: ModelSpec, theta, data,
                    init=None):
     """Run the filter, returning per-step filters (n, K) and log increments.
 
-    ``init`` overrides the model's initial distribution; an integer is
-    interpreted as a point mass on that state.  This is a per-step loop,
-    because every filter is returned.  A step of zero predictive weight has
-    increment -inf, and the filter restarts from the uniform law after it.
+    ``init`` overrides the model's initial distribution: a state index is
+    a point mass on that state, otherwise it must be a probability vector
+    over the states.  This is a per-step loop, because every filter is
+    returned.  A step of zero predictive weight has increment -inf, and the
+    filter restarts from the uniform law after it.
     """
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
     emis = emission_matrix(model, theta, ys, pert)
     p, alpha = _transition_and_init(model, theta)
     if init is not None:
-        if np.isscalar(init):
-            alpha = np.zeros(model.n_states)
-            alpha[int(init)] = 1.0
-        else:
-            alpha = np.asarray(init, dtype=float)
+        alpha = _start_law(init, model.n_states)
     n, k = emis.shape
     filters = np.empty((n, k))
     incr = np.empty(n)
@@ -349,6 +346,26 @@ def forward_filter(model: ModelSpec, theta, data,
         incr[t] = math.log(c) if c > 0.0 else -math.inf
         filters[t] = alpha
     return filters, incr - log_weight_scale(model, pert)
+
+
+def _start_law(init, k: int) -> Array:
+    """``forward_filter``'s ``init`` as a law over the ``k`` states, or a
+    ``ValueError`` naming ``init``."""
+    if np.isscalar(init):
+        if isinstance(init, (bool, np.bool_)) \
+                or not isinstance(init, (int, np.integer)) or not 0 <= init < k:
+            raise ValueError(f"init must be a state index in [0, {k}) or a "
+                             f"probability vector, got {init!r}")
+        alpha = np.zeros(k)
+        alpha[int(init)] = 1.0
+        return alpha
+    alpha = np.asarray(init, dtype=float)
+    if alpha.shape != (k,) or not np.all(np.isfinite(alpha)) \
+            or np.any(alpha < 0.0) \
+            or not math.isclose(alpha.sum(), 1.0, abs_tol=1e-10):
+        raise ValueError(f"init must be a probability vector over the {k} "
+                         f"states or a state index, got {init!r}")
+    return alpha
 
 
 def exact_smc_target(model: ModelSpec, theta, data,
@@ -405,15 +422,9 @@ def _transition_and_init_jac(model, theta):
 
 def forward_score(model: ModelSpec, theta, data,
                   pert: PerturbationSpec | None = None) -> Array:
-    """Score (gradient of the exact log-likelihood) via sensitivity propagation."""
-    theta = check_theta(model, theta)
-    ys = as_obs_1d(data)
-    emis = emission_matrix(model, theta, ys, pert)[None]
-    demis = _emission_jac(model, theta, ys, pert)[None]
-    p, init = _transition_and_init(model, theta)
-    dp, dinit = _transition_and_init_jac(model, theta)
-    _, score = _forward_sens_batch(p, dp, init, dinit, emis, demis)
-    return score[0]
+    """Score (gradient of the exact log-likelihood) via sensitivity
+    propagation: :func:`forward_score_batch` on one series."""
+    return forward_score_batch(model, theta, as_obs_1d(data)[None], pert)[1][0]
 
 
 def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,

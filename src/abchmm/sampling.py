@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .models import ModelSpec, PerturbationSpec, check_theta
+from .models import ModelSpec, PerturbationSpec, check_theta, \
+    sample_observations
 
 SUMMARIES = {
     "identity": lambda y: y,
@@ -101,7 +102,7 @@ def simulate(model: ModelSpec, theta, n: int, seed: int,
         s = int(np.searchsorted(cum[states[t - 1]], u[t], side="left"))
         states[t] = min(s, p.shape[1] - 1)
 
-    obs = model.obs_sampler(theta, states, obs_rng)
+    obs = sample_observations(model, theta[None], states[None], obs_rng)[0]
     meta = {
         "seed": int(seed),
         "model": model.name,

@@ -35,6 +35,19 @@ Weeds worth knowing about:
 * All randomness is derived from ``seed`` through per-step tagged streams
   (``"prop"`` for the states, ``"obsdraw"`` for the pseudo-observations),
   so estimates are reproducible bit-for-bit and independent of scheduling.
+
+Batching over candidate parameters.  Neither stream depends on theta: the
+state draw inverts each particle's predictive CDF at a uniform from
+``("prop", k)``, and ``ModelSpec.obs_sampler`` draws its noise from
+``("obsdraw", k)`` once per call and transforms it by theta and the states.
+So :func:`smc_abc_likelihood_batch` runs G candidates in one loop over time
+steps: each step derives its two streams once, every candidate inverts its
+own CDF at the same N uniforms, and one ``obs_sampler`` call on (G, d)
+thetas serves them all.  The candidates' common random numbers (Malik &
+Pitt, "Particle filters for continuous likelihood evaluation and
+maximisation", J. Econometrics 2011) are the same draws, and each row is
+bit-identical to the single-theta run, which is the G=1 case.  A candidate
+that collapses leaves the batch; the others go on.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ import numpy as np
 from . import rng as rngmod
 from .kernels import GAUSS_SUP, smooth_weight, within_ball
 from .models import ModelSpec, PerturbationSpec, check_theta, \
-    sample_categorical_rows
+    sample_categorical_rows, sample_observations
 from .sampling import Trajectory, check_finite_obs
 
 
@@ -80,79 +93,149 @@ def _observations(data) -> np.ndarray:
     return check_finite_obs(obs)
 
 
+# entries of one (rows, N) step temporary in a chunk: 8 MB of float64
+_CHUNK_ELEMENTS = 1 << 20
+
+
 def smc_abc_likelihood(model: ModelSpec, theta, data, pert: PerturbationSpec,
                        n_particles: int, seed: int) -> LikelihoodEstimate:
     """Particle estimate of the ABC likelihood of ``data`` at ``theta``.
 
     The bootstrap filter with multinomial resampling at every step, run on
     the weighted state histogram (see the module docstring); the estimate
-    is the product of the per-step mean weights.
+    is the product of the per-step mean weights.  This is the one-row case
+    of :func:`smc_abc_likelihood_batch`.
     """
     theta = check_theta(model, theta)
+    return smc_abc_likelihood_batch(model, theta[None], data, pert,
+                                    n_particles, seed)[0]
+
+
+def smc_abc_likelihood_batch(model: ModelSpec, thetas, data,
+                             pert: PerturbationSpec, n_particles: int,
+                             seed: int) -> list[LikelihoodEstimate]:
+    """Particle estimates of the ABC likelihood of ``data`` at every row of
+    ``thetas`` (G, d), in one loop over time steps.
+
+    Each step derives its streams once and every candidate uses the same
+    draws (see the module docstring), so entry g equals the single-theta
+    run at ``thetas[g]`` bit for bit.  Candidates are filtered in chunks
+    that keep each step's (rows, N) temporaries near 8 MB.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[0] < 1:
+        raise ValueError("thetas must be a (G, d) array with G >= 1, "
+                         f"got shape {thetas.shape}")
+    thetas = np.stack([check_theta(model, th) for th in thetas])
     if isinstance(n_particles, bool) \
             or not isinstance(n_particles, (int, np.integer)) or n_particles < 1:
         raise ValueError(f"n_particles must be a positive integer, got {n_particles!r}")
-    eps = pert.epsilon
-    if not eps > 0.0:
-        raise ValueError(f"the particle estimator needs epsilon > 0, got {eps}")
+    n_particles = int(n_particles)
+    if not pert.epsilon > 0.0:
+        raise ValueError("the particle estimator needs epsilon > 0, got "
+                         f"{pert.epsilon}")
     obs = _observations(data)
-    n = obs.shape[0]
-    if n < 1:
+    if obs.shape[0] < 1:
         raise ValueError("data must contain at least one observation")
     if obs.ndim != 2 or obs.shape[1] != model.obs_dim:
         raise ValueError(f"model {model.name!r} emits {model.obs_dim}-D "
                          f"observations, got data of shape {obs.shape}")
+    rows = max(1, _CHUNK_ELEMENTS // n_particles)
+    return [est for i in range(0, thetas.shape[0], rows)
+            for est in _filter(model, thetas[i:i + rows], obs, pert,
+                               n_particles, seed)]
 
-    p = np.asarray(model.transition_matrix(theta), dtype=float)
-    q = np.asarray(model.initial_dist(theta), dtype=float)
-    n_states = q.shape[0]
+
+def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
+            pert: PerturbationSpec, n_particles: int,
+            seed: int) -> list[LikelihoodEstimate]:
+    """The batched filter on validated inputs.  Collapsed rows leave the
+    live set; every per-row reduction sees the same row of values, in the
+    same order, as a one-row run."""
+    eps = pert.epsilon
+    n = obs.shape[0]
+    g_all = thetas.shape[0]
+    p = np.stack([np.asarray(model.transition_matrix(th), dtype=float)
+                  for th in thetas])
+    q = np.stack([np.asarray(model.initial_dist(th), dtype=float)
+                  for th in thetas])
+    n_states = q.shape[1]
     cap = GAUSS_SUP ** model.obs_dim if pert.kernel == "gaussian" else 1.0
 
-    step_acceptance = np.zeros(n)
-    ess_trace = np.zeros(n)
-    log_value = 0.0
-    var_log = 0.0
-    collapsed_at = None
+    step_acceptance = np.zeros((g_all, n))
+    ess_trace = np.zeros((g_all, n))
+    log_value = np.zeros(g_all)
+    var_log = np.zeros(g_all)
+    collapsed_at = [None] * g_all
+
+    live = np.arange(g_all)
+    # per-step scratch: the pseudo-observations' distance to the data, then
+    # the weights, which need the distance only until they are computed
+    scratch = np.empty(g_all * n_particles * model.obs_dim)
+    offsets = np.arange(g_all)[:, None] * n_states
 
     for k in range(n):
-        pred = q @ p
+        m = live.size
+        pred = (q[:, None, :] @ p)[:, 0]
         states = sample_categorical_rows(
-            np.broadcast_to(pred, (n_particles, n_states)),
-            rngmod.stream(seed, "prop", k))
-        y = model.obs_sampler(theta, states, rngmod.stream(seed, "obsdraw", k))
-        diff = y - obs[k][None, :]
+            pred, rngmod.stream(seed, "prop", k), size=n_particles)
+        diff = np.subtract(
+            sample_observations(model, thetas, states,
+                                rngmod.stream(seed, "obsdraw", k)),
+            obs[k], out=scratch[:m * n_particles * model.obs_dim].reshape(
+                m, n_particles, model.obs_dim))
+        w = scratch[:m * n_particles].reshape(m, n_particles)
         if pert.kernel == "uniform":
-            w = within_ball(diff, eps, pert.norm).astype(float)
+            w[...] = within_ball(diff, eps, pert.norm)
         else:
-            w = smooth_weight(diff, eps)
+            w[...] = smooth_weight(diff, eps)
 
-        step_val = float(w.mean())
-        step_acceptance[k] = step_val
-        if step_val <= 0.0:
-            collapsed_at = k
-            log_value = -math.inf
-            break
+        step_val = w.mean(axis=1)
+        step_acceptance[live, k] = step_val
+        dead = step_val <= 0.0
+        if dead.any():
+            for g in live[dead]:
+                collapsed_at[g] = k
+                log_value[g] = -math.inf
+            keep = ~dead
+            live, thetas, p = live[keep], thetas[keep], p[keep]
+            step_val, states = step_val[keep], states[keep]
+            m = live.size
+            if m == 0:
+                break
+            scratch[:m * n_particles] = w[keep].ravel()
+            w = scratch[:m * n_particles].reshape(m, n_particles)
 
         # crude delta-method variance proxy, treating steps as independent;
         # dividing twice by step_val (no square) keeps a tiny step_val from
         # underflowing to a zero denominator, at worst giving inf
-        second = float(np.mean(w * w))
-        var_log += max(second / step_val / step_val - 1.0, 0.0) / n_particles
+        second = (w * w).mean(axis=1)
+        var_log[live] += np.maximum(second / step_val / step_val - 1.0,
+                                    0.0) / n_particles
 
-        ess_trace[k] = float(1.0 / np.sum((w / (n_particles * step_val)) ** 2))
-        log_value += math.log(step_val)
-        q = np.bincount(states, weights=w, minlength=n_states) / w.sum()
+        ess_trace[live, k] = 1.0 / (
+            (w / (n_particles * step_val)[:, None]) ** 2).sum(axis=1)
+        log_value[live] += [math.log(v) for v in step_val.tolist()]
+        states += offsets[:m]        # flat (row, state) bins
+        q = np.bincount(states.ravel(), weights=w.ravel(),
+                        minlength=m * n_states).reshape(m, n_states) \
+            / w.sum(axis=1)[:, None]
 
-    if collapsed_at is None and np.any(step_acceptance > cap * (1 + 1e-12)):
-        raise AssertionError("step acceptance exceeded its kernel bound")
-    return LikelihoodEstimate(
-        log_value=log_value,
-        step_acceptance=step_acceptance,
-        ess_trace=ess_trace,
-        collapsed_at=collapsed_at,
-        n=n,
-        n_particles=int(n_particles),
-        epsilon=float(eps),
-        seed=int(seed),
-        se_proxy=math.inf if collapsed_at is not None else math.sqrt(var_log),
-    )
+    out = []
+    for g in range(g_all):
+        if collapsed_at[g] is None and np.any(
+                step_acceptance[g] > cap * (1 + 1e-12)):
+            raise AssertionError("step acceptance exceeded its kernel bound")
+        out.append(LikelihoodEstimate(
+            log_value=float(log_value[g]),
+            step_acceptance=step_acceptance[g],
+            ess_trace=ess_trace[g],
+            collapsed_at=collapsed_at[g],
+            n=n,
+            n_particles=n_particles,
+            epsilon=float(eps),
+            seed=int(seed),
+            se_proxy=math.inf if collapsed_at[g] is not None
+            else math.sqrt(var_log[g]),
+        ))
+    return out

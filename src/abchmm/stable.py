@@ -61,10 +61,15 @@ def standard(alpha: float, beta: float, size, rng: np.random.Generator) -> np.nd
     return num / den * tail
 
 
-def sample(alpha: float, beta: float, sigma: float, delta: float, size,
+def sample(alpha: float, beta: float, sigma, delta, size,
            rng: np.random.Generator) -> np.ndarray:
-    """Draw from S(alpha, beta, sigma, delta; 1)."""
-    if sigma <= 0.0:
+    """Draw from S(alpha, beta, sigma, delta; 1).
+
+    ``sigma`` and ``delta`` may be arrays that broadcast against ``size``;
+    the standard draws are made once and shared, so ``sigma`` (G, 1) with
+    ``size`` N gives (G, N) with row g scaled by ``sigma[g]``.
+    """
+    if np.any(np.asarray(sigma) <= 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = standard(alpha, beta, size, rng)
     if alpha == 1.0:

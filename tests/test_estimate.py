@@ -99,7 +99,7 @@ def _constant_summary_model():
         transition_matrix=base.transition_matrix,
         initial_dist=base.initial_dist,
         obs_sampler=lambda theta, states, rng: np.full(
-            (states.shape[0], 1), theta[0]),
+            states.shape + (1,), theta[:, None, :1]),
     )
 
 

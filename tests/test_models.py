@@ -8,7 +8,7 @@ from abchmm import oracle, rng
 from abchmm.errors import ConfigError
 from abchmm.models import (ModelSpec, ParameterVector, PerturbationSpec,
                            builtin_model, check_transition, load_model_config,
-                           stationary_dist)
+                           sample_categorical_rows, stationary_dist)
 
 
 def test_parameter_vector_validation():
@@ -171,20 +171,63 @@ def test_iid_pm_theta():
     m = builtin_model("iid_pm_theta")
     assert not m.tractable
     states = np.array([0, 1, 1, 0])
-    y = m.obs_sampler(np.array([0.7]), states, rng.stream(0, "s"))
-    np.testing.assert_allclose(y[:, 0], [-0.7, 0.7, 0.7, -0.7])
+    y = m.obs_sampler(np.array([[0.7]]), states[None], rng.stream(0, "s"))
+    np.testing.assert_allclose(y[0, :, 0], [-0.7, 0.7, 0.7, -0.7])
 
 
 def test_two_state_alpha_stable():
     m = builtin_model("two_state_alpha_stable")
     assert not m.tractable
     assert m.param_dim == 2
-    y = m.obs_sampler(np.array([1.0, 0.0]), np.zeros(8, dtype=np.int64),
+    y = m.obs_sampler(np.array([[1.0, 0.0]]), np.zeros((1, 8), dtype=np.int64),
                       rng.stream(0, "s"))
-    assert y.shape == (8, 1)
+    assert y.shape == (1, 8, 1)
     np.testing.assert_allclose(m.initial_dist(np.array([1.0, 0.0])) @
                                m.transition_matrix(np.array([1.0, 0.0])),
                                m.initial_dist(np.array([1.0, 0.0])), atol=1e-12)
+
+
+@pytest.mark.parametrize("name,hyper", [
+    ("finite_gaussian", {"param": "mean"}),
+    ("finite_gaussian", {"param": "scale"}),
+    ("finite_gaussian", {"param": "mean_scale", "n_states": 3,
+                         "transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1],
+                                        [0.3, 0.3, 0.4]],
+                         "mu_coeff": [-1.0, 0.0, 1.5]}),
+    ("iid_pm_theta", None),
+    ("two_state_alpha_stable", None),
+])
+def test_obs_sampler_rows_equal_single_theta_calls(name, hyper):
+    # the batched contract: theta (G, d) and states (G, N) give (G, N,
+    # obs_dim), row g bit-identical to the G=1 call at theta[g] on the
+    # same stream, because the N noise values are drawn once per call
+    m = builtin_model(name, hyper=hyper)
+    g = rng.stream(1, "contract")
+    thetas = g.uniform(m.theta_box[:, 0], m.theta_box[:, 1],
+                       size=(4, m.param_dim))
+    states = g.integers(0, m.n_states, size=(4, 50))
+    y = m.obs_sampler(thetas, states, rng.stream(2, "obs"))
+    assert y.shape == (4, 50, m.obs_dim)
+    for row in range(4):
+        one = m.obs_sampler(thetas[row:row + 1], states[row:row + 1],
+                            rng.stream(2, "obs"))
+        assert one.shape == (1, 50, m.obs_dim)
+        assert y[row].tobytes() == one[0].tobytes()
+
+
+def test_categorical_shared_uniforms_match_per_row_draws():
+    probs = np.array([[0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.6, 0.0, 0.4],
+                      [1.0, 0.0, 0.0]])
+    shared = sample_categorical_rows(probs, rng.stream(3, "u"), size=400)
+    assert shared.shape == (4, 400)
+    for r in range(4):
+        own = sample_categorical_rows(np.broadcast_to(probs[r], (400, 3)),
+                                      rng.stream(3, "u"))
+        np.testing.assert_array_equal(shared[r], own)
+    # a zero-probability state is never drawn
+    assert np.all(shared[1] == 1)
+    assert not np.any(shared[2] == 1)
+    assert np.all(shared[3] == 0)
 
 
 def test_unknown_hyper_key_named():

@@ -198,6 +198,22 @@ def test_filter_matches_brute_force_posterior(gauss, short_data):
 def test_point_mass_init(gauss, short_data):
     filters, _ = oracle.forward_filter(gauss, [0.7, 1.1], short_data, init=1)
     assert filters.shape[1] == 2
+    vector, _ = oracle.forward_filter(gauss, [0.7, 1.1], short_data,
+                                      init=[0.0, 1.0])
+    np.testing.assert_array_equal(vector, filters)
+
+
+@pytest.mark.parametrize("init", [[2.0, 3.0], 5, -1, 1.0, True,
+                                  [0.5, 0.5, 0.0], [np.nan, 1.0],
+                                  [1.5, -0.5]])
+def test_bad_filter_init_rejected(gauss, short_data, init):
+    # not a law over the two states: it used to come back as plausible
+    # increments (a vector) or end in an IndexError (a state out of range)
+    with pytest.raises(ValueError, match="init must be"):
+        oracle.forward_filter(gauss, [0.7, 1.1], short_data, init=init)
+    with pytest.raises(ValueError, match="init must be"):
+        oracle.filter_tv_forgetting(gauss, [0.7, 1.1], short_data,
+                                    init_a=init)
 
 
 def test_iid_closed_form():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abchmm import oracle, rng, sampling, smc
+from abchmm.kernels import KERNELS, NORMS
 from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
 
@@ -141,14 +143,20 @@ def test_non_finite_observation_rejected():
                                PerturbationSpec(epsilon=1.5), 64, seed=0)
 
 
-def test_observation_dimension_mismatch_rejected():
-    model = ModelSpec(
+def _gauss_2d_model():
+    """One state, 2-D observations theta + N(0, I): the two ball norms
+    differ here."""
+    return ModelSpec(
         name="gauss_2d", param_dim=1, obs_dim=2,
         theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
         transition_matrix=lambda theta: np.ones((1, 1)),
         initial_dist=lambda theta: np.ones(1),
-        obs_sampler=lambda theta, states, g: theta[0] + g.standard_normal(
-            (states.shape[0], 2)))
+        obs_sampler=lambda theta, states, g: theta[:, None, :1]
+        + g.standard_normal((states.shape[1], 2)))
+
+
+def test_observation_dimension_mismatch_rejected():
+    model = _gauss_2d_model()
     pert = PerturbationSpec(epsilon=1.0)
     with pytest.raises(ValueError, match="2-D observations"):
         smc.smc_abc_likelihood(model, [0.0], np.zeros(10), pert, 64, seed=0)
@@ -158,3 +166,109 @@ def test_observation_dimension_mismatch_rejected():
     ok = smc.smc_abc_likelihood(model, [0.0], np.zeros((10, 2)), pert, 64,
                                 seed=0)
     assert math.isfinite(ok.log_value)
+
+
+def test_old_sampler_shape_rejected():
+    # a sampler written for one theta and flat states: the filter names the
+    # contract instead of broadcasting its output into the wrong shape
+    model = ModelSpec(
+        name="flat", param_dim=1, obs_dim=1,
+        theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
+        transition_matrix=lambda theta: np.ones((1, 1)),
+        initial_dist=lambda theta: np.ones(1),
+        obs_sampler=lambda theta, states, g: theta[0] + g.standard_normal(
+            (states.shape[0], 1)))
+    with pytest.raises(ValueError, match="obs_sampler of model 'flat'"):
+        smc.smc_abc_likelihood(model, [0.0], np.zeros(5),
+                               PerturbationSpec(epsilon=1.0), 16, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# a batch of candidate thetas against one single-theta run per candidate
+
+
+_BATCH_MODELS = {
+    "finite_gaussian": (
+        builtin_model("finite_gaussian", hyper={"param": "mean_scale"}),
+        [0.7, 1.1]),
+    "two_state_alpha_stable": (builtin_model("two_state_alpha_stable"),
+                               [1.0, 0.0]),
+    "iid_pm_theta": (builtin_model("iid_pm_theta"), [1.0]),
+    "gauss_2d": (_gauss_2d_model(), [0.5]),
+}
+_BATCH_DATA = {name: sampling.simulate(model, truth, 25, seed=4,
+                                       with_hidden=False)
+               for name, (model, truth) in _BATCH_MODELS.items()}
+
+
+def _bits(est):
+    """Every output of one estimate, as bytes: equal bits, not equal values."""
+    return (np.array([est.log_value, est.se_proxy]).tobytes(),
+            est.collapsed_at, est.step_acceptance.tobytes(),
+            est.ess_trace.tobytes(), est.n, est.n_particles, est.seed)
+
+
+def _assert_batch_equals_singles(name, thetas, pert, n_particles, seed):
+    model = _BATCH_MODELS[name][0]
+    data = _BATCH_DATA[name]
+    batch = smc.smc_abc_likelihood_batch(model, thetas, data, pert,
+                                         n_particles, seed)
+    assert len(batch) == len(thetas)
+    for theta, est in zip(thetas, batch):
+        single = smc.smc_abc_likelihood(model, theta, data, pert,
+                                        n_particles, seed)
+        assert _bits(est) == _bits(single)
+    return batch
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("kernel,eps", [("uniform", 1.5), ("gaussian", 0.05)])
+@pytest.mark.parametrize("name", sorted(_BATCH_MODELS))
+def test_batch_mixing_collapsed_and_live_rows(name, kernel, eps, norm):
+    model, truth = _BATCH_MODELS[name]
+    box = model.theta_box
+    thetas = np.linspace(box[:, 0], box[:, 1], 5)
+    thetas[2] = truth
+    batch = _assert_batch_equals_singles(
+        name, thetas, PerturbationSpec(eps, kernel, norm), 128, seed=7)
+    collapsed = [est.collapsed for est in batch]
+    assert any(collapsed) and not all(collapsed)
+
+
+def test_batch_chunks_equal_one_chunk(monkeypatch):
+    model, _ = _BATCH_MODELS["iid_pm_theta"]
+    thetas = np.linspace(0.0, 3.0, 7)[:, None]
+    pert = PerturbationSpec(epsilon=0.5)
+    whole = smc.smc_abc_likelihood_batch(model, thetas, _BATCH_DATA[
+        "iid_pm_theta"], pert, 64, seed=2)
+    monkeypatch.setattr(smc, "_CHUNK_ELEMENTS", 3 * 64)   # chunks of 3 rows
+    chunked = _assert_batch_equals_singles("iid_pm_theta", thetas, pert, 64,
+                                           seed=2)
+    assert [_bits(e) for e in chunked] == [_bits(e) for e in whole]
+
+
+def test_batch_rejects_bad_thetas():
+    model, _ = _BATCH_MODELS["iid_pm_theta"]
+    data = _BATCH_DATA["iid_pm_theta"]
+    pert = PerturbationSpec(epsilon=0.5)
+    with pytest.raises(ValueError, match=r"\(G, d\) array"):
+        smc.smc_abc_likelihood_batch(model, [1.0], data, pert, 16, seed=0)
+    with pytest.raises(ValueError, match="outside box"):
+        smc.smc_abc_likelihood_batch(model, [[1.0], [4.0]], data, pert, 16,
+                                     seed=0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batch_equals_single_runs(data):
+    name = data.draw(st.sampled_from(sorted(_BATCH_MODELS)))
+    model = _BATCH_MODELS[name][0]
+    g = data.draw(st.integers(1, 5))
+    thetas = np.array([[data.draw(st.floats(lo, hi)) for lo, hi in
+                        model.theta_box] for _ in range(g)])
+    pert = PerturbationSpec(data.draw(st.sampled_from([0.05, 0.3, 1.0])),
+                            data.draw(st.sampled_from(KERNELS)),
+                            data.draw(st.sampled_from(NORMS)))
+    _assert_batch_equals_singles(name, thetas, pert,
+                                 data.draw(st.integers(1, 96)),
+                                 data.draw(st.integers(0, 2**32)))
