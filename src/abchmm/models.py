@@ -130,7 +130,10 @@ class ModelSpec:
     1-D array of ``n`` observation values they return an ``(n, K)`` array with
     one column per latent state.  Jacobian callables return ``(d, n, K)``.
     All of them are optional; samplers alone support simulation and
-    particle-based likelihood work.
+    particle-based likelihood work.  Scores differentiate a missing emission
+    Jacobian, ``transition_matrix`` and ``initial_dist`` by central
+    differences, which are exactly zero for a law that ``theta`` leaves
+    fixed.
 
     ``initial_dist`` is the law of the latent state *before* the first
     observation: the first observed state has law ``initial_dist @ P``.
@@ -163,8 +166,6 @@ class ModelSpec:
     emission_density_jac: Callable | None = None
     emission_interval_prob_jac: Callable | None = None
     emission_smooth_density_jac: Callable | None = None
-    transition_matrix_jac: Callable | None = None
-    initial_dist_jac: Callable | None = None
 
     @property
     def tractable(self) -> bool:
@@ -182,10 +183,9 @@ def check_theta(model: ModelSpec, theta) -> Array:
             f"model {model.name!r} expects {model.param_dim} parameters, "
             f"got {theta.shape[0]}")
     box = model.theta_box
-    low = theta < box[:, 0]
-    high = theta > box[:, 1]
-    if np.any(low | high):
-        bad = int(np.argmax(low | high))
+    inside = (box[:, 0] <= theta) & (theta <= box[:, 1])    # False for NaN
+    if not inside.all():
+        bad = int(np.argmin(inside))
         raise ValueError(
             f"theta[{bad}] = {theta[bad]} outside box "
             f"[{box[bad, 0]}, {box[bad, 1]}] for model {model.name!r}")
@@ -431,8 +431,6 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         emission_density_jac=emission_density_jac,
         emission_interval_prob_jac=emission_interval_prob_jac,
         emission_smooth_density_jac=emission_smooth_density_jac,
-        transition_matrix_jac=lambda theta: np.zeros((d, k, k)),
-        initial_dist_jac=lambda theta: np.zeros((d, k)),
     )
 
 

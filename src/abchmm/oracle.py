@@ -5,11 +5,12 @@ reduction: the likelihood is a product of one matrix ``P·diag(e_t)`` per
 step, so adjacent pairs are multiplied in one batched ``@`` per level, and
 exact power-of-two rescaling keeps a series of length 10^6 stable.  It is
 batched over a whole grid of parameter candidates and runs in time blocks
-of bounded memory.  Three recursions still loop over time steps:
-``forward_filter``, which returns every filter; the log-likelihood under a
-transition matrix with zeros that would let the reduction lose a row to
-underflow; and the sensitivity recursion behind the scores, which is
-vectorized over a whole batch of replicate data sets.
+of bounded memory.  Two recursions still loop over time steps:
+``forward_filter``, which returns every filter, and one per-step kernel that
+carries the filter together with its derivatives in theta.  The kernel
+gives the scores, vectorized over a whole batch of replicate data sets, and,
+without derivatives, the log-likelihood under a transition matrix with
+zeros that would let the reduction lose a row to underflow.
 
 Perturbed quantities: passing a :class:`PerturbationSpec` makes each
 emission weight the kernel weight the particle estimator in :mod:`abchmm.smc`
@@ -193,18 +194,44 @@ def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
         return shift * math.log(2.0) + np.log(v.sum(axis=-1))
 
 
-def _forward_steps(p: Array, init: Array, emis: Array) -> Array:
-    """:func:`_forward_batch` one step at a time, the row rescaled by the
-    power of two that puts its sum in [1, 2)."""
-    v = np.array(init, dtype=float)
-    shift = np.zeros(v.shape[0], dtype=np.int64)
-    for t in range(emis.shape[1]):
-        v = (v[:, None, :] @ p)[:, 0] * emis[:, t]
-        exp = np.frexp(v.sum(axis=-1))[1] - 1
-        v = np.ldexp(v, -exp[:, None])
-        shift += exp
-    with np.errstate(divide="ignore"):
-        return shift * math.log(2.0) + np.log(v.sum(axis=-1))
+def _forward_steps(p: Array, dp: Array, init: Array, dinit: Array,
+                   emis: Array, demis: Array):
+    """Forward log-likelihood and score, one step at a time.
+
+    The state is one (G, 1+d, K) array: the unnormalised filter row and its
+    d tangent rows, its derivatives in theta (the tangent filter of Cappé,
+    Moulines & Rydén, *Inference in Hidden Markov Models*, 2005, ch. 10).
+    Each step predicts through P, adds ``alpha @ dP`` to the tangent rows
+    as one matmul against dP laid out as (K, d·K), applies the emission
+    weights and adds ``pred · de_t``, then divides the whole array by the
+    power of two that puts the filter sum in [1, 2).  With d = 0 it is the
+    plain scaled forward recursion.  A row whose filter dies stays zero and
+    gives loglik -inf; its score is meaningless.
+
+    p: (K, K) or (G, K, K); dp: (d, K, K); init: (K,) or (G, K);
+    dinit: (d, K); emis: (G, n, K); demis: (G, n, d, K).
+    Returns (loglik (G,), score (G, d)).
+    """
+    g, n, k = emis.shape
+    d = dp.shape[0]
+    dpk = np.moveaxis(dp, 0, 1).reshape(k, d * k)
+    v = np.empty((g, 1 + d, k))
+    v[:, 0], v[:, 1:] = init, dinit
+    shift = np.zeros(g, dtype=np.int64)
+    # after a dead step the zero filter gets exponent -1 each step, so a dead
+    # row's tangent rows may overflow; that row's score is discarded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t in range(n):
+            pred = v @ p
+            pred[:, 1:] += (v[:, 0] @ dpk).reshape(g, d, k)
+            v = pred * emis[:, t, None]
+            v[:, 1:] += pred[:, :1] * demis[:, t]
+            exp = np.frexp(v[:, 0].sum(axis=-1))[1] - 1
+            v = np.ldexp(v, -exp[:, None, None])
+            shift += exp
+        total = v[:, 0].sum(axis=-1)
+        return (shift * math.log(2.0) + np.log(total),
+                v[:, 1:].sum(axis=-1) / total[:, None])
 
 
 def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
@@ -237,50 +264,8 @@ def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
     init = np.broadcast_to(init, (g, k))
     if _column_ratio(p) <= _MAX_COLUMN_RATIO:
         return _forward_tree(p, init, emis)
-    return _forward_steps(p, init, emis)
-
-
-def _forward_sens_batch(p: Array, dp: Array, init: Array, dinit: Array,
-                        emis: Array, demis: Array):
-    """Forward pass with parameter sensitivities.
-
-    p: (K, K); dp: (d, K, K); init: (K,); dinit: (d, K);
-    emis: (G, n, K); demis: (G, n, d, K).
-    Returns (loglik (G,), score (G, d)).
-    """
-    g, n, k = emis.shape
-    d = dp.shape[0]
-    alpha = np.broadcast_to(init, (g, k)).copy()
-    dalpha = np.broadcast_to(dinit, (g, d, k)).copy()
-    ll = np.zeros(g)
-    score = np.zeros((g, d))
-    dead = np.zeros(g, dtype=bool)
-    for t in range(n):
-        e_t = emis[:, t]                       # (G, K)
-        de_t = demis[:, t]                     # (G, d, K)
-        pred = alpha @ p                       # (G, K)
-        dpred = dalpha @ p + np.einsum("gk,dkj->gdj", alpha, dp)
-        b = pred * e_t
-        db = dpred * e_t[:, None, :] + pred[:, None, :] * de_t
-        c = b.sum(axis=1)                      # (G,)
-        dc = db.sum(axis=2)                    # (G, d)
-        newly_dead = (c <= 0.0) & ~dead
-        dead |= newly_dead
-        safe_c = np.where(c > 0.0, c, 1.0)
-        ratio = dc / safe_c[:, None]
-        alpha = np.where(c[:, None] > 0.0, b / safe_c[:, None], 1.0 / k)
-        dalpha = np.where(c[:, None, None] > 0.0,
-                          db / safe_c[:, None, None]
-                          - alpha[:, None, :] * ratio[:, :, None],
-                          0.0)
-        with np.errstate(divide="ignore"):
-            step_log = np.where(c > 0.0, np.log(safe_c), -np.inf)
-        live = ~dead
-        ll = ll + np.where(live, step_log, 0.0)
-        score = score + np.where(live[:, None], ratio, 0.0)
-    ll[dead] = -np.inf
-    score[dead] = np.nan
-    return ll, score
+    return _forward_steps(p, np.empty((0, k, k)), init, np.empty((0, k)),
+                          emis, np.empty((g, n, 0, k)))[0]
 
 
 def _transition_and_init(model: ModelSpec, theta: Array):
@@ -398,26 +383,22 @@ def _central_diff(fn, theta: Array) -> Array:
     return np.stack(rows)
 
 
-def _emission_jac(model, theta, ys, pert):
-    """(n, d, K) Jacobian of :func:`emission_matrix`: analytic when the
-    model registers one, central differences otherwise."""
+def _emissions_and_jac(model, theta, obs, pert):
+    """Emission weights (R, n, K) of a batch of series ``obs`` (R, n) and
+    their Jacobian (R, n, d, K): analytic when the model registers one,
+    central differences otherwise."""
+    flat = obs.reshape(-1)
     jac = _emission_fns(model, pert)[1]
     if jac is not None:
-        jac = jac(theta, ys)
+        de = jac(theta, flat)
     else:
-        jac = _central_diff(lambda th: emission_matrix(model, th, ys, pert),
-                            theta)
-    return np.transpose(jac, (1, 0, 2))
-
-
-def _transition_and_init_jac(model, theta):
-    dp = model.transition_matrix_jac(theta) \
-        if model.transition_matrix_jac is not None \
-        else _central_diff(model.transition_matrix, theta)
-    dinit = model.initial_dist_jac(theta) \
-        if model.initial_dist_jac is not None \
-        else _central_diff(model.initial_dist, theta)
-    return np.asarray(dp, dtype=float), np.asarray(dinit, dtype=float)
+        de = _central_diff(lambda th: emission_matrix(model, th, flat, pert),
+                           theta)
+    # the weights after the Jacobian: its temporaries are the largest
+    e = emission_matrix(model, theta, flat, pert)
+    d, _, k = de.shape
+    return (e.reshape(*obs.shape, k),
+            np.moveaxis(de, 0, 1).reshape(*obs.shape, d, k))
 
 
 def forward_score(model: ModelSpec, theta, data,
@@ -434,38 +415,40 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
 
     ``perturbed_steps`` (length n, bool) evaluates a mixed sequence: steps
     flagged True use the perturbed emission channel, the rest the exact one.
-    Without it, the channel is perturbed everywhere when ``pert`` is given.
-    Returns ``(loglik (R,), score (R, d))``.
+    Without it, every step uses the channel ``pert`` selects.  Each channel
+    is evaluated on its own steps only.  P and the initial law are
+    differentiated by central differences, exact zeros where they do not
+    move with theta.  Returns ``(loglik (R,), score (R, d))``; a series of
+    loglik -inf has a NaN score.
     """
     theta = check_theta(model, theta)
     obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
+    if obs_batch.ndim != 2:
+        raise ValueError(f"expected replicate 1-D series (R, n), got shape "
+                         f"{obs_batch.shape}")
     check_finite_obs(obs_batch.T)
     r, n = obs_batch.shape
-    flat = obs_batch.reshape(-1)
-
-    def emis_and_jac(use_pert):
-        pp = pert if use_pert else None
-        e = emission_matrix(model, theta, flat, pp).reshape(r, n, -1)
-        de = _emission_jac(model, theta, flat, pp)
-        de = de.reshape(r, n, de.shape[1], de.shape[2])
-        return e, de
-
-    if perturbed_steps is None:
-        emis, demis = emis_and_jac(pert is not None)
-        n_perturbed = n
+    steps = np.full(n, pert is not None) if perturbed_steps is None \
+        else np.asarray(perturbed_steps, dtype=bool)
+    if steps.shape != (n,):
+        raise ValueError("perturbed_steps must have one flag per step")
+    channels = [(use, pp) for use, pp in ((~steps, None), (steps, pert))
+                if use.any()]
+    if len(channels) == 1:
+        emis, demis = _emissions_and_jac(model, theta, obs_batch,
+                                         channels[0][1])
     else:
-        perturbed_steps = np.asarray(perturbed_steps, dtype=bool)
-        if perturbed_steps.shape != (n,):
-            raise ValueError("perturbed_steps must have one flag per step")
-        e_ex, de_ex = emis_and_jac(False)
-        e_pe, de_pe = emis_and_jac(True)
-        emis = np.where(perturbed_steps[None, :, None], e_pe, e_ex)
-        demis = np.where(perturbed_steps[None, :, None, None], de_pe, de_ex)
-        n_perturbed = int(perturbed_steps.sum())
+        emis = np.empty((r, n, model.n_states))
+        demis = np.empty((r, n, theta.shape[0], model.n_states))
+        for use, pp in channels:
+            emis[:, use], demis[:, use] = _emissions_and_jac(
+                model, theta, obs_batch[:, use], pp)
     p, init = _transition_and_init(model, theta)
-    dp, dinit = _transition_and_init_jac(model, theta)
-    ll, score = _forward_sens_batch(p, dp, init, dinit, emis, demis)
-    return ll - n_perturbed * log_weight_scale(model, pert), score
+    ll, score = _forward_steps(p, _central_diff(model.transition_matrix, theta),
+                               init, _central_diff(model.initial_dist, theta),
+                               emis, demis)
+    score[~np.isfinite(ll)] = np.nan
+    return ll - int(steps.sum()) * log_weight_scale(model, pert), score
 
 
 # ---------------------------------------------------------------------------

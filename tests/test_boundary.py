@@ -1,0 +1,141 @@
+"""Malformed input fails at the boundary, with a ValueError that names the
+problem, and never comes back as a number."""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from abchmm import cli, oracle, smc
+from abchmm.kernels import KERNELS
+from abchmm.models import PerturbationSpec, builtin_model
+
+_MODEL = builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
+_THETA = [0.7, 1.1]
+
+
+def _entry_points(pert):
+    """Every public route from (theta, series) to a number, by name."""
+    return {
+        "forward_loglik": lambda th, ys: oracle.forward_loglik(
+            _MODEL, th, ys, pert),
+        "forward_loglik_grid": lambda th, ys: oracle.forward_loglik_grid(
+            _MODEL, [th], ys, pert),
+        "forward_filter": lambda th, ys: oracle.forward_filter(
+            _MODEL, th, ys, pert),
+        "forward_score_batch": lambda th, ys: oracle.forward_score_batch(
+            _MODEL, th, np.asarray(ys, dtype=float)[None], pert),
+        "smc_abc_likelihood": lambda th, ys: smc.smc_abc_likelihood(
+            _MODEL, th, ys, pert, 8, seed=0),
+    }
+
+
+def _is_law(values, k):
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return v.shape == (k,) and bool(np.all(np.isfinite(v))) \
+            and bool(np.all(v >= 0.0)) \
+            and math.isclose(v.sum(), 1.0, abs_tol=1e-10)
+
+
+def _bad_theta(draw):
+    j = draw.draw(st.integers(0, 1), label="coordinate")
+    lo, hi = _MODEL.theta_box[j]
+    theta = list(_THETA)
+    theta[j] = draw.draw(st.one_of(
+        st.just(math.nan),
+        st.floats(allow_nan=False).filter(lambda v: not lo <= v <= hi)),
+        label="value")
+    return theta
+
+
+def _bad_transition(draw, gen):
+    k = draw.draw(st.integers(2, 3), label="n_states")
+    p = gen.dirichlet(np.ones(k), size=k)
+    how = draw.draw(st.sampled_from(["row_sum", "negative", "nan",
+                                     "not_square"]), label="how")
+    i = int(gen.integers(0, k))
+    if how == "row_sum":
+        p[i] *= draw.draw(st.sampled_from([0.5, 1.01, 3.0]), label="factor")
+    elif how == "negative":
+        p[i, -1] += p[i, 0] + 0.25      # the row still sums to one
+        p[i, 0] = -0.25
+    elif how == "nan":
+        p[i, int(gen.integers(0, k))] = np.nan
+    else:
+        p = np.hstack([p, np.zeros((k, 1))])
+    return k, p
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_malformed_input_raises_and_returns_no_number(draw):
+    kind = draw.draw(st.sampled_from(["theta", "data", "width", "init",
+                                      "transition", "perturbed_steps"]),
+                     label="kind")
+    n = draw.draw(st.integers(1, 8), label="n")
+    ys = np.linspace(-1.5, 1.5, n)
+    pert = PerturbationSpec(epsilon=draw.draw(st.floats(0.05, 1.0)),
+                            kernel=draw.draw(st.sampled_from(KERNELS)))
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    calls = _entry_points(pert)
+    if kind == "theta":
+        theta = _bad_theta(draw)
+        for call in calls.values():
+            with pytest.raises(ValueError, match=r"theta\[\d\] = .* outside"):
+                call(theta, ys)
+    elif kind == "data":
+        ys[gen.integers(0, n)] = draw.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+        for call in calls.values():
+            with pytest.raises(ValueError, match="not finite"):
+                call(_THETA, ys)
+        batch = np.stack([np.zeros(n), ys])
+        with pytest.raises(ValueError, match="not finite"):
+            oracle.forward_score_batch(_MODEL, _THETA, batch, pert)
+    elif kind == "width":
+        wide = np.repeat(ys[:, None], draw.draw(st.integers(2, 3)), axis=1)
+        for name in ("forward_loglik", "forward_loglik_grid",
+                     "forward_filter", "smc_abc_likelihood"):
+            with pytest.raises(ValueError, match="1-D"):
+                calls[name](_THETA, wide)
+        with pytest.raises(ValueError, match="1-D"):
+            oracle.forward_score_batch(_MODEL, _THETA, wide[None], pert)
+    elif kind == "init":
+        init = draw.draw(st.one_of(
+            st.integers().filter(lambda i: not 0 <= i < 2), st.booleans(),
+            st.floats(allow_nan=True),
+            st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                     max_size=4).filter(lambda v: not _is_law(v, 2))),
+            label="init")
+        with pytest.raises(ValueError, match="init must be"):
+            oracle.forward_filter(_MODEL, _THETA, ys, pert, init=init)
+        with pytest.raises(ValueError, match="init must be"):
+            oracle.filter_tv_forgetting(_MODEL, _THETA, ys, init_a=init)
+        with pytest.raises(ValueError, match="'initial'"):
+            builtin_model("finite_gaussian", hyper={"initial": init})
+    elif kind == "transition":
+        k, p = _bad_transition(draw, gen)
+        hyper = {"n_states": k, "transition": p.tolist(),
+                 "mu_coeff": [1.0] * k}
+        with pytest.raises(ValueError, match="transition"):
+            builtin_model("finite_gaussian", hyper=hyper)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main(["fisher", "--model", "finite_gaussian",
+                               "--hyper", json.dumps(hyper), "--theta", "0.7",
+                               "--n", "5", "--replicates", "2", "--seed", "0"])
+        assert status == 2
+        assert err.getvalue().startswith("error: ") \
+            and "transition" in err.getvalue()
+    else:
+        length = draw.draw(st.integers(0, n + 3).filter(lambda m: m != n),
+                           label="length")
+        with pytest.raises(ValueError, match="perturbed_steps"):
+            oracle.forward_score_batch(_MODEL, _THETA, ys[None], pert,
+                                       perturbed_steps=np.ones(length, bool))

@@ -522,3 +522,198 @@ def test_upper_tail_ball_probability_does_not_cancel():
     down = oracle.exact_smc_target(model, [1.0], [-10.0], pert)
     assert up == pytest.approx(down, rel=1e-12)
     assert up == pytest.approx(-41.637, abs=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the per-step kernel's tangent rows against the normalised sensitivity
+# loop below, which renormalises the filter and its derivatives each step
+
+
+def _forward_sens_batch(p, dp, init, dinit, emis, demis):
+    """Forward pass with parameter sensitivities.
+
+    p: (K, K); dp: (d, K, K); init: (K,); dinit: (d, K);
+    emis: (G, n, K); demis: (G, n, d, K).
+    Returns (loglik (G,), score (G, d)).
+    """
+    g, n, k = emis.shape
+    d = dp.shape[0]
+    alpha = np.broadcast_to(init, (g, k)).copy()
+    dalpha = np.broadcast_to(dinit, (g, d, k)).copy()
+    ll = np.zeros(g)
+    score = np.zeros((g, d))
+    dead = np.zeros(g, dtype=bool)
+    for t in range(n):
+        e_t = emis[:, t]                       # (G, K)
+        de_t = demis[:, t]                     # (G, d, K)
+        pred = alpha @ p                       # (G, K)
+        dpred = dalpha @ p + np.einsum("gk,dkj->gdj", alpha, dp)
+        b = pred * e_t
+        db = dpred * e_t[:, None, :] + pred[:, None, :] * de_t
+        c = b.sum(axis=1)                      # (G,)
+        dc = db.sum(axis=2)                    # (G, d)
+        newly_dead = (c <= 0.0) & ~dead
+        dead |= newly_dead
+        safe_c = np.where(c > 0.0, c, 1.0)
+        ratio = dc / safe_c[:, None]
+        alpha = np.where(c[:, None] > 0.0, b / safe_c[:, None], 1.0 / k)
+        dalpha = np.where(c[:, None, None] > 0.0,
+                          db / safe_c[:, None, None]
+                          - alpha[:, None, :] * ratio[:, :, None],
+                          0.0)
+        with np.errstate(divide="ignore"):
+            step_log = np.where(c > 0.0, np.log(safe_c), -np.inf)
+        live = ~dead
+        ll = ll + np.where(live, step_log, 0.0)
+        score = score + np.where(live[:, None], ratio, 0.0)
+    ll[dead] = -np.inf
+    score[dead] = np.nan
+    return ll, score
+
+
+def _assert_same_score(got, want, ll):
+    """NaN in the same rows (the dead ones); elsewhere equal to 1e-10
+    relative to ``|want| + 1``.  Either side rounds each of at most a
+    hundred steps at ~1e-16 of the running tangent, so 1e-10 leaves a
+    margin of about 1e4."""
+    dead = np.isneginf(ll)
+    assert np.all(np.isnan(got[dead])) and np.all(np.isnan(want[dead]))
+    err = np.abs(got[~dead] - want[~dead])
+    assert np.all(err <= 1e-10 * (np.abs(want[~dead]) + 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_tangent_kernel_matches_sensitivity_loop(draw):
+    k = draw.draw(st.integers(1, 3), label="n_states")
+    d = draw.draw(st.integers(1, 3), label="param_dim")
+    g = draw.draw(st.integers(1, 4), label="batch")
+    n = draw.draw(st.integers(1, 100), label="n")
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    p = _draw_transition(draw, gen, k, 1)[0]
+    init = gen.dirichlet(np.ones(k))
+    if draw.draw(st.booleans(), label="point_mass_init"):
+        init = np.eye(k)[gen.integers(0, k)]
+    # weights spread over a few orders of magnitude within a step, a common
+    # factor per step up to e^±600, a slow per-state trend, zeros that spare
+    # one state per step and an all-zero step in each dead row; states
+    # stay far from drifting e^700 apart, where both sides lose digits to
+    # subnormals
+    spread = draw.draw(st.floats(0.0, 4.0), label="log_spread")
+    offset = draw.draw(st.floats(0.0, 600.0), label="log_offset")
+    trend = draw.draw(st.floats(0.0, 0.5), label="log_trend")
+    log_w = gen.normal(0.0, 1.0, size=(g, n, k)) * spread \
+        + gen.uniform(-1.0, 1.0, size=(g, n, 1)) * offset \
+        + gen.normal(0.0, 1.0, size=(g, 1, k)) * trend * np.arange(n)[:, None]
+    emis = np.exp(np.clip(log_w, -700.0, 700.0))
+    zero = gen.random((g, n, k)) < draw.draw(st.floats(0.0, 0.3),
+                                              label="zero_share")
+    np.put_along_axis(zero, gen.integers(0, k, size=(g, n, 1)), False, axis=-1)
+    emis[zero] = 0.0
+    dead = np.array(draw.draw(st.lists(st.booleans(), min_size=g, max_size=g),
+                              label="dead"))
+    emis[dead, gen.integers(0, n)] = 0.0
+    # nonzero tangents of the size of the entries they belong to, as a
+    # model's derivatives are: dP keeps the zeros of P, and no built-in
+    # model has a dP at all, so this is what tests its (K, d·K) layout.  A
+    # tangent on a state the filter has all but left makes the normalised
+    # loop subtract nearly equal numbers, so it is no reference there.
+    dp = p * gen.normal(size=(d, k, k))
+    dinit = init * gen.normal(size=(d, k))
+    demis = emis[:, :, None, :] * gen.normal(size=(g, n, d, k))
+    want_ll, want_score = _forward_sens_batch(p, dp, init, dinit, emis, demis)
+    got_ll, got_score = oracle._forward_steps(p, dp, init, dinit, emis, demis)
+    _assert_same_loglik(got_ll, want_ll, _forward_loop(p, init, emis)[1], n)
+    got_score[np.isneginf(got_ll)] = np.nan     # as forward_score_batch does
+    _assert_same_score(got_score, want_score, want_ll)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
+    # forward_score_batch evaluates each channel on its own steps; the
+    # reference evaluates both on every step and picks one per step
+    k = draw.draw(st.integers(1, 3), label="n_states")
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    p = _draw_transition(draw, gen, k, 1)[0]
+    model = builtin_model("finite_gaussian", hyper={
+        "n_states": k, "param": "mean_scale", "transition": p.tolist(),
+        "initial": gen.dirichlet(np.ones(k)).tolist(),
+        "mu_coeff": gen.uniform(-2.0, 2.0, size=k).tolist()})
+    theta = np.array([draw.draw(st.floats(-2.0, 2.0), label="mean"),
+                      draw.draw(st.floats(0.3, 2.0), label="scale")])
+    r = draw.draw(st.integers(1, 4), label="replicates")
+    n = draw.draw(st.integers(1, 30), label="n")
+    ys = gen.normal(0.0, 2.0, size=(r, n))
+    # a ball around 1e3 holds no probability under either channel
+    dead = np.array(draw.draw(st.lists(st.booleans(), min_size=r, max_size=r),
+                              label="dead"))
+    ys[dead, gen.integers(0, n)] = 1e3
+    pert = PerturbationSpec(epsilon=draw.draw(st.floats(0.05, 1.0)),
+                            kernel=draw.draw(st.sampled_from(KERNELS)))
+    mask = draw.draw(st.one_of(st.none(), st.lists(
+        st.booleans(), min_size=n, max_size=n).map(np.array)), label="mask")
+    steps = np.ones(n, dtype=bool) if mask is None else mask
+    e_ex, de_ex = oracle._emissions_and_jac(model, theta, ys, None)
+    e_pe, de_pe = oracle._emissions_and_jac(model, theta, ys, pert)
+    want_ll, want_score = _forward_sens_batch(
+        p, oracle._central_diff(model.transition_matrix, theta),
+        model.initial_dist(theta),
+        oracle._central_diff(model.initial_dist, theta),
+        np.where(steps[None, :, None], e_pe, e_ex),
+        np.where(steps[None, :, None, None], de_pe, de_ex))
+    want_ll -= steps.sum() * oracle.log_weight_scale(model, pert)
+    got_ll, got_score = oracle.forward_score_batch(model, theta, ys, pert,
+                                                   perturbed_steps=mask)
+    np.testing.assert_array_equal(np.isneginf(got_ll), dead)
+    np.testing.assert_array_equal(np.isneginf(want_ll), dead)
+    np.testing.assert_allclose(got_ll[~dead], want_ll[~dead], rtol=1e-12,
+                               atol=1e-12 * n)
+    _assert_same_score(got_score, want_score, want_ll)
+
+
+def test_score_batch_dead_rows_are_nan_and_live_rows_unchanged():
+    # balls of radius 0.25 around the data: the one around 5 misses both
+    # support points ±1 of the second series; the one around 1.2500005
+    # misses +1 by less than the difference step, so the Jacobian of the
+    # third series' dead step is not zero and its raw ratio is infinite
+    model = builtin_model("iid_pm_theta")
+    pert = PerturbationSpec(epsilon=0.25)
+    ys = np.array([[1.0, -1.1, 0.9, -1.0],
+                   [1.0, 5.0, -1.0, 1.0],
+                   [-0.8, 1.2500005, 1.0, -0.9],
+                   [-0.8, 1.2, 1.0, -0.9]])
+    ll, score = oracle.forward_score_batch(model, [1.0], ys, pert)
+    np.testing.assert_array_equal(np.isneginf(ll), [False, True, True, False])
+    assert np.all(np.isnan(score[1:3]))
+    for r in (0, 3):
+        one_ll, one_score = oracle.forward_score_batch(model, [1.0], ys[r],
+                                                       pert)
+        assert np.isfinite(ll[r]) and ll[r] == one_ll[0]
+        np.testing.assert_array_equal(score[r], one_score[0])
+        assert not np.any(np.isnan(score[r]))
+        assert ll[r] == oracle.forward_loglik(model, [1.0], ys[r], pert)
+
+
+def test_score_with_theta_dependent_transition_matches_fd():
+    # P and the initial law move with theta, so dP and dinit come from
+    # central differences and feed the tangent rows
+    def transition(th):
+        return np.array([[0.5 + 0.1 * th[0], 0.5 - 0.1 * th[0]],
+                         [0.3 - 0.05 * th[0], 0.7 + 0.05 * th[0]]])
+
+    model = dataclasses.replace(
+        builtin_model("finite_gaussian"), transition_matrix=transition,
+        initial_dist=lambda th: np.array([0.6 + 0.1 * th[0],
+                                          0.4 - 0.1 * th[0]]))
+    ys = sampling.simulate(model, [1.0], 200, seed=12, with_hidden=False)
+    for pert in (None, PerturbationSpec(epsilon=0.4),
+                 PerturbationSpec(epsilon=0.4, kernel="gaussian")):
+        for theta in (-1.5, 0.4, 2.0):
+            score = oracle.forward_score(model, [theta], ys, pert)
+            h = 1e-5
+            fd = (oracle.forward_loglik(model, [theta + h], ys, pert)
+                  - oracle.forward_loglik(model, [theta - h], ys, pert)) / (2 * h)
+            assert score[0] == pytest.approx(fd, rel=1e-5, abs=1e-6)
