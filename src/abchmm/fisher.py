@@ -22,6 +22,13 @@ decomposition made computable.  ``missing_information_check`` validates the
 identity behind it on a short horizon, where both routes (direct difference
 of full-sequence score outer products, and the summed conditional
 differences) are computed from independent replicates and must agree.
+
+Mixed sequences of different boundaries share their clean prefix, so all
+the boundaries of one replicate batch are scored in one pass over time: the
+clean filter runs once up to the first boundary, and at each boundary a
+copy of its rows branches off onto the noisy observations, stacked with the
+others so that one kernel step advances every branch.  Each boundary's
+score is the one a separate full-sequence run gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import numpy as np
 from . import rng as rngmod
 from .models import ModelSpec, PerturbationSpec, check_theta, \
     sample_categorical_rows, sample_observations
-from .oracle import forward_score_batch
+from .oracle import _emissions_and_jac, _forward_finish, _forward_segment, \
+    _forward_start, _laws_and_jac, forward_score_batch
 
 Array = np.ndarray
 
@@ -191,17 +199,60 @@ def _conditional_score_diffs(model: ModelSpec, theta: Array,
 
     A boundary ``b`` scores the sequence whose first ``b`` slots hold clean
     observations (exact channel) and the rest their coupled noisy twins
-    (perturbed channel).  Returns ``{b: scores (R, d)}``.
+    (perturbed channel).  All boundaries share one simulated batch and one
+    pass over time: :func:`_boundary_scores` runs the clean prefix once and
+    branches a noisy copy off it at each boundary.  Returns
+    ``{b: scores (R, d)}``.
     """
     states = _simulate_paths(model, theta, reps, length, seed)
     y, y_eps = _coupled_obs(model, theta, states, pert, seed)
-    out = {}
-    for b in boundaries:
-        mask = np.arange(length) >= b          # noisy slots
-        obs = np.where(mask[None, :], y_eps, y)
-        _, scores = forward_score_batch(model, theta, obs, pert=pert,
-                                        perturbed_steps=mask)
-        out[b] = scores
+    return _boundary_scores(model, theta, pert, y, y_eps, boundaries)
+
+
+def _boundary_scores(model: ModelSpec, theta: Array, pert: PerturbationSpec,
+                     y: Array, y_eps: Array, boundaries):
+    """Scores of the mixed sequences ``y[:, :b] ++ y_eps[:, b:]`` (R, n), one
+    per boundary ``b`` in [0, n]: ``{b: scores (R, d)}``.
+
+    Two sequences of different boundaries agree on every step before the
+    smaller one, so the filter of that clean prefix is shared.  With the
+    boundaries sorted, the clean emissions and their Jacobian are evaluated
+    once on steps ``[0, b_last)`` and the noisy ones once on
+    ``[b_first, n)``.  A clean chain of R rows runs the sensitivity
+    recursion up to ``b_first``.  At each boundary but the last, a copy of
+    the chain's rows is stacked on as a new branch, which takes the noisy
+    emissions from then on; at the last boundary the chain itself turns
+    noisy and becomes that boundary's branch.  So n kernel steps serve
+    every boundary, and each score equals the one ``forward_score_batch``
+    gives with ``perturbed_steps = arange(n) >= b``, bit for bit.
+    """
+    bs = sorted(set(int(b) for b in boundaries))
+    lo, hi = bs[0], bs[-1]
+    clean, dclean = _emissions_and_jac(model, theta, y[:, :hi], None)
+    noisy, dnoisy = _emissions_and_jac(model, theta, y_eps[:, lo:], pert)
+    p, dp, init, dinit = _laws_and_jac(model, theta)
+    # rows (1 + branches, R): the chain first, then one branch per boundary
+    state = _forward_start(init, dinit, (1, y.shape[0]))
+    state = _forward_segment(p, dp, state, clean[:, :lo], dclean[:, :lo])
+    for b, nxt in zip(bs, bs[1:]):
+        state = tuple(np.concatenate([s, s[:1]]) for s in state)
+        state = _forward_segment(
+            p, dp, state,
+            _chain_then_branches(clean[:, b:nxt], noisy[:, b - lo:nxt - lo],
+                                 len(state[0])),
+            _chain_then_branches(dclean[:, b:nxt], dnoisy[:, b - lo:nxt - lo],
+                                 len(state[0])))
+    state = _forward_segment(p, dp, state, noisy[:, hi - lo:],
+                             dnoisy[:, hi - lo:])
+    scores = _forward_finish(state)[1]
+    return dict(zip([hi] + bs[:-1], scores))
+
+
+def _chain_then_branches(chain: Array, branch: Array, rows: int) -> Array:
+    """(rows, ...) weights of one segment: the chain's clean ones in row 0,
+    the noisy ones in every branch row."""
+    out = np.empty((rows, *chain.shape))
+    out[0], out[1:] = chain, branch
     return out
 
 

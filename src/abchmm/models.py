@@ -149,6 +149,12 @@ class ModelSpec:
     G=1 call draws exactly what each row of a G-row call uses, and the
     particle filter can run a whole batch of candidate parameters on one set
     of draws (common random numbers).  Simulation calls it with G=1.
+
+    Construction (``dataclasses.replace`` too) evaluates ``transition_matrix``
+    and ``initial_dist`` once, at the centre of ``theta_box``, and raises a
+    ``ValueError`` naming the model unless they are a K x K stochastic
+    matrix and a law over the K states.  A law that moves with ``theta`` is
+    checked there only; the likelihood paths do not check it again.
     """
 
     name: str
@@ -166,6 +172,24 @@ class ModelSpec:
     emission_density_jac: Callable | None = None
     emission_interval_prob_jac: Callable | None = None
     emission_smooth_density_jac: Callable | None = None
+
+    def __post_init__(self):
+        k = self.n_states
+        centre = np.asarray(self.theta_box, dtype=float).mean(axis=1)
+        p = np.asarray(self.transition_matrix(centre), dtype=float)
+        init = np.asarray(self.initial_dist(centre), dtype=float)
+        where = f"model {self.name!r} at the theta_box centre {centre.tolist()}"
+        if p.shape != (k, k):
+            raise ValueError(f"{where}: transition matrix has shape {p.shape}, "
+                             f"expected ({k}, {k})")
+        try:
+            check_transition(p)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if init.shape != (k,) or not np.all(init >= 0.0) \
+                or not math.isclose(init.sum(), 1.0, abs_tol=1e-10):
+            raise ValueError(f"{where}: initial_dist {init.tolist()} is not a "
+                             f"law over the {k} states")
 
     @property
     def tractable(self) -> bool:
@@ -302,8 +326,13 @@ def _initial_from_hyper(hyper: dict, transition: Array) -> Array:
     return init
 
 
-def _norm_pdf(z: Array) -> Array:
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def _norm_pdf(z: Array, out: Array | None = None) -> Array:
+    """Standard normal density at ``z``, written into ``out`` when given."""
+    out = np.multiply(-0.5, z, out=out)
+    out *= z
+    np.exp(out, out=out)
+    out /= math.sqrt(2.0 * math.pi)
+    return out
 
 
 def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
@@ -391,16 +420,28 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         return np.stack(rows)
 
     def emission_interval_prob_jac(theta, lo, hi):
+        # written by in-place ops into one (d, n, K) array, in the order of
+        # the formulas above: pdf(zh) goes into the first row and pdf(zl)
+        # into zh once zh is spent, so zh and zl are the only temporaries
         mu, s = mu_s(theta)
         zh = (hi[:, None] - mu[None, :]) / s
         zl = (lo[:, None] - mu[None, :]) / s
-        ph, pl = _norm_pdf(zh), _norm_pdf(zl)
-        rows = []
-        if mode in ("mean", "mean_scale"):
-            rows.append(-(ph - pl) / s * coeff[None, :])
+        out = np.empty((d, *zh.shape))
+        ph = _norm_pdf(zh, out=out[0])
         if mode in ("scale", "mean_scale"):
-            rows.append(-(ph * zh - pl * zl) / s)
-        return np.stack(rows)
+            np.multiply(ph, zh, out=out[-1])
+        pl = _norm_pdf(zl, out=zh)
+        if mode in ("scale", "mean_scale"):
+            np.multiply(pl, zl, out=zl)
+            out[-1] -= zl
+            np.negative(out[-1], out=out[-1])
+            out[-1] /= s
+        if mode in ("mean", "mean_scale"):
+            out[0] -= pl
+            np.negative(out[0], out=out[0])
+            out[0] /= s
+            out[0] *= coeff[None, :]
+        return out
 
     def emission_smooth_density_jac(theta, ys, sd):
         mu, s = mu_s(theta)

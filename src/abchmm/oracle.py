@@ -198,40 +198,75 @@ def _forward_steps(p: Array, dp: Array, init: Array, dinit: Array,
                    emis: Array, demis: Array):
     """Forward log-likelihood and score, one step at a time.
 
-    The state is one (G, 1+d, K) array: the unnormalised filter row and its
-    d tangent rows, its derivatives in theta (the tangent filter of Cappé,
-    Moulines & Rydén, *Inference in Hidden Markov Models*, 2005, ch. 10).
-    Each step predicts through P, adds ``alpha @ dP`` to the tangent rows
-    as one matmul against dP laid out as (K, d·K), applies the emission
-    weights and adds ``pred · de_t``, then divides the whole array by the
-    power of two that puts the filter sum in [1, 2).  With d = 0 it is the
-    plain scaled forward recursion.  A row whose filter dies stays zero and
-    gives loglik -inf; its score is meaningless.
+    The carried state is a pair ``(v, shift)``.  ``v`` (..., 1+d, K) holds
+    the unnormalised filter row and its d tangent rows, its derivatives in
+    theta (the tangent filter of Cappé, Moulines & Rydén, *Inference in
+    Hidden Markov Models*, 2005, ch. 10); ``shift`` (...) is the integer
+    log2 scale taken out of it so far.  :func:`_forward_start` builds it
+    from the initial law, :func:`_forward_segment` advances it through any
+    run of steps and hands it back, so a series can run in segments, and
+    :func:`_forward_finish` reads off the log-likelihood and score.  This
+    function runs the whole series in one segment.  With d = 0 it is the
+    plain scaled forward recursion.
 
     p: (K, K) or (G, K, K); dp: (d, K, K); init: (K,) or (G, K);
     dinit: (d, K); emis: (G, n, K); demis: (G, n, d, K).
-    Returns (loglik (G,), score (G, d)).
+    Returns (loglik (G,), score (G, d)); a row of loglik -inf has a NaN
+    score.
     """
-    g, n, k = emis.shape
+    state = _forward_start(init, dinit, emis.shape[:-2])
+    return _forward_finish(_forward_segment(p, dp, state, emis, demis))
+
+
+def _forward_start(init: Array, dinit: Array, shape: tuple):
+    """The carried state ``(v, shift)`` of rows ``shape`` before the first
+    step: the initial law and its derivatives, unscaled."""
+    d, k = dinit.shape
+    v = np.empty((*shape, 1 + d, k))
+    v[..., 0, :], v[..., 1:, :] = init, dinit
+    return v, np.zeros(shape, dtype=np.int64)
+
+
+def _forward_segment(p: Array, dp: Array, state, emis: Array, demis: Array):
+    """Advance the carried state ``(v, shift)`` through the L steps of
+    ``emis`` (..., L, K) and ``demis`` (..., L, d, K), which broadcast
+    against the rows of ``v``; return the new state.
+
+    Each step predicts through P, adds ``alpha @ dP`` to the tangent rows
+    as one matmul against dP laid out as (K, d·K), applies the emission
+    weights and adds ``pred · de_t``, then divides the whole row by the
+    power of two that puts its filter sum in [1, 2).  The state passed in
+    is left as it was.  A row whose filter dies stays zero.
+    """
+    v, shift = state
+    k = v.shape[-1]
     d = dp.shape[0]
     dpk = np.moveaxis(dp, 0, 1).reshape(k, d * k)
-    v = np.empty((g, 1 + d, k))
-    v[:, 0], v[:, 1:] = init, dinit
-    shift = np.zeros(g, dtype=np.int64)
     # after a dead step the zero filter gets exponent -1 each step, so a dead
     # row's tangent rows may overflow; that row's score is discarded
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for t in range(n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(emis.shape[-2]):
             pred = v @ p
-            pred[:, 1:] += (v[:, 0] @ dpk).reshape(g, d, k)
-            v = pred * emis[:, t, None]
-            v[:, 1:] += pred[:, :1] * demis[:, t]
-            exp = np.frexp(v[:, 0].sum(axis=-1))[1] - 1
-            v = np.ldexp(v, -exp[:, None, None])
-            shift += exp
-        total = v[:, 0].sum(axis=-1)
-        return (shift * math.log(2.0) + np.log(total),
-                v[:, 1:].sum(axis=-1) / total[:, None])
+            pred[..., 1:, :] += (v[..., 0, :] @ dpk).reshape(
+                *v.shape[:-2], d, k)
+            v = pred * emis[..., t, None, :]
+            v[..., 1:, :] += pred[..., :1, :] * demis[..., t, :, :]
+            exp = np.frexp(v[..., 0, :].sum(axis=-1))[1] - 1
+            v = np.ldexp(v, -exp[..., None, None])
+            shift = shift + exp
+    return v, shift
+
+
+def _forward_finish(state):
+    """``(loglik, score)`` of the carried state; a dead row, of loglik
+    -inf, gets a NaN score."""
+    v, shift = state
+    total = v[..., 0, :].sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = shift * math.log(2.0) + np.log(total)
+        score = v[..., 1:, :].sum(axis=-1) / total[..., None]
+    score[~np.isfinite(ll)] = np.nan
+    return ll, score
 
 
 def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
@@ -383,6 +418,15 @@ def _central_diff(fn, theta: Array) -> Array:
     return np.stack(rows)
 
 
+def _laws_and_jac(model: ModelSpec, theta: Array):
+    """``(P, dP, init, dinit)`` at ``theta``: the laws of the score kernel
+    and their central-difference Jacobians, exact zeros where they do not
+    move with theta."""
+    p, init = _transition_and_init(model, theta)
+    return (p, _central_diff(model.transition_matrix, theta),
+            init, _central_diff(model.initial_dist, theta))
+
+
 def _emissions_and_jac(model, theta, obs, pert):
     """Emission weights (R, n, K) of a batch of series ``obs`` (R, n) and
     their Jacobian (R, n, d, K): analytic when the model registers one,
@@ -443,11 +487,7 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
         for use, pp in channels:
             emis[:, use], demis[:, use] = _emissions_and_jac(
                 model, theta, obs_batch[:, use], pp)
-    p, init = _transition_and_init(model, theta)
-    ll, score = _forward_steps(p, _central_diff(model.transition_matrix, theta),
-                               init, _central_diff(model.initial_dist, theta),
-                               emis, demis)
-    score[~np.isfinite(ll)] = np.nan
+    ll, score = _forward_steps(*_laws_and_jac(model, theta), emis, demis)
     return ll - int(steps.sum()) * log_weight_scale(model, pert), score
 
 

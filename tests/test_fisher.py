@@ -6,10 +6,14 @@ width eps the perturbed model is again Gaussian with variance s^2 + eps^2,
 so its location information is exactly 1/(s^2 + eps^2).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abchmm import fisher
+from abchmm import fisher, oracle
+from abchmm.kernels import KERNELS
 from abchmm.models import PerturbationSpec, builtin_model
 
 
@@ -109,3 +113,94 @@ def test_simulated_paths_start_after_one_transition():
     model = builtin_model("finite_gaussian", hyper={"initial": [1.0, 0.0]})
     states = fisher._simulate_paths(model, np.array([0.5]), 20000, 2, seed=4)
     assert np.mean(states[:, 0] == 0) == pytest.approx(0.7, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# shared clean prefix, one branch per boundary
+
+
+def _theta_transition_model():
+    """finite_gaussian whose P and initial law move with theta."""
+    return dataclasses.replace(
+        builtin_model("finite_gaussian"),
+        transition_matrix=lambda th: np.array(
+            [[0.5 + 0.1 * th[0], 0.5 - 0.1 * th[0]],
+             [0.3 - 0.05 * th[0], 0.7 + 0.05 * th[0]]]),
+        initial_dist=lambda th: np.array([0.6 + 0.1 * th[0],
+                                          0.4 - 0.1 * th[0]]))
+
+
+def _iid_pm_with_density():
+    """iid_pm_theta with a stand-in exact channel, each state's observation
+    uniform within 1 of its point: no Jacobian, so central differences,
+    and a far observation kills its row on either channel."""
+    def density(theta, ys):
+        values = np.array([-theta[0], theta[0]])
+        return 0.5 * (np.abs(ys[:, None] - values) <= 1.0)
+
+    return dataclasses.replace(builtin_model("iid_pm_theta"),
+                               emission_density=density)
+
+
+_BRANCH_MODELS = {
+    "finite_gaussian": (
+        lambda: builtin_model("finite_gaussian", hyper={"param": "mean_scale"}),
+        [(-2.0, 2.0), (0.3, 2.0)], KERNELS),
+    "theta_transition": (_theta_transition_model, [(-2.0, 2.0)], KERNELS),
+    "iid_pm_theta": (_iid_pm_with_density, [(0.2, 2.8)], ("uniform",)),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_boundary_scores_match_per_boundary_score_batch(draw):
+    # every boundary's score from the shared-prefix branching equals the
+    # full mixed-sequence score of forward_score_batch, NaN rows included
+    make, ranges, kernels = _BRANCH_MODELS[draw.draw(
+        st.sampled_from(sorted(_BRANCH_MODELS)), label="model")]
+    model = make()
+    theta = np.array([draw.draw(st.floats(lo, hi), label="theta")
+                      for lo, hi in ranges])
+    pert = PerturbationSpec(epsilon=draw.draw(st.floats(0.05, 1.0),
+                                              label="epsilon"),
+                            kernel=draw.draw(st.sampled_from(kernels),
+                                             label="kernel"))
+    r = draw.draw(st.integers(1, 4), label="replicates")
+    n = draw.draw(st.integers(1, 12), label="n")
+    # unsorted, repeated, adjacent, single and end boundaries all occur
+    boundaries = draw.draw(st.lists(st.integers(0, n), min_size=1,
+                                    max_size=n + 2), label="boundaries")
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    y = gen.normal(0.0, 2.0, size=(r, n))
+    y_eps = y + gen.uniform(-pert.epsilon, pert.epsilon, size=(r, n))
+    # an observation at 1e3 holds no weight under either channel
+    for series in (y, y_eps):
+        dead = np.array(draw.draw(st.lists(st.booleans(), min_size=r,
+                                           max_size=r), label="dead"))
+        series[dead, gen.integers(0, n)] = 1e3
+    got = fisher._boundary_scores(model, theta, pert, y, y_eps, boundaries)
+    assert sorted(got) == sorted(set(boundaries))
+    for b in set(boundaries):
+        mask = np.arange(n) >= b
+        _, want = oracle.forward_score_batch(
+            model, theta, np.where(mask, y_eps, y), pert,
+            perturbed_steps=mask)
+        assert np.array_equal(got[b], want, equal_nan=True), b
+
+
+def test_conditional_score_diffs_share_one_batch(gauss2):
+    # the boundaries score the coupled batch that the seed simulates
+    pert = PerturbationSpec(epsilon=0.2)
+    theta = np.array([1.0, 1.0])
+    scores = fisher._conditional_score_diffs(gauss2, theta, pert, 50, 9,
+                                             boundaries=(4, 5), seed=3)
+    states = fisher._simulate_paths(gauss2, theta, 50, 9, 3)
+    y, y_eps = fisher._coupled_obs(gauss2, theta, states, pert, 3)
+    for b in (4, 5):
+        mask = np.arange(9) >= b
+        _, want = oracle.forward_score_batch(
+            gauss2, theta, np.where(mask, y_eps, y), pert,
+            perturbed_steps=mask)
+        np.testing.assert_array_equal(scores[b], want)
+        assert np.all(np.isfinite(scores[b]))

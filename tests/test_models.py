@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,41 @@ def test_check_transition():
         check_transition(np.array([[0.5, 0.6], [0.5, 0.5]]))
     p = check_transition(np.array([[0.9, 0.1], [0.4, 0.6]]))
     assert p.shape == (2, 2)
+
+
+def test_model_laws_checked_at_construction():
+    # dataclasses.replace builds a new ModelSpec, so it runs the check too
+    base = builtin_model("finite_gaussian")
+    bad_rows = np.array([[0.9, 0.9], [0.3, 0.7]])
+    cases = [
+        ({"transition_matrix": lambda th: bad_rows}, "rows must sum to 1"),
+        ({"transition_matrix": lambda th: np.full((2, 2), -0.5) + np.eye(2) * 2},
+         "negative entries"),
+        ({"transition_matrix": lambda th: np.eye(3)}, r"shape \(3, 3\)"),
+        ({"initial_dist": lambda th: np.array([0.5, 0.6])}, "not a law"),
+        ({"initial_dist": lambda th: np.array([np.nan, 1.0])}, "not a law"),
+        ({"initial_dist": lambda th: np.ones(3) / 3}, "not a law"),
+    ]
+    for change, problem in cases:
+        with pytest.raises(ValueError, match=problem) as info:
+            dataclasses.replace(base, **change)
+        assert "model 'finite_gaussian'" in str(info.value)
+    with pytest.raises(ValueError, match="model 'custom'.*rows must sum"):
+        ModelSpec(name="custom", param_dim=1, obs_dim=1,
+                  theta_box=np.array([[-1.0, 1.0]]), n_states=2, hyper={},
+                  transition_matrix=lambda th: bad_rows,
+                  initial_dist=lambda th: np.array([0.5, 0.5]),
+                  obs_sampler=base.obs_sampler)
+    # a law that moves with theta is evaluated at the box centre only
+    seen = []
+
+    def moving(th):
+        seen.append(th.copy())
+        return np.array([[0.5 + 0.1 * th[0], 0.5 - 0.1 * th[0]], [0.3, 0.7]])
+
+    dataclasses.replace(base, theta_box=np.array([[-2.0, 4.0]]),
+                        transition_matrix=moving)
+    assert len(seen) == 1 and seen[0].tolist() == [1.0]
 
 
 def test_stationary_dist():
@@ -123,6 +159,35 @@ def test_emission_jacobians_vs_fd(gauss2):
     jac = gauss2.emission_smooth_density_jac(theta, ys, 0.25)
     fd = _fd_jac(lambda t: gauss2.emission_smooth_density(t, ys, 0.25), theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["mean", "scale", "mean_scale"])
+def test_interval_prob_jacobian_bytes_match_formulas(mode):
+    # the in-place Jacobian gives the bytes of its formulas written out, on
+    # both sides of the mean and far into the tails
+    # mu_coeff off ±1, so that the order of its product with 1/s shows
+    coeff = np.array([-1.3, 0.7])
+    model = builtin_model("finite_gaussian", hyper={
+        "param": mode, "mu_coeff": coeff.tolist()})
+    theta = {"mean": [0.6], "scale": [0.9], "mean_scale": [0.6, 0.9]}[mode]
+    mu = np.array([-1.0, 1.0]) if mode == "scale" else coeff * theta[0]
+    s = 1.0 if mode == "mean" else theta[-1]
+    ys = np.random.default_rng(3).normal(0.0, 4.0, size=2000)
+    lo, hi = ys - 0.3, ys + 0.3
+    zh = (hi[:, None] - mu[None, :]) / s
+    zl = (lo[:, None] - mu[None, :]) / s
+
+    def pdf(z):
+        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    ph, pl = pdf(zh), pdf(zl)
+    rows = []
+    if mode != "scale":
+        rows.append(-(ph - pl) / s * coeff[None, :])
+    if mode != "mean":
+        rows.append(-(ph * zh - pl * zl) / s)
+    assert np.array_equal(model.emission_interval_prob_jac(theta, lo, hi),
+                          np.stack(rows))
 
 
 def test_perturbed_density_is_interval_prob(gauss2):
