@@ -73,10 +73,6 @@ def _parse_theta(text: str):
                           f"got {text!r}") from None
 
 
-def _fmt_vec(values) -> str:
-    return " ".join(format(float(v), ".17g") for v in np.atleast_1d(values))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -171,8 +167,9 @@ def _cmd_estimate(args) -> int:
     if args.json:
         print(json.dumps(est.result_to_dict(result), sort_keys=True))
     else:
-        print(f"theta_hat: {_fmt_vec(result.theta_hat.values)}")
-        print(f"log_value: {format(result.value, '.17g')}")
+        theta_hat = map(sampling.format_value, result.theta_hat.values)
+        print(f"theta_hat: {' '.join(theta_hat)}")
+        print(f"log_value: {sampling.format_value(result.value)}")
         print(f"evaluations: {result.n_evaluations} "
               f"(failed: {result.n_failures})")
     return 0

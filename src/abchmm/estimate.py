@@ -38,7 +38,7 @@ import scipy.optimize
 from . import oracle, rng as rngmod, smc as smcmod
 from .errors import EstimationFailedError
 from .models import ModelSpec, ParameterVector, PerturbationSpec
-from .sampling import Trajectory, noisify
+from .sampling import Trajectory, format_value, noisify
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -332,6 +332,5 @@ def save_estimate(result: EstimateResult, path) -> Path:
         writer = csv.writer(fh)
         writer.writerow([f"theta_{j}" for j in range(d)] + ["value", "se"])
         for th, v, se in result.trace:
-            writer.writerow([format(x, ".17g") for x in th]
-                            + [format(v, ".17g"), format(se, ".17g")])
+            writer.writerow([format_value(x) for x in (*th, v, se)])
     return path

@@ -403,16 +403,6 @@ _PRESET_PIPELINE = {
 # output writing
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _csv_bytes(rows: list) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -420,7 +410,7 @@ def _csv_bytes(rows: list) -> bytes:
         fields = list(rows[0].keys())
         writer.writerow(fields)
         for row in rows:
-            writer.writerow([_fmt(row[f]) for f in fields])
+            writer.writerow([sampling.format_value(row[f]) for f in fields])
     return buf.getvalue().encode()
 
 

@@ -27,8 +27,12 @@ Mixed sequences of different boundaries share their clean prefix, so all
 the boundaries of one replicate batch are scored in one pass over time: the
 clean filter runs once up to the first boundary, and at each boundary a
 copy of its rows branches off onto the noisy observations, stacked with the
-others so that one kernel step advances every branch.  Each boundary's
-score is the one a separate full-sequence run gives, bit for bit.
+others so that one kernel step advances every branch.  In the kernel's
+time-major layout (see :mod:`abchmm.oracle`) the rows are (1 + branches, R)
+on the last axes, so one (L, K, 1, R) array of noisy weights broadcasts
+over every branch without copies.  The kernel's rows do not depend on the
+batch width, so each boundary's score is the one a separate full-sequence
+run gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -228,31 +232,38 @@ def _boundary_scores(model: ModelSpec, theta: Array, pert: PerturbationSpec,
     """
     bs = sorted(set(int(b) for b in boundaries))
     lo, hi = bs[0], bs[-1]
-    clean, dclean = _emissions_and_jac(model, theta, y[:, :hi], None)
-    noisy, dnoisy = _emissions_and_jac(model, theta, y_eps[:, lo:], pert)
+    # time-major weights with a unit branch axis before the R replicates,
+    # (L, K, 1, R) and (L, d, K, 1, R), so they broadcast over every branch
+    clean, dclean = (a[..., None, :] for a in _emissions_and_jac(
+        model, theta, y[:, :hi], None))
+    noisy, dnoisy = (a[..., None, :] for a in _emissions_and_jac(
+        model, theta, y_eps[:, lo:], pert))
     p, dp, init, dinit = _laws_and_jac(model, theta)
     # rows (1 + branches, R): the chain first, then one branch per boundary
     state = _forward_start(init, dinit, (1, y.shape[0]))
-    state = _forward_segment(p, dp, state, clean[:, :lo], dclean[:, :lo])
+    state = _forward_segment(p, dp, state, clean[:lo], dclean[:lo])
     for b, nxt in zip(bs, bs[1:]):
-        state = tuple(np.concatenate([s, s[:1]]) for s in state)
+        v, shift = state
+        state = (np.concatenate([v, v[:, :, :1]], axis=2),
+                 np.concatenate([shift, shift[:1]]))
+        rows = len(state[1])
         state = _forward_segment(
             p, dp, state,
-            _chain_then_branches(clean[:, b:nxt], noisy[:, b - lo:nxt - lo],
-                                 len(state[0])),
-            _chain_then_branches(dclean[:, b:nxt], dnoisy[:, b - lo:nxt - lo],
-                                 len(state[0])))
-    state = _forward_segment(p, dp, state, noisy[:, hi - lo:],
-                             dnoisy[:, hi - lo:])
+            _chain_then_branches(clean[b:nxt], noisy[b - lo:nxt - lo], rows),
+            _chain_then_branches(dclean[b:nxt], dnoisy[b - lo:nxt - lo],
+                                 rows))
+    state = _forward_segment(p, dp, state, noisy[hi - lo:],
+                             dnoisy[hi - lo:])
     scores = _forward_finish(state)[1]
     return dict(zip([hi] + bs[:-1], scores))
 
 
 def _chain_then_branches(chain: Array, branch: Array, rows: int) -> Array:
-    """(rows, ...) weights of one segment: the chain's clean ones in row 0,
-    the noisy ones in every branch row."""
-    out = np.empty((rows, *chain.shape))
-    out[0], out[1:] = chain, branch
+    """(..., rows, R) weights of one segment from the (..., 1, R) clean ones
+    of the chain and noisy ones of the branches: the chain's in row 0, the
+    noisy ones in every branch row."""
+    out = np.empty((*chain.shape[:-2], rows, chain.shape[-1]))
+    out[..., :1, :], out[..., 1:, :] = chain, branch
     return out
 
 

@@ -12,6 +12,17 @@ gives the scores, vectorized over a whole batch of replicate data sets, and,
 without derivatives, the log-likelihood under a transition matrix with
 zeros that would let the reduction lose a row to underflow.
 
+The kernel runs time-major, with the replicate rows on the last axes: its
+state is (1+d, K, *rows) and its inputs are (n, K, *rows) weights and an
+(n, d, K, *rows) Jacobian, so each step is a few multiply-adds over long
+contiguous row vectors.  Two invariants hold.  Rows do not depend on the
+batch width: every operation acts on each row alone (the prediction through
+P is elementwise multiply-adds over the states in a fixed order, never a
+BLAS product), so a row of a wide batch equals the one-row call bit for
+bit.  And scaling is exact: each step multiplies by a power of two, by
+``ldexp`` when the filter sum is subnormal and the factor itself would
+overflow.
+
 Perturbed quantities: passing a :class:`PerturbationSpec` makes each
 emission weight the kernel weight the particle estimator in :mod:`abchmm.smc`
 averages -- the probability that the state's observation lands in the
@@ -145,7 +156,8 @@ def _rescale(m: Array) -> Array:
 
 # Most entries the step matrices of one time block hold: a batch of G
 # series runs in blocks of _BLOCK_ENTRIES // (G·K²) steps (at least one),
-# which bounds the reduction's memory for every n and G.
+# which bounds the reduction's memory for every n and G.  The score kernel's
+# emission weights are evaluated in blocks of as many observations.
 _BLOCK_ENTRIES = 1 << 16
 
 # Largest ratio between two entries of one column of P that the reduction
@@ -196,75 +208,121 @@ def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
 
 def _forward_steps(p: Array, dp: Array, init: Array, dinit: Array,
                    emis: Array, demis: Array):
-    """Forward log-likelihood and score, one step at a time.
+    """Forward log-likelihood and score, one step at a time, of a batch
+    laid out rows-first.
 
-    The carried state is a pair ``(v, shift)``.  ``v`` (..., 1+d, K) holds
-    the unnormalised filter row and its d tangent rows, its derivatives in
-    theta (the tangent filter of Cappé, Moulines & Rydén, *Inference in
-    Hidden Markov Models*, 2005, ch. 10); ``shift`` (...) is the integer
-    log2 scale taken out of it so far.  :func:`_forward_start` builds it
-    from the initial law, :func:`_forward_segment` advances it through any
-    run of steps and hands it back, so a series can run in segments, and
+    The carried state is a pair ``(v, shift)``.  ``v`` (1+d, K, *rows)
+    holds the unnormalised filter row and its d tangent rows, its
+    derivatives in theta (the tangent filter of Cappé, Moulines & Rydén,
+    *Inference in Hidden Markov Models*, 2005, ch. 10), with the rows of the
+    batch on the last axes; ``shift`` (*rows) is the integer log2 scale
+    taken out of it so far.  :func:`_forward_start` builds it from the
+    initial law, :func:`_forward_segment` advances it through any run of
+    steps and hands it back, so a series can run in segments, and
     :func:`_forward_finish` reads off the log-likelihood and score.  This
-    function runs the whole series in one segment.  With d = 0 it is the
-    plain scaled forward recursion.
+    function moves its inputs to that layout (as views) and runs the whole
+    series in one segment.  With d = 0 it is the plain scaled forward
+    recursion.
 
     p: (K, K) or (G, K, K); dp: (d, K, K); init: (K,) or (G, K);
     dinit: (d, K); emis: (G, n, K); demis: (G, n, d, K).
     Returns (loglik (G,), score (G, d)); a row of loglik -inf has a NaN
     score.
     """
-    state = _forward_start(init, dinit, emis.shape[:-2])
-    return _forward_finish(_forward_segment(p, dp, state, emis, demis))
+    if p.ndim == 3:
+        p = np.moveaxis(p, 0, -1)
+    state = _forward_start(init, dinit, emis.shape[:1])
+    return _forward_finish(_forward_segment(
+        p, dp, state, np.moveaxis(emis, 0, -1), np.moveaxis(demis, 0, -1)))
 
 
 def _forward_start(init: Array, dinit: Array, shape: tuple):
     """The carried state ``(v, shift)`` of rows ``shape`` before the first
-    step: the initial law and its derivatives, unscaled."""
+    step: the initial law, (K,) or (*shape, K), and its derivatives (d, K),
+    unscaled."""
     d, k = dinit.shape
-    v = np.empty((*shape, 1 + d, k))
-    v[..., 0, :], v[..., 1:, :] = init, dinit
+    v = np.empty((1 + d, k, *shape))
+    v[0] = np.moveaxis(np.broadcast_to(init, (*shape, k)), -1, 0)
+    v[1:] = dinit.reshape(d, k, *(1,) * len(shape))
     return v, np.zeros(shape, dtype=np.int64)
+
+
+def _state_sum(x: Array) -> Array:
+    """Sum of ``x`` (K, ...) over its first axis, one state after another:
+    the same additions in the same order for every row."""
+    total = x[0].copy()
+    for xi in x[1:]:
+        total += xi
+    return total
 
 
 def _forward_segment(p: Array, dp: Array, state, emis: Array, demis: Array):
     """Advance the carried state ``(v, shift)`` through the L steps of
-    ``emis`` (..., L, K) and ``demis`` (..., L, d, K), which broadcast
-    against the rows of ``v``; return the new state.
+    ``emis`` (L, K, *rows) and ``demis`` (L, d, K, *rows); return the new
+    state.
 
-    Each step predicts through P, adds ``alpha @ dP`` to the tangent rows
-    as one matmul against dP laid out as (K, d·K), applies the emission
-    weights and adds ``pred · de_t``, then divides the whole row by the
-    power of two that puts its filter sum in [1, 2).  The state passed in
-    is left as it was.  A row whose filter dies stays zero.
+    The layout is time-major with the rows last: each step's weights are
+    one contiguous (K, *rows) block, broadcast against the (1+d, K, *rows)
+    state, so every operation of a step is a multiply or an add over long
+    row vectors.  ``p`` is (K, K), or (K, K, *rows) for one P per row;
+    ``dp`` (d, K, K) is shared.
+
+    Each step predicts through P and adds ``alpha · dP`` to the tangent
+    rows, as elementwise multiply-adds over the states in the order
+    i = 0..K-1 (not a matmul: a BLAS product may round one row differently
+    at another batch width).  It applies the emission weights, adds
+    ``pred · de_t`` to the tangent rows, and then multiplies the whole row
+    by the power of two that puts its filter sum in [1, 2).  Every
+    operation acts on one row at a time, so a row's result does not depend
+    on how many rows run beside it.  A power of two scales exactly, also
+    when the filter sum is subnormal: the factor 2^-exp then overflows, and
+    that step scales by ``ldexp`` instead.  The state passed in is left as
+    it was.  A row whose filter dies stays zero.
     """
     v, shift = state
-    k = v.shape[-1]
+    k = v.shape[1]
     d = dp.shape[0]
-    dpk = np.moveaxis(dp, 0, 1).reshape(k, d * k)
+    ones = (1,) * (v.ndim - 2)
+    if p.ndim == 2:
+        p = p.reshape(k, k, *ones)
+    dp_rows = [dp[:, i].reshape(d, k, *ones) for i in range(k)]
+    v, shift = v.copy(), shift.copy()
+    pred, term = np.empty_like(v), np.empty_like(v)
     # after a dead step the zero filter gets exponent -1 each step, so a dead
     # row's tangent rows may overflow; that row's score is discarded
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(emis.shape[-2]):
-            pred = v @ p
-            pred[..., 1:, :] += (v[..., 0, :] @ dpk).reshape(
-                *v.shape[:-2], d, k)
-            v = pred * emis[..., t, None, :]
-            v[..., 1:, :] += pred[..., :1, :] * demis[..., t, :, :]
-            exp = np.frexp(v[..., 0, :].sum(axis=-1))[1] - 1
-            v = np.ldexp(v, -exp[..., None, None])
-            shift = shift + exp
+        for t in range(emis.shape[0]):
+            np.multiply(v[:, :1], p[0], out=pred)
+            for i in range(1, k):
+                np.multiply(v[:, i:i + 1], p[i], out=term)
+                pred += term
+            for i, dp_i in enumerate(dp_rows):
+                np.multiply(v[0, i], dp_i, out=term[1:])
+                pred[1:] += term[1:]
+            np.multiply(pred, emis[t], out=v)
+            np.multiply(pred[:1], demis[t], out=term[1:])
+            v[1:] += term[1:]
+            exp = np.frexp(_state_sum(v[0]))[1]
+            exp -= 1
+            if exp.min(initial=0) < -1023:
+                np.ldexp(v, -exp, out=v)
+            else:
+                v *= np.ldexp(1.0, -exp)
+            shift += exp
     return v, shift
 
 
 def _forward_finish(state):
-    """``(loglik, score)`` of the carried state; a dead row, of loglik
-    -inf, gets a NaN score."""
+    """``(loglik (*rows), score (*rows, d))`` of the carried state; a dead
+    row, of loglik -inf, gets a NaN score."""
     v, shift = state
-    total = v[..., 0, :].sum(axis=-1)
+    total = _state_sum(v[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         ll = shift * math.log(2.0) + np.log(total)
-        score = v[..., 1:, :].sum(axis=-1) / total[..., None]
+        score = _state_sum(np.moveaxis(v[1:], 1, 0)) / total
+    # rows-first in C order: callers' reductions over it then add in the
+    # same order whatever the kernel's layout
+    score = np.ascontiguousarray(np.moveaxis(score, 0, -1))
     score[~np.isfinite(ll)] = np.nan
     return ll, score
 
@@ -428,21 +486,34 @@ def _laws_and_jac(model: ModelSpec, theta: Array):
 
 
 def _emissions_and_jac(model, theta, obs, pert):
-    """Emission weights (R, n, K) of a batch of series ``obs`` (R, n) and
-    their Jacobian (R, n, d, K): analytic when the model registers one,
-    central differences otherwise."""
-    flat = obs.reshape(-1)
+    """Emission weights (n, K, R) of a batch of series ``obs`` (R, n) and
+    their Jacobian (n, d, K, R), time-major for :func:`_forward_segment`:
+    analytic when the model registers one, central differences otherwise.
+
+    The model's callables return rows-first (d, m, K) and (m, K) arrays.
+    They run on blocks of whole steps, about ``_BLOCK_ENTRIES`` observations
+    each (one step at least), and each block is transposed into the
+    outputs, so neither their results nor their temporaries span the whole
+    batch.  They act on each observation alone, so blocking changes no
+    value.
+    """
+    r, n = obs.shape
+    d, k = theta.shape[0], model.n_states
     jac = _emission_fns(model, pert)[1]
-    if jac is not None:
-        de = jac(theta, flat)
-    else:
-        de = _central_diff(lambda th: emission_matrix(model, th, flat, pert),
-                           theta)
-    # the weights after the Jacobian: its temporaries are the largest
-    e = emission_matrix(model, theta, flat, pert)
-    d, _, k = de.shape
-    return (e.reshape(*obs.shape, k),
-            np.moveaxis(de, 0, 1).reshape(*obs.shape, d, k))
+    if jac is None:
+        def jac(th, ys):
+            return _central_diff(
+                lambda t: emission_matrix(model, t, ys, pert), th)
+    e = np.empty((n, k, r))
+    de = np.empty((n, d, k, r))
+    block = max(1, _BLOCK_ENTRIES // max(r, 1))
+    for s in range(0, n, block):
+        b = min(block, n - s)
+        ys = obs[:, s:s + b].T.reshape(-1)
+        de[s:s + b] = jac(theta, ys).reshape(d, b, r, k).transpose(1, 0, 3, 2)
+        e[s:s + b] = emission_matrix(model, theta, ys, pert) \
+            .reshape(b, r, k).transpose(0, 2, 1)
+    return e, de
 
 
 def forward_score(model: ModelSpec, theta, data,
@@ -482,12 +553,15 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
         emis, demis = _emissions_and_jac(model, theta, obs_batch,
                                          channels[0][1])
     else:
-        emis = np.empty((r, n, model.n_states))
-        demis = np.empty((r, n, theta.shape[0], model.n_states))
+        emis = np.empty((n, model.n_states, r))
+        demis = np.empty((n, theta.shape[0], model.n_states, r))
         for use, pp in channels:
-            emis[:, use], demis[:, use] = _emissions_and_jac(
+            emis[use], demis[use] = _emissions_and_jac(
                 model, theta, obs_batch[:, use], pp)
-    ll, score = _forward_steps(*_laws_and_jac(model, theta), emis, demis)
+    p, dp, init, dinit = _laws_and_jac(model, theta)
+    state = _forward_segment(p, dp, _forward_start(init, dinit, (r,)),
+                             emis, demis)
+    ll, score = _forward_finish(state)
     return ll - int(steps.sum()) * log_weight_scale(model, pert), score
 
 

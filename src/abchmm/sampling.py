@@ -149,8 +149,17 @@ def apply_summary(traj: Trajectory, name: str) -> Trajectory:
 # disk format
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def format_value(value) -> str:
+    """``value`` as every file and the CLI write it: a float to 17
+    significant digits, which read back as the same double; a bool as
+    ``true``/``false``; None as an empty field; anything else by ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if value is None:
+        return ""
+    return str(value)
 
 
 def _sidecar(path: Path) -> Path:
@@ -169,7 +178,7 @@ def save_trajectory(traj: Trajectory, path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in range(traj.n):
-            row = [str(t)] + [_fmt(v) for v in traj.observations[t]]
+            row = [str(t)] + [format_value(v) for v in traj.observations[t]]
             if traj.hidden is not None:
                 row.append(str(int(traj.hidden[t])))
             writer.writerow(row)

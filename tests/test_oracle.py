@@ -629,6 +629,12 @@ def test_tangent_kernel_matches_sensitivity_loop(draw):
     _assert_same_score(got_score, want_score, want_ll)
 
 
+def _rows_first(emis, demis):
+    """Time-major weights (n, K, R) and Jacobian (n, d, K, R) as (R, n, K)
+    and (R, n, d, K)."""
+    return emis.transpose(2, 0, 1), demis.transpose(3, 0, 1, 2)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
@@ -656,8 +662,11 @@ def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
     mask = draw.draw(st.one_of(st.none(), st.lists(
         st.booleans(), min_size=n, max_size=n).map(np.array)), label="mask")
     steps = np.ones(n, dtype=bool) if mask is None else mask
-    e_ex, de_ex = oracle._emissions_and_jac(model, theta, ys, None)
-    e_pe, de_pe = oracle._emissions_and_jac(model, theta, ys, pert)
+    # the kernel's time-major (n, K, R) and (n, d, K, R), back to rows-first
+    e_ex, de_ex = _rows_first(*oracle._emissions_and_jac(model, theta, ys,
+                                                         None))
+    e_pe, de_pe = _rows_first(*oracle._emissions_and_jac(model, theta, ys,
+                                                         pert))
     want_ll, want_score = _forward_sens_batch(
         p, oracle._central_diff(model.transition_matrix, theta),
         model.initial_dist(theta),
@@ -695,6 +704,70 @@ def test_score_batch_dead_rows_are_nan_and_live_rows_unchanged():
         np.testing.assert_array_equal(score[r], one_score[0])
         assert not np.any(np.isnan(score[r]))
         assert ll[r] == oracle.forward_loglik(model, [1.0], ys[r], pert)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_score_batch_rows_do_not_depend_on_batch_width(k, draw):
+    # each row of a wide batch, bit for bit, is the one-row call of its series:
+    # exact, perturbed and mixed channels, dead rows, and a P that moves with
+    # theta (nonzero dP) or does not.  The sizes come from the seeded
+    # generator, which spreads them more evenly than hypothesis draws do.
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    r, n = gen.integers(1, 301), gen.integers(1, 13)
+    p, q = _draw_transition(draw, gen, k, 2)
+    model = builtin_model("finite_gaussian", hyper={
+        "n_states": k, "param": "mean_scale", "transition": p.tolist(),
+        "initial": gen.dirichlet(np.ones(k)).tolist(),
+        "mu_coeff": gen.uniform(-2.0, 2.0, size=k).tolist()})
+    if draw.draw(st.booleans(), label="moving_p"):
+        model = dataclasses.replace(model, transition_matrix=lambda th:
+                                    p + (q - p) * (0.5 + 0.1 * th[0]))
+    theta = np.array([draw.draw(st.floats(-2.0, 2.0), label="mean"),
+                      draw.draw(st.floats(0.3, 2.0), label="scale")])
+    ys = gen.normal(0.0, 2.0, size=(r, n))
+    # a ball around 1e3 holds no probability under either channel
+    dead = gen.random(r) < draw.draw(st.floats(0.0, 0.3), label="dead_share")
+    ys[dead, gen.integers(0, n, size=dead.sum())] = 1e3
+    channel = draw.draw(st.sampled_from(["exact", "perturbed", "mixed"]),
+                        label="channel")
+    pert = None if channel == "exact" else PerturbationSpec(
+        epsilon=draw.draw(st.floats(0.05, 1.0), label="eps"),
+        kernel=draw.draw(st.sampled_from(KERNELS), label="kernel"))
+    mask = gen.random(n) < 0.5 if channel == "mixed" else None
+    ll, score = oracle.forward_score_batch(model, theta, ys, pert,
+                                           perturbed_steps=mask)
+    np.testing.assert_array_equal(np.isneginf(ll), dead)
+    for i in range(r):
+        one_ll, one_score = oracle.forward_score_batch(
+            model, theta, ys[i], pert, perturbed_steps=mask)
+        assert np.array_equal(ll[i:i + 1], one_ll)
+        assert np.array_equal(score[i:i + 1], one_score, equal_nan=True)
+
+
+def test_score_scaling_stays_exact_at_a_subnormal_filter_sum():
+    # at theta (0, 1) the density of 38 is about e^-723, so the filter sum
+    # after that step is subnormal: the rescaling factor 2^-exp is then past
+    # the largest double, and a plain multiply by it would give inf
+    model = builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
+    ys = np.array([0.1, 0.3, 38.0, 0.2, -0.4])
+    theta = np.array([0.0, 1.0])
+    ll, score = oracle.forward_score_batch(model, theta, ys)
+    assert ll[0] == pytest.approx(-726.7447, abs=1e-4)
+    # the weight of 38 is itself subnormal, with about 31 significant bits,
+    # which the product reduction and the kernel round differently
+    assert ll[0] == pytest.approx(oracle.forward_loglik(model, theta, ys),
+                                  abs=1e-8)
+    h = 1e-6
+    for j in range(2):
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        fd = (oracle.forward_loglik(model, up, ys)
+              - oracle.forward_loglik(model, dn, ys)) / (2 * h)
+        assert score[0, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_score_with_theta_dependent_transition_matches_fd():
