@@ -143,6 +143,9 @@ def _cmd_estimate(args) -> int:
         objective = "oracle" if has_closed_form(model, pert) else "smc"
     opts = {}
     if args.grid_points is not None:
+        if args.grid_points < 1:
+            raise ConfigError(f"--grid-points must be >= 1, "
+                              f"got {args.grid_points}")
         opts["grid_points"] = args.grid_points
     common = dict(objective=objective, method=args.optimizer,
                   seed=args.seed, **opts)

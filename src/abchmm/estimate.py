@@ -13,8 +13,13 @@ The particle objective uses common random numbers: one stream key is derived
 from the run seed and reused for every candidate theta, making the objective
 a deterministic surface the optimizer can trust.  The grid stage hands all
 its candidates to ``smc.smc_abc_likelihood_batch`` in one call, so they share
-the filter's draws step by step, not only the seed; the golden-section and
-Nelder-Mead stages evaluate one theta at a time, with the same draws.
+the filter's draws step by step, not only the seed.  The golden-section
+stage looks one step ahead through the same batch call: each call holds the
+next probe and both probes that could follow it, and only the probes the
+sequential search makes are recorded, so the result is the one the
+sequential search gives, bit for bit.  Nelder-Mead evaluates one theta at a
+time, with the same draws.  The exact objective evaluates every stage past
+the grid one theta at a time.
 
 Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
 ``grid_then_golden`` (coarse grid, then cyclic per-coordinate golden-section
@@ -67,14 +72,14 @@ class _Recorder:
 
     def __call__(self, theta: np.ndarray) -> float:
         value, se = self.fn(theta)
-        self._record(theta, value, se)
+        self.record(theta, value, se)
         return value
 
     def record_batch(self, thetas, values, ses):
         for theta, value, se in zip(thetas, values, ses):
-            self._record(np.asarray(theta), float(value), float(se))
+            self.record(np.asarray(theta), float(value), float(se))
 
-    def _record(self, theta, value, se):
+    def record(self, theta, value, se):
         self.trace.append((tuple(float(v) for v in theta), float(value), float(se)))
         if not math.isfinite(value):
             self.n_failures += 1
@@ -92,29 +97,76 @@ def _grid_thetas(axes):
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _narrow(lo: float, hi: float, c: float, d: float, keep_left: bool):
+    """One golden-section step: keep ``[lo, d]`` (``keep_left``, when
+    ``f(c) >= f(d)``) or ``[c, hi]``.  Returns the new bracket
+    ``(lo, hi, c, d)`` and the one point of it still to evaluate."""
+    if keep_left:
+        hi, d = d, c
+        c = hi - GOLDEN * (hi - lo)
+        return (lo, hi, c, d), c
+    lo, c = c, d
+    d = lo + GOLDEN * (hi - lo)
+    return (lo, hi, c, d), d
+
+
 def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
-                   a: float, b: float, tol: float):
-    """Golden-section maximization of coordinate j on [a, b]."""
+                   a: float, b: float, tol: float, batch=None):
+    """Golden-section maximization of coordinate j on [a, b].
+
+    Without ``batch`` each probe is one call of the recorder's objective.
+    With ``batch``, a batch objective whose every row equals the single
+    call bit for bit, the two bracket points share one call, and each later
+    call holds the next probe together with both probes that could follow
+    it: which of the two the search makes depends on the value of the
+    first, and the next step takes it without a call.  Only the probes the
+    search makes are recorded, in its order, so the trace is the same
+    either way.
+    """
+    lookahead = batch is not None
+    if not lookahead:
+        def batch(thetas):
+            return zip(*[rec.fn(th) for th in thetas])
+
+    def evaluate(xs):
+        """``(theta, value, se)`` at each point of ``xs``, in one call."""
+        thetas = np.repeat(theta[None], len(xs), axis=0)
+        thetas[:, j] = xs
+        values, ses = batch(thetas)
+        return list(zip(thetas, values, ses))
+
+    def take(row):
+        rec.record(*row)
+        return row[1]
+
     lo, hi = a, b
-    base = theta.copy()
-
-    def f(x):
-        cand = base.copy()
-        cand[j] = x
-        return rec(cand)
-
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = [take(row) for row in evaluate([c, d])]
+    ahead = {}          # keep_left -> the probe that step makes, evaluated
     while (hi - lo) > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = f(c)
+        keep_left = fc >= fd
+        (lo, hi, c, d), x = _narrow(lo, hi, c, d, keep_left)
+        row = ahead.get(keep_left)
+        if row is None:
+            nxt = [_narrow(lo, hi, c, d, k)[1] for k in (True, False)] \
+                if lookahead and (hi - lo) > tol else []
+            row, *rest = evaluate([x, *nxt])
+            ahead = dict(zip((True, False), rest))
         else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = f(d)
+            ahead = {}
+        fx = take(row)
+        if keep_left:
+            fc, fd = fx, fc
+        else:
+            fc, fd = fd, fx
+
+
+def _check_count(name: str, value, least: int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
 
 
 def _lhs_starts(box: np.ndarray, count: int, rs: np.random.Generator):
@@ -127,7 +179,8 @@ def _lhs_starts(box: np.ndarray, count: int, rs: np.random.Generator):
 
 
 def maximize(objective, box, method: str = "grid_then_golden", *,
-             batch_objective=None, grid_points: int = 21, sweeps: int = 2,
+             batch_objective=None, lookahead: bool = False,
+             grid_points: int = 21, sweeps: int = 2,
              section_tol: float | None = None, restarts: int = 5,
              seed: int = 0, settings: dict | None = None):
     """Maximize ``objective(theta) -> (value, se)`` over a box.
@@ -135,7 +188,24 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
     Returns ``(theta_hat, value, trace, n_failures, settings)``.  The grid
     stage prefers ``batch_objective(thetas) -> (values, ses)`` when given.
     Grid ties resolve to the lowest (row-major first) index.
+
+    With ``lookahead``, the golden-section stage also goes through
+    ``batch_objective``, one step ahead: each call evaluates the next probe
+    and both probes that could follow it.  The speculative probe the search
+    does not take is evaluated but not recorded, so ``trace`` (and with it
+    ``n_evaluations`` and ``n_failures``) holds only the probes of the
+    sequential search, in its order, and the result is the same as without
+    ``lookahead`` -- provided every row of a batch equals the single call
+    bit for bit, as under the particle objective's common random numbers.
     """
+    _check_count("grid_points", grid_points, 1)
+    _check_count("sweeps", sweeps, 0)
+    _check_count("restarts", restarts, 1)
+    if section_tol is not None and not 0.0 < section_tol < math.inf:
+        raise ValueError("section_tol must be a positive finite number, "
+                         f"got {section_tol!r}")
+    if lookahead and batch_objective is None:
+        raise ValueError("lookahead needs a batch_objective")
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
     rec = _Recorder(objective)
@@ -167,7 +237,8 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
                     b = min(box[j, 1], current[j] + step)
                     tol = section_tol if section_tol is not None \
                         else max(step * 1e-3, 1e-10)
-                    _golden_refine(rec, current, j, a, b, tol)
+                    _golden_refine(rec, current, j, a, b, tol,
+                                   batch_objective if lookahead else None)
                     if rec.best_theta is not None:
                         current = rec.best_theta.copy()
     elif method == "nelder_mead":
@@ -194,7 +265,12 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
 
 
 def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
-    """Exact objective on the same scale as the particle estimator."""
+    """Exact objective on the same scale as the particle estimator.
+
+    Returns ``(fn, batch, lookahead)``.  No lookahead: a batch row can round
+    differently from ``forward_loglik``, and three rows cost about three
+    single calls.
+    """
     if not oracle.has_closed_form(model, pert):
         raise ValueError(f"model {model.name!r} has no oracle objective for "
                          "this perturbation; use the particle objective")
@@ -208,11 +284,17 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
         values = oracle.forward_loglik_grid(model, thetas, data, pert) + shift
         return values, np.zeros(len(values))
 
-    return fn, batch
+    return fn, batch, False
 
 
 def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
                    n_particles: int, seed: int):
+    """Particle objective on common random numbers.
+
+    Returns ``(fn, batch, lookahead)``.  Every batch row equals the single
+    run bit for bit, and a three-row batch costs little more than one row,
+    so the golden-section stage looks one step ahead through ``batch``.
+    """
     crn_seed = rngmod.derive_seed(seed, "crn")
 
     def fn(theta):
@@ -225,7 +307,7 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
             model, thetas, data, pert, n_particles, crn_seed)
         return [e.log_value for e in ests], [e.se_proxy for e in ests]
 
-    return fn, batch
+    return fn, batch, True
 
 
 def _run(model, data, pert, objective, method, n_particles, seed, opts,
@@ -233,17 +315,18 @@ def _run(model, data, pert, objective, method, n_particles, seed, opts,
     if method is None:
         method = "grid_then_golden" if model.param_dim <= 2 else "nelder_mead"
     if objective == "oracle":
-        fn, batch = _oracle_objective(model, data, pert)
+        fn, batch, lookahead = _oracle_objective(model, data, pert)
     elif objective == "smc":
         if pert is None:
             raise ValueError("the particle objective needs a perturbation")
-        fn, batch = _smc_objective(model, data, pert, n_particles, seed)
+        fn, batch, lookahead = _smc_objective(model, data, pert, n_particles,
+                                              seed)
     else:
         raise ValueError(f"unknown objective {objective!r}; "
                          "expected 'smc' or 'oracle'")
     theta, value, trace, failures, settings = maximize(
-        fn, model.theta_box, method, batch_objective=batch, seed=seed,
-        **opts)
+        fn, model.theta_box, method, batch_objective=batch,
+        lookahead=lookahead, seed=seed, **opts)
     settings.update({"objective": objective, "seed": seed,
                      "n_particles": n_particles if objective == "smc" else None,
                      "estimator": label})

@@ -145,7 +145,8 @@ def _simulate_paths(model: ModelSpec, theta: Array, reps: int, n: int,
     states[:, 0] = sample_categorical_rows(
         np.broadcast_to(first, (reps, first.shape[0])), path_rng)
     for t in range(1, n):
-        states[:, t] = sample_categorical_rows(p[states[:, t - 1]], path_rng)
+        states[:, t] = sample_categorical_rows(p, path_rng,
+                                               rows=states[:, t - 1])
     return states
 
 

@@ -241,7 +241,8 @@ def stationary_dist(p: Array) -> Array:
 
 
 def sample_categorical_rows(probs: Array, rng: np.random.Generator,
-                            size: int | None = None) -> Array:
+                            size: int | None = None, *,
+                            rows: Array | None = None) -> Array:
     """Categorical draws from the rows of ``probs`` (R, K), by inversion.
 
     A draw is the number of entries of the row's cumulative sum below a
@@ -249,20 +250,26 @@ def sample_categorical_rows(probs: Array, rng: np.random.Generator,
     ``u`` and one draw: the result is (R,).  With ``size``, ``size`` uniforms
     are drawn once and shared by every row: the result is (R, size), and row
     r holds the draws that ``size`` copies of ``probs[r]`` would get without
-    ``size`` from the same stream.
+    ``size`` from the same stream.  With ``rows`` (an index array), the draws
+    are those of ``probs[rows]``, bit for bit, but the cumulative sums are
+    taken once per row of ``probs`` and indexed, not once per draw: a chain
+    steps from the few rows of one transition matrix.
     """
     cum = np.cumsum(probs, axis=1)
+    n = cum.shape[0] if rows is None else len(rows)
+    if rows is None:
+        rows = slice(None)
     if size is None:
-        u = rng.random(cum.shape[0])
-        idx = np.zeros(cum.shape[0], dtype=np.int64)
+        u = rng.random(n)
+        idx = np.zeros(n, dtype=np.int64)
     else:
         u = rng.random(size)
-        cum = cum[:, :, None]          # (R, K, 1) against the shared u
-        idx = np.zeros((cum.shape[0], size), dtype=np.int64)
+        idx = np.zeros((n, size), dtype=np.int64)
     # the cumulative sum is nondecreasing, so counting the first K - 1
     # entries below u is the full count capped at K - 1
     for j in range(cum.shape[1] - 1):
-        idx += cum[:, j] < u
+        below = cum[rows, j]
+        idx += (below < u) if size is None else (below[:, None] < u)
     return idx
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abchmm import cli, oracle, smc
+from abchmm import cli, estimate, oracle, smc
 from abchmm.kernels import KERNELS
 from abchmm.models import PerturbationSpec, builtin_model
 
@@ -71,11 +71,32 @@ def _bad_transition(draw, gen):
     return k, p
 
 
+def _bad_option(draw):
+    """An optimizer option and a value that ``estimate.maximize`` must
+    reject: a section_tol that is not a positive finite number (at or below
+    zero the search never ends; NaN ends it after the bracket), and counts
+    below their least value or not integers."""
+    option = draw.draw(st.sampled_from(["section_tol", "grid_points",
+                                        "sweeps", "restarts"]),
+                       label="option")
+    if option == "section_tol":
+        value = draw.draw(st.one_of(
+            st.just(math.nan), st.just(math.inf),
+            st.floats(max_value=0.0, allow_infinity=True)), label="value")
+    else:
+        least = 0 if option == "sweeps" else 1
+        value = draw.draw(st.one_of(
+            st.integers(max_value=least - 1),
+            st.floats(allow_nan=True), st.booleans()), label="value")
+    return option, value
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_malformed_input_raises_and_returns_no_number(draw):
     kind = draw.draw(st.sampled_from(["theta", "data", "width", "init",
-                                      "transition", "perturbed_steps"]),
+                                      "transition", "perturbed_steps",
+                                      "optimizer"]),
                      label="kind")
     n = draw.draw(st.integers(1, 8), label="n")
     ys = np.linspace(-1.5, 1.5, n)
@@ -133,9 +154,38 @@ def test_malformed_input_raises_and_returns_no_number(draw):
         assert status == 2
         assert err.getvalue().startswith("error: ") \
             and "transition" in err.getvalue()
+    elif kind == "optimizer":
+        option, value = _bad_option(draw)
+        fits = {
+            "maximize": lambda **kw: estimate.maximize(
+                lambda th: (0.0, 0.0), _MODEL.theta_box, **kw),
+            "abc_mle": lambda **kw: estimate.abc_mle(
+                _MODEL, ys, pert, objective="oracle", **kw),
+            "noisy_abc_mle": lambda **kw: estimate.noisy_abc_mle(
+                _MODEL, ys, pert, objective="oracle", **kw),
+            "exact_mle": lambda **kw: estimate.exact_mle(_MODEL, ys, **kw),
+        }
+        method = "nelder_mead" if option == "restarts" else \
+            draw.draw(st.sampled_from(["grid", "grid_then_golden"]),
+                      label="method")
+        for fit in fits.values():
+            with pytest.raises(ValueError, match=option):
+                fit(method=method, **{option: value})
     else:
         length = draw.draw(st.integers(0, n + 3).filter(lambda m: m != n),
                            label="length")
         with pytest.raises(ValueError, match="perturbed_steps"):
             oracle.forward_score_batch(_MODEL, _THETA, ys[None], pert,
                                        perturbed_steps=np.ones(length, bool))
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_cli_names_grid_points_below_one(points):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["estimate", "--model", "finite_gaussian",
+                           "--theta-star", "0.7", "--n", "5", "--epsilon",
+                           "0.3", "--grid-points", str(points), "--seed", "0"])
+    assert status == 2
+    assert err.getvalue().startswith("error: ") \
+        and "--grid-points" in err.getvalue()

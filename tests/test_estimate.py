@@ -1,10 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abchmm import estimate as est, rng, sampling
+from abchmm import estimate as est, rng, sampling, smc
 from abchmm.errors import EstimationFailedError
 from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
@@ -187,3 +189,164 @@ def test_save_estimate_round_trip(tmp_path):
     values = [row["value"] for row in payload["trace"]]
     assert all(isinstance(v, (int, float, str)) for v in values)
     assert any(v == "-inf" for v in values)  # this fit has dead grid points
+
+
+def _reference_golden_refine(rec, theta, j, a, b, tol):
+    """The sequential golden-section search, one probe per call, as it was
+    before the particle objective looked ahead: the reference that the
+    lookahead must reproduce bit for bit."""
+    lo, hi = a, b
+    base = theta.copy()
+
+    def f(x):
+        cand = base.copy()
+        cand[j] = x
+        return rec(cand)
+
+    c = hi - est.GOLDEN * (hi - lo)
+    d = lo + est.GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while (hi - lo) > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - est.GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + est.GOLDEN * (hi - lo)
+            fd = f(d)
+
+
+def _stepped_objective(d, centre, step, dead):
+    """A quadratic rounded down to multiples of ``step`` (so probes tie
+    exactly), -inf on the interval ``dead`` of the first coordinate.  The
+    batch form evaluates every row at once with the same elementwise
+    operations, so each row equals its single call bit for bit."""
+    def batch(thetas):
+        t = np.asarray(thetas, dtype=float)
+        q = -(t[:, 0] - centre[0]) ** 2
+        if d == 2:
+            q = q - 2.0 * (t[:, 1] - centre[1]) ** 2
+        if step > 0.0:
+            q = np.floor(q / step) * step
+        q[(dead[0] <= t[:, 0]) & (t[:, 0] <= dead[1])] = -math.inf
+        return q, 0.5 * t[:, 0]
+
+    def single(theta):
+        values, ses = batch(np.asarray(theta, dtype=float)[None])
+        return values[0], ses[0]
+
+    return single, batch
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_golden_lookahead_matches_sequential_reference(draw):
+    d = draw.draw(st.sampled_from([1, 2]), label="d")
+    box = [[-1.0, 1.5], [0.0, 2.0]][:d]
+    centre = [draw.draw(st.floats(lo - 0.5, hi + 0.5), label="centre")
+              for lo, hi in box]
+    step = draw.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 10.0]),
+                     label="step")
+    dead_lo = draw.draw(st.floats(-1.0, 1.5), label="dead_lo")
+    dead = (dead_lo, dead_lo + draw.draw(st.floats(0.0, 1.2), label="width"))
+    fn, batch = _stepped_objective(d, centre, step, dead)
+    opts = {"grid_points": draw.draw(st.integers(1, 9), label="grid_points"),
+            "sweeps": draw.draw(st.integers(1, 2), label="sweeps"),
+            "section_tol": draw.draw(st.one_of(
+                st.none(), st.floats(1e-9, 3.0)), label="section_tol")}
+
+    widths = []
+
+    def counted(thetas):
+        widths.append(len(thetas))
+        return batch(thetas)
+
+    def run(**kw):
+        try:
+            return est.maximize(fn, box, "grid_then_golden",
+                                batch_objective=counted, **opts, **kw)[:4]
+        except est.EstimationFailedError as exc:
+            return exc.diagnostics
+
+    def reference(rec, theta, j, a, b, tol, batch=None):
+        _reference_golden_refine(rec, theta, j, a, b, tol)
+
+    with mock.patch.object(est, "_golden_refine", reference):
+        want = run()
+    sequential = run()
+    widths.clear()
+    got = run(lookahead=True)
+    for result in (got, sequential):
+        if isinstance(want, dict):
+            assert result == want
+            continue
+        assert result[0].tobytes() == want[0].tobytes()
+        assert repr(result[1:]) == repr(want[1:])   # repr: every bit
+    # after the grid's call, each call holds at most three probes, and there
+    # are fewer calls than recorded golden-section probes
+    golden = len(got[2]) - widths[0] if not isinstance(got, dict) else 0
+    assert all(w <= 3 for w in widths[1:])
+    assert sum(widths[1:]) >= golden
+    assert len(widths) - 1 < golden or golden == 0
+
+
+def test_smc_fit_looks_ahead_with_the_same_bytes():
+    """The particle fit of the smc_fit benchmark: 7 grid points, one sweep,
+    section_tol 0.05 -- ten golden-section probes.  One grid pass plus five
+    lookahead batches, against one plus ten single runs, and the same
+    estimate, trace and failure count as the sequential search."""
+    model = builtin_model("finite_gaussian")
+    data = sampling.simulate(model, [0.8], 100, seed=1)
+    pert = PerturbationSpec(epsilon=0.3)
+    opts = {"grid_points": 7, "sweeps": 1, "section_tol": 0.05}
+    calls = []
+    batch = smc.smc_abc_likelihood_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return batch(*args, **kwargs)
+
+    with mock.patch.object(smc, "smc_abc_likelihood_batch", counted):
+        res = est.abc_mle(model, data, pert, n_particles=2000, seed=11,
+                          **opts)
+        assert calls == [7, 2, 3, 3, 3, 3]
+        calls.clear()
+        fn, batch_fn, lookahead = est._smc_objective(model, data, pert, 2000,
+                                                     seed=11)
+        assert lookahead
+        theta, value, trace, failures, _ = est.maximize(
+            fn, model.theta_box, batch_objective=batch_fn, seed=11, **opts)
+    assert len(calls) == 11
+    assert res.trace == trace and len(trace) == 17
+    assert res.theta_hat.values.tobytes() == theta.tobytes()
+    assert res.value == value and res.n_failures == failures
+
+
+def test_oracle_objective_probes_one_at_a_time():
+    model = builtin_model("finite_gaussian", hyper={"param": "scale"})
+    data = sampling.simulate(model, [0.2], 200, seed=3, with_hidden=False)
+    pert = PerturbationSpec(epsilon=0.05)
+    fn, _, lookahead = est._oracle_objective(model, data, pert)
+    assert not lookahead
+    singles = []
+    forward = est.oracle.forward_loglik
+
+    def counted(model, theta, *args):
+        singles.append(tuple(theta))
+        return forward(model, theta, *args)
+
+    with mock.patch.object(est.oracle, "forward_loglik", counted):
+        res = est.abc_mle(model, data, pert, objective="oracle", seed=0)
+    assert [t for t, _, _ in res.trace[21:]] == singles
+
+
+@pytest.mark.parametrize("option, value", [
+    ("section_tol", 0.0), ("section_tol", -1.0), ("section_tol", math.nan),
+    ("section_tol", math.inf), ("grid_points", 0), ("grid_points", 2.5),
+    ("sweeps", -1), ("restarts", 0)])
+def test_maximize_rejects_bad_options(option, value):
+    method = "nelder_mead" if option == "restarts" else "grid_then_golden"
+    with pytest.raises(ValueError, match=option):
+        est.maximize(lambda t: (0.0, 0.0), [[0, 1]], method,
+                     **{option: value})

@@ -295,6 +295,20 @@ def test_categorical_shared_uniforms_match_per_row_draws():
     assert np.all(shared[3] == 0)
 
 
+def test_categorical_indexed_rows_match_copied_rows():
+    gen = np.random.default_rng(5)
+    probs = gen.dirichlet(np.ones(4), size=4)
+    probs[2] = [0.0, 0.7, 0.0, 0.3]
+    rows = gen.integers(0, 4, size=1000)
+    indexed = sample_categorical_rows(probs, rng.stream(4, "u"), rows=rows)
+    copied = sample_categorical_rows(probs[rows], rng.stream(4, "u"))
+    assert indexed.tobytes() == copied.tobytes()
+    shared = sample_categorical_rows(probs, rng.stream(4, "v"), size=50,
+                                     rows=rows[:7])
+    assert shared.tobytes() == sample_categorical_rows(
+        probs[rows[:7]], rng.stream(4, "v"), size=50).tobytes()
+
+
 def test_unknown_hyper_key_named():
     with pytest.raises(ConfigError, match="'sigmaa'"):
         builtin_model("finite_gaussian", hyper={"sigmaa": 2.0})
