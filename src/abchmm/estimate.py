@@ -42,7 +42,7 @@ import scipy.optimize
 
 from . import oracle, rng as rngmod, smc as smcmod
 from .errors import EstimationFailedError
-from .models import ModelSpec, ParameterVector, PerturbationSpec
+from .models import ModelSpec, ParameterVector, PerturbationSpec, check_count
 from .sampling import Trajectory, format_value, noisify
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -162,13 +162,6 @@ def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
             fc, fd = fd, fx
 
 
-def _check_count(name: str, value, least: int):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, "
-                         f"got {value!r}")
-
-
 def _lhs_starts(box: np.ndarray, count: int, rs: np.random.Generator):
     d = box.shape[0]
     starts = np.empty((count, d))
@@ -182,7 +175,7 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
              batch_objective=None, lookahead: bool = False,
              grid_points: int = 21, sweeps: int = 2,
              section_tol: float | None = None, restarts: int = 5,
-             seed: int = 0, settings: dict | None = None):
+             seed: int = 0):
     """Maximize ``objective(theta) -> (value, se)`` over a box.
 
     Returns ``(theta_hat, value, trace, n_failures, settings)``.  The grid
@@ -198,9 +191,9 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
     ``lookahead`` -- provided every row of a batch equals the single call
     bit for bit, as under the particle objective's common random numbers.
     """
-    _check_count("grid_points", grid_points, 1)
-    _check_count("sweeps", sweeps, 0)
-    _check_count("restarts", restarts, 1)
+    check_count("grid_points", grid_points, 1)
+    check_count("sweeps", sweeps, 0)
+    check_count("restarts", restarts, 1)
     if section_tol is not None and not 0.0 < section_tol < math.inf:
         raise ValueError("section_tol must be a positive finite number, "
                          f"got {section_tol!r}")
@@ -211,8 +204,6 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
     rec = _Recorder(objective)
     used = {"method": method, "grid_points": grid_points, "sweeps": sweeps,
             "restarts": restarts, "seed": seed}
-    if settings:
-        used.update(settings)
 
     if method in ("grid", "grid_then_golden"):
         axes = _grid_axes(box, grid_points)

@@ -23,16 +23,10 @@ identity behind it on a short horizon, where both routes (direct difference
 of full-sequence score outer products, and the summed conditional
 differences) are computed from independent replicates and must agree.
 
-Mixed sequences of different boundaries share their clean prefix, so all
-the boundaries of one replicate batch are scored in one pass over time: the
-clean filter runs once up to the first boundary, and at each boundary a
-copy of its rows branches off onto the noisy observations, stacked with the
-others so that one kernel step advances every branch.  In the kernel's
-time-major layout (see :mod:`abchmm.oracle`) the rows are (1 + branches, R)
-on the last axes, so one (L, K, 1, R) array of noisy weights broadcasts
-over every branch without copies.  The kernel's rows do not depend on the
-batch width, so each boundary's score is the one a separate full-sequence
-run gives, bit for bit.
+This module simulates; the scores come from :mod:`abchmm.oracle`:
+``forward_score_batch`` for whole series in one channel, and
+``boundary_scores`` for the mixed sequences, all the boundaries of one
+replicate batch in one pass over time that shares their clean prefix.
 """
 
 from __future__ import annotations
@@ -43,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .models import ModelSpec, PerturbationSpec, check_theta, \
+from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
     sample_categorical_rows, sample_observations
-from .oracle import _emissions_and_jac, _forward_finish, _forward_segment, \
-    _forward_start, _laws_and_jac, forward_score_batch
+from .oracle import boundary_scores, forward_score_batch
 
 Array = np.ndarray
 
@@ -184,10 +177,11 @@ def estimate_fisher(model: ModelSpec, theta, *, n: int, n_replicates: int,
     the unperturbed computation (same streams, same values).
     """
     theta = check_theta(model, theta)
+    check_count("n", n, 1)
+    check_count("n_replicates", n_replicates, 2)
     states = _simulate_paths(model, theta, n_replicates, n, seed)
     _, y = _coupled_obs(model, theta, states, pert, seed)
-    eff = None if (pert is None or pert.is_exact) else pert
-    _, scores = forward_score_batch(model, theta, y, pert=eff)
+    _, scores = forward_score_batch(model, theta, y, pert=pert)
     per_rep = scores / math.sqrt(n)
     matrix, se = _outer_mean_se(per_rep)
     matrix = 0.5 * (matrix + matrix.T)
@@ -205,67 +199,13 @@ def _conditional_score_diffs(model: ModelSpec, theta: Array,
     A boundary ``b`` scores the sequence whose first ``b`` slots hold clean
     observations (exact channel) and the rest their coupled noisy twins
     (perturbed channel).  All boundaries share one simulated batch and one
-    pass over time: :func:`_boundary_scores` runs the clean prefix once and
-    branches a noisy copy off it at each boundary.  Returns
+    pass over time: :func:`abchmm.oracle.boundary_scores` runs the clean
+    prefix once and branches a noisy copy off it at each boundary.  Returns
     ``{b: scores (R, d)}``.
     """
     states = _simulate_paths(model, theta, reps, length, seed)
     y, y_eps = _coupled_obs(model, theta, states, pert, seed)
-    return _boundary_scores(model, theta, pert, y, y_eps, boundaries)
-
-
-def _boundary_scores(model: ModelSpec, theta: Array, pert: PerturbationSpec,
-                     y: Array, y_eps: Array, boundaries):
-    """Scores of the mixed sequences ``y[:, :b] ++ y_eps[:, b:]`` (R, n), one
-    per boundary ``b`` in [0, n]: ``{b: scores (R, d)}``.
-
-    Two sequences of different boundaries agree on every step before the
-    smaller one, so the filter of that clean prefix is shared.  With the
-    boundaries sorted, the clean emissions and their Jacobian are evaluated
-    once on steps ``[0, b_last)`` and the noisy ones once on
-    ``[b_first, n)``.  A clean chain of R rows runs the sensitivity
-    recursion up to ``b_first``.  At each boundary but the last, a copy of
-    the chain's rows is stacked on as a new branch, which takes the noisy
-    emissions from then on; at the last boundary the chain itself turns
-    noisy and becomes that boundary's branch.  So n kernel steps serve
-    every boundary, and each score equals the one ``forward_score_batch``
-    gives with ``perturbed_steps = arange(n) >= b``, bit for bit.
-    """
-    bs = sorted(set(int(b) for b in boundaries))
-    lo, hi = bs[0], bs[-1]
-    # time-major weights with a unit branch axis before the R replicates,
-    # (L, K, 1, R) and (L, d, K, 1, R), so they broadcast over every branch
-    clean, dclean = (a[..., None, :] for a in _emissions_and_jac(
-        model, theta, y[:, :hi], None))
-    noisy, dnoisy = (a[..., None, :] for a in _emissions_and_jac(
-        model, theta, y_eps[:, lo:], pert))
-    p, dp, init, dinit = _laws_and_jac(model, theta)
-    # rows (1 + branches, R): the chain first, then one branch per boundary
-    state = _forward_start(init, dinit, (1, y.shape[0]))
-    state = _forward_segment(p, dp, state, clean[:lo], dclean[:lo])
-    for b, nxt in zip(bs, bs[1:]):
-        v, shift = state
-        state = (np.concatenate([v, v[:, :, :1]], axis=2),
-                 np.concatenate([shift, shift[:1]]))
-        rows = len(state[1])
-        state = _forward_segment(
-            p, dp, state,
-            _chain_then_branches(clean[b:nxt], noisy[b - lo:nxt - lo], rows),
-            _chain_then_branches(dclean[b:nxt], dnoisy[b - lo:nxt - lo],
-                                 rows))
-    state = _forward_segment(p, dp, state, noisy[hi - lo:],
-                             dnoisy[hi - lo:])
-    scores = _forward_finish(state)[1]
-    return dict(zip([hi] + bs[:-1], scores))
-
-
-def _chain_then_branches(chain: Array, branch: Array, rows: int) -> Array:
-    """(..., rows, R) weights of one segment from the (..., 1, R) clean ones
-    of the chain and noisy ones of the branches: the chain's in row 0, the
-    noisy ones in every branch row."""
-    out = np.empty((*chain.shape[:-2], rows, chain.shape[-1]))
-    out[..., :1, :], out[..., 1:, :] = chain, branch
-    return out
+    return boundary_scores(model, theta, pert, y, y_eps, boundaries)
 
 
 def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
@@ -279,6 +219,8 @@ def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
     independent Fisher estimates at small tolerances.
     """
     theta = check_theta(model, theta)
+    check_count("window", window, 0)
+    check_count("n_replicates", n_replicates, 2)
     if not epsilon > 0:
         raise ValueError("tolerance must be positive")
     length = 2 * window + 1
@@ -307,6 +249,10 @@ def information_loss_curve(model: ModelSpec, theta, epsilons, *,
     log-log fit over the four smallest tolerances.
     """
     theta = check_theta(model, theta)
+    check_count("window", window, 0)
+    check_count("n_replicates", n_replicates, 2)
+    check_count("fisher_n", fisher_n, 1)
+    check_count("fisher_replicates", fisher_replicates, 2)
     epsilons = sorted(float(e) for e in epsilons)
     if any(e <= 0 for e in epsilons):
         raise ValueError("tolerances must be positive")
@@ -341,6 +287,8 @@ def missing_information_check(model: ModelSpec, theta, epsilon: float, *,
     is exact at any horizon under stationary initialization.
     """
     theta = check_theta(model, theta)
+    check_count("n", n, 1)
+    check_count("n_replicates", n_replicates, 2)
     if n > 8:
         raise ValueError(f"short-horizon check requires n <= 8, got {n}")
     if model.n_states > 3:

@@ -150,10 +150,11 @@ class ModelSpec:
     particle filter can run a whole batch of candidate parameters on one set
     of draws (common random numbers).  Simulation calls it with G=1.
 
-    Construction (``dataclasses.replace`` too) evaluates ``transition_matrix``
-    and ``initial_dist`` once, at the centre of ``theta_box``, and raises a
-    ``ValueError`` naming the model unless they are a K x K stochastic
-    matrix and a law over the K states.  A law that moves with ``theta`` is
+    Construction (``dataclasses.replace`` too) raises a ``ValueError``
+    naming the model unless ``theta_box`` holds ``param_dim`` finite rows
+    ``[lo, hi]`` with lo < hi, and unless ``transition_matrix`` and
+    ``initial_dist``, evaluated once at the centre of the box, are a K x K
+    stochastic matrix and a law over the K states.  A law that moves with ``theta`` is
     checked there only; the likelihood paths do not check it again.
     """
 
@@ -175,7 +176,13 @@ class ModelSpec:
 
     def __post_init__(self):
         k = self.n_states
-        centre = np.asarray(self.theta_box, dtype=float).mean(axis=1)
+        box = np.asarray(self.theta_box, dtype=float)
+        if box.shape != (self.param_dim, 2) or not np.all(np.isfinite(box)) \
+                or not np.all(box[:, 0] < box[:, 1]):
+            raise ValueError(
+                f"model {self.name!r}: theta_box must be {self.param_dim} "
+                f"finite [lo, hi] rows with lo < hi, got {box.tolist()}")
+        centre = box.mean(axis=1)
         p = np.asarray(self.transition_matrix(centre), dtype=float)
         init = np.asarray(self.initial_dist(centre), dtype=float)
         where = f"model {self.name!r} at the theta_box centre {centre.tolist()}"
@@ -186,15 +193,9 @@ class ModelSpec:
             check_transition(p)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        if init.shape != (k,) or not np.all(init >= 0.0) \
-                or not math.isclose(init.sum(), 1.0, abs_tol=1e-10):
+        if not is_law(init, k):
             raise ValueError(f"{where}: initial_dist {init.tolist()} is not a "
                              f"law over the {k} states")
-
-    @property
-    def tractable(self) -> bool:
-        """True when a vectorized emission density is available."""
-        return self.emission_density is not None
 
 
 def check_theta(model: ModelSpec, theta) -> Array:
@@ -214,6 +215,24 @@ def check_theta(model: ModelSpec, theta) -> Array:
             f"theta[{bad}] = {theta[bad]} outside box "
             f"[{box[bad, 0]}, {box[bad, 1]}] for model {model.name!r}")
     return theta
+
+
+def check_count(name: str, value, least: int):
+    """A ``ValueError`` naming ``name`` unless ``value`` is an int >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+
+
+def is_law(values: Array, k: int) -> bool:
+    """True when ``values`` is a probability vector over ``k`` states:
+    shape (k,), finite, nonnegative, summing to one within 1e-10."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (k,) or not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        return False
+    with np.errstate(over="ignore"):
+        return math.isclose(v.sum(), 1.0, abs_tol=1e-10)
 
 
 def check_transition(p: Array) -> Array:
@@ -326,8 +345,7 @@ def _initial_from_hyper(hyper: dict, transition: Array) -> Array:
     if hyper["initial"] == "stationary":
         return stationary_dist(transition)
     init = np.asarray(hyper["initial"], dtype=float)
-    if init.shape != (transition.shape[0],) or np.any(init < 0) \
-            or not math.isclose(init.sum(), 1.0, abs_tol=1e-10):
+    if not is_law(init, transition.shape[0]):
         raise ConfigError("hyper key 'initial' must be 'stationary' or a "
                           "probability vector over the states")
     return init

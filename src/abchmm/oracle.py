@@ -6,11 +6,15 @@ step, so adjacent pairs are multiplied in one batched ``@`` per level, and
 exact power-of-two rescaling keeps a series of length 10^6 stable.  It is
 batched over a whole grid of parameter candidates and runs in time blocks
 of bounded memory.  Two recursions still loop over time steps:
-``forward_filter``, which returns every filter, and one per-step kernel that
-carries the filter together with its derivatives in theta.  The kernel
-gives the scores, vectorized over a whole batch of replicate data sets, and,
-without derivatives, the log-likelihood under a transition matrix with
-zeros that would let the reduction lose a row to underflow.
+``forward_filter``, which returns every filter and restarts after a dead
+step, and one per-step kernel, private to this module, that carries the
+filter together with its derivatives in theta.  The kernel gives the scores
+of a whole batch of replicate series: :func:`forward_score_batch` in one
+emission channel, and :func:`boundary_scores` on the mixed clean/noisy
+sequences of :mod:`abchmm.fisher`, every boundary in one pass that shares
+the clean prefix.  Without derivatives it gives the log-likelihood under a
+transition matrix with zeros that would let the reduction lose a row to
+underflow.
 
 The kernel runs time-major, with the replicate rows on the last axes: its
 state is (1+d, K, *rows) and its inputs are (n, K, *rows) weights and an
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .models import ModelSpec, PerturbationSpec, check_theta
+from .models import ModelSpec, PerturbationSpec, check_theta, is_law
 from .sampling import Trajectory, check_finite_obs
 
 Array = np.ndarray
@@ -206,40 +210,19 @@ def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
         return shift * math.log(2.0) + np.log(v.sum(axis=-1))
 
 
-def _forward_steps(p: Array, dp: Array, init: Array, dinit: Array,
-                   emis: Array, demis: Array):
-    """Forward log-likelihood and score, one step at a time, of a batch
-    laid out rows-first.
-
-    The carried state is a pair ``(v, shift)``.  ``v`` (1+d, K, *rows)
-    holds the unnormalised filter row and its d tangent rows, its
-    derivatives in theta (the tangent filter of Cappé, Moulines & Rydén,
-    *Inference in Hidden Markov Models*, 2005, ch. 10), with the rows of the
-    batch on the last axes; ``shift`` (*rows) is the integer log2 scale
-    taken out of it so far.  :func:`_forward_start` builds it from the
-    initial law, :func:`_forward_segment` advances it through any run of
-    steps and hands it back, so a series can run in segments, and
-    :func:`_forward_finish` reads off the log-likelihood and score.  This
-    function moves its inputs to that layout (as views) and runs the whole
-    series in one segment.  With d = 0 it is the plain scaled forward
-    recursion.
-
-    p: (K, K) or (G, K, K); dp: (d, K, K); init: (K,) or (G, K);
-    dinit: (d, K); emis: (G, n, K); demis: (G, n, d, K).
-    Returns (loglik (G,), score (G, d)); a row of loglik -inf has a NaN
-    score.
-    """
-    if p.ndim == 3:
-        p = np.moveaxis(p, 0, -1)
-    state = _forward_start(init, dinit, emis.shape[:1])
-    return _forward_finish(_forward_segment(
-        p, dp, state, np.moveaxis(emis, 0, -1), np.moveaxis(demis, 0, -1)))
-
-
 def _forward_start(init: Array, dinit: Array, shape: tuple):
     """The carried state ``(v, shift)`` of rows ``shape`` before the first
     step: the initial law, (K,) or (*shape, K), and its derivatives (d, K),
-    unscaled."""
+    unscaled.
+
+    ``v`` (1+d, K, *rows) holds the unnormalised filter row and its d
+    tangent rows, its derivatives in theta (the tangent filter of Cappé,
+    Moulines & Rydén, *Inference in Hidden Markov Models*, 2005, ch. 10);
+    ``shift`` (*rows) is the integer log2 scale taken out of it so far.
+    :func:`_forward_segment` advances the state through any run of steps,
+    and :func:`_forward_finish` reads off the log-likelihood and score.
+    With d = 0 the three are the plain scaled forward recursion.
+    """
     d, k = dinit.shape
     v = np.empty((1 + d, k, *shape))
     v[0] = np.moveaxis(np.broadcast_to(init, (*shape, k)), -1, 0)
@@ -347,7 +330,8 @@ def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
     zero beside a nonzero entry in one column (an identity, absorbing or
     left-to-right chain), or whose r passes ``_MAX_COLUMN_RATIO``, lets the
     rows drift apart by a factor per step.  Such a batch runs one step at
-    a time (:func:`_forward_steps`), where only the filter row is scaled.
+    a time through the score kernel with no derivatives, where only the
+    filter row is scaled.
 
     p: (K, K) or (G, K, K); init: (K,) or (G, K); emis: (G, n, K).
     Returns loglik (G,).
@@ -357,8 +341,12 @@ def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
     init = np.broadcast_to(init, (g, k))
     if _column_ratio(p) <= _MAX_COLUMN_RATIO:
         return _forward_tree(p, init, emis)
-    return _forward_steps(p, np.empty((0, k, k)), init, np.empty((0, k)),
-                          emis, np.empty((g, n, 0, k)))[0]
+    # the kernel's layout, as views: one P per row (K, K, G), time-major
+    # weights (n, K, G)
+    state = _forward_start(init, np.empty((0, k)), (g,))
+    return _forward_finish(_forward_segment(
+        np.moveaxis(p, 0, -1), np.empty((0, k, k)), state,
+        np.moveaxis(emis, 0, -1), np.empty((n, 0, k, g))))[0]
 
 
 def _transition_and_init(model: ModelSpec, theta: Array):
@@ -367,12 +355,15 @@ def _transition_and_init(model: ModelSpec, theta: Array):
     return np.asarray(p, dtype=float), np.asarray(init, dtype=float)
 
 
-def _native_loglik(model: ModelSpec, theta: Array, ys: Array,
-                   pert: PerturbationSpec | None) -> float:
-    """Forward log-likelihood on the ball-probability (kernel-weight) scale."""
-    emis = emission_matrix(model, theta, ys, pert)[None]
-    p, init = _transition_and_init(model, theta)
-    return float(_forward_batch(p, init, emis)[0])
+def _native_loglik(model: ModelSpec, thetas: Array, ys: Array,
+                   pert: PerturbationSpec | None) -> Array:
+    """Forward log-likelihood (G,) of each row of a (G, d) grid on the
+    ball-probability (kernel-weight) scale."""
+    emis = np.array([emission_matrix(model, th, ys, pert) for th in thetas])
+    # emission_matrix has checked every row
+    ps = np.array([model.transition_matrix(th) for th in thetas], dtype=float)
+    inits = np.array([model.initial_dist(th) for th in thetas])
+    return _forward_batch(ps, inits, emis)
 
 
 def forward_loglik(model: ModelSpec, theta, data,
@@ -380,7 +371,7 @@ def forward_loglik(model: ModelSpec, theta, data,
     """Exact log-likelihood (perturbed when ``pert`` is given)."""
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
-    return _native_loglik(model, theta, ys, pert) \
+    return float(_native_loglik(model, theta[None], ys, pert)[0]) \
         - ys.shape[0] * log_weight_scale(model, pert)
 
 
@@ -388,12 +379,10 @@ def forward_loglik_grid(model: ModelSpec, thetas, data,
                         pert: PerturbationSpec | None = None) -> Array:
     """Vectorized :func:`forward_loglik` over a (G, d) grid of parameters."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.shape[0] == 0:
+        raise ValueError("thetas must hold at least one parameter row")
     ys = as_obs_1d(data)
-    emis = np.stack([emission_matrix(model, th, ys, pert) for th in thetas])
-    ps = np.stack([model.transition_matrix(check_theta(model, th))
-                   for th in thetas]).astype(float)
-    inits = np.stack([model.initial_dist(th) for th in thetas])
-    return _forward_batch(ps, inits, emis) \
+    return _native_loglik(model, thetas, ys, pert) \
         - ys.shape[0] * log_weight_scale(model, pert)
 
 
@@ -404,9 +393,10 @@ def forward_filter(model: ModelSpec, theta, data,
 
     ``init`` overrides the model's initial distribution: a state index is
     a point mass on that state, otherwise it must be a probability vector
-    over the states.  This is a per-step loop, because every filter is
-    returned.  A step of zero predictive weight has increment -inf, and the
-    filter restarts from the uniform law after it.
+    over the states.  This is a per-step loop of its own, not the score
+    kernel: it returns every filter, and a step of zero predictive weight
+    has increment -inf, after which the filter restarts from the uniform
+    law (the kernel's dead rows stay zero).
     """
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
@@ -438,9 +428,7 @@ def _start_law(init, k: int) -> Array:
         alpha[int(init)] = 1.0
         return alpha
     alpha = np.asarray(init, dtype=float)
-    if alpha.shape != (k,) or not np.all(np.isfinite(alpha)) \
-            or np.any(alpha < 0.0) \
-            or not math.isclose(alpha.sum(), 1.0, abs_tol=1e-10):
+    if not is_law(alpha, k):
         raise ValueError(f"init must be a probability vector over the {k} "
                          f"states or a state index, got {init!r}")
     return alpha
@@ -455,8 +443,8 @@ def exact_smc_target(model: ModelSpec, theta, data,
     the log expectation of the accumulated smooth weights.  It is the
     forward recursion's own output on the kernel-weight scale.
     """
-    return _native_loglik(model, check_theta(model, theta), as_obs_1d(data),
-                          pert)
+    return float(_native_loglik(model, check_theta(model, theta)[None],
+                                as_obs_1d(data), pert)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,46 +511,100 @@ def forward_score(model: ModelSpec, theta, data,
     return forward_score_batch(model, theta, as_obs_1d(data)[None], pert)[1][0]
 
 
-def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
-                        pert: PerturbationSpec | None = None,
-                        perturbed_steps: Array | None = None):
-    """Log-likelihood and score for a batch of replicate series (R, n).
-
-    ``perturbed_steps`` (length n, bool) evaluates a mixed sequence: steps
-    flagged True use the perturbed emission channel, the rest the exact one.
-    Without it, every step uses the channel ``pert`` selects.  Each channel
-    is evaluated on its own steps only.  P and the initial law are
-    differentiated by central differences, exact zeros where they do not
-    move with theta.  Returns ``(loglik (R,), score (R, d))``; a series of
-    loglik -inf has a NaN score.
-    """
-    theta = check_theta(model, theta)
+def _replicate_batch(obs_batch) -> Array:
+    """``obs_batch`` as finite replicate 1-D series (R, n), or a
+    ``ValueError`` naming the problem."""
     obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
     if obs_batch.ndim != 2:
         raise ValueError(f"expected replicate 1-D series (R, n), got shape "
                          f"{obs_batch.shape}")
     check_finite_obs(obs_batch.T)
+    return obs_batch
+
+
+def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
+                        pert: PerturbationSpec | None = None):
+    """Log-likelihood and score for a batch of replicate series (R, n).
+
+    Every step uses the emission channel ``pert`` selects;
+    :func:`boundary_scores` scores sequences that mix the two.  P and the
+    initial law are differentiated by central differences, exact zeros
+    where they do not move with theta.  Returns ``(loglik (R,), score (R,
+    d))``; a series of loglik -inf has a NaN score.
+    """
+    theta = check_theta(model, theta)
+    obs_batch = _replicate_batch(obs_batch)
     r, n = obs_batch.shape
-    steps = np.full(n, pert is not None) if perturbed_steps is None \
-        else np.asarray(perturbed_steps, dtype=bool)
-    if steps.shape != (n,):
-        raise ValueError("perturbed_steps must have one flag per step")
-    channels = [(use, pp) for use, pp in ((~steps, None), (steps, pert))
-                if use.any()]
-    if len(channels) == 1:
-        emis, demis = _emissions_and_jac(model, theta, obs_batch,
-                                         channels[0][1])
-    else:
-        emis = np.empty((n, model.n_states, r))
-        demis = np.empty((n, theta.shape[0], model.n_states, r))
-        for use, pp in channels:
-            emis[use], demis[use] = _emissions_and_jac(
-                model, theta, obs_batch[:, use], pp)
+    emis, demis = _emissions_and_jac(model, theta, obs_batch, pert)
     p, dp, init, dinit = _laws_and_jac(model, theta)
     state = _forward_segment(p, dp, _forward_start(init, dinit, (r,)),
                              emis, demis)
     ll, score = _forward_finish(state)
-    return ll - int(steps.sum()) * log_weight_scale(model, pert), score
+    return ll - n * log_weight_scale(model, pert), score
+
+
+def boundary_scores(model: ModelSpec, theta, pert: PerturbationSpec,
+                    y: Array, y_eps: Array, boundaries) -> dict:
+    """Scores of the mixed sequences ``y[:, :b] ++ y_eps[:, b:]`` (R, n), one
+    per boundary ``b`` in [0, n]: ``{b: scores (R, d)}``.
+
+    The first ``b`` steps use the exact emission channel on the clean
+    series ``y``, the rest the ``pert`` channel on the noisy ``y_eps``.  Two
+    sequences of different boundaries agree on every step before the
+    smaller one, so the filter of that clean prefix is shared.  With the
+    boundaries sorted, the clean emissions and their Jacobian are evaluated
+    once on steps ``[0, b_last)`` and the noisy ones once on
+    ``[b_first, n)``.  A clean chain of R rows runs the sensitivity
+    recursion up to ``b_first``.  At each boundary but the last, a copy of
+    the chain's rows is stacked on as a new branch, which takes the noisy
+    emissions from then on; at the last boundary the chain itself turns
+    noisy and becomes that boundary's branch.  So n kernel steps serve
+    every boundary, and each score equals, bit for bit, the one a separate
+    kernel run over that boundary's whole mixed sequence gives (boundary n
+    is ``forward_score_batch(model, theta, y)``, boundary 0
+    ``forward_score_batch(model, theta, y_eps, pert)``).  A series of zero
+    likelihood has a NaN score.
+    """
+    theta = check_theta(model, theta)
+    y, y_eps = _replicate_batch(y), _replicate_batch(y_eps)
+    bs = sorted(set(int(b) for b in boundaries))
+    if y.shape != y_eps.shape or not bs or bs[0] < 0 or bs[-1] > y.shape[1]:
+        raise ValueError(f"need y and y_eps of one shape, got {y.shape} and "
+                         f"{y_eps.shape}, and boundaries in [0, n], got {bs}")
+    lo, hi = bs[0], bs[-1]
+    # time-major weights with a unit branch axis before the R replicates,
+    # (L, K, 1, R) and (L, d, K, 1, R), so they broadcast over every branch
+    clean, dclean = (a[..., None, :] for a in _emissions_and_jac(
+        model, theta, y[:, :hi], None))
+    noisy, dnoisy = (a[..., None, :] for a in _emissions_and_jac(
+        model, theta, y_eps[:, lo:], pert))
+    p, dp, init, dinit = _laws_and_jac(model, theta)
+    # rows (1 + branches, R): the chain first, then one branch per boundary
+    state = _forward_start(init, dinit, (1, y.shape[0]))
+    state = _forward_segment(p, dp, state, clean[:lo], dclean[:lo])
+    for b, nxt in zip(bs, bs[1:]):
+        v, shift = state
+        state = (np.concatenate([v, v[:, :, :1]], axis=2),
+                 np.concatenate([shift, shift[:1]]))
+        rows = len(state[1])
+        state = _forward_segment(
+            p, dp, state,
+            _chain_then_branches(clean[b:nxt], noisy[b - lo:nxt - lo], rows),
+            _chain_then_branches(dclean[b:nxt], dnoisy[b - lo:nxt - lo],
+                                 rows))
+    state = _forward_segment(p, dp, state, noisy[hi - lo:],
+                             dnoisy[hi - lo:])
+    scores = _forward_finish(state)[1]
+    return dict(zip([hi] + bs[:-1], scores))
+
+
+def _chain_then_branches(chain: Array, branch: Array, rows: int) -> Array:
+    """(..., rows, R) weights of one segment from the (..., 1, R) clean ones
+    of the chain and noisy ones of the branches: the chain's in row 0, the
+    noisy ones in every branch row."""
+    out = np.empty((*chain.shape[:-2], rows, chain.shape[-1]))
+    out[..., :1, :], out[..., 1:, :] = chain, branch
+    return out
 
 
 # ---------------------------------------------------------------------------

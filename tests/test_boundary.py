@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abchmm import cli, estimate, oracle, smc
+from abchmm import cli, estimate, fisher, oracle, smc
 from abchmm.kernels import KERNELS
 from abchmm.models import PerturbationSpec, builtin_model
 
@@ -91,11 +91,35 @@ def _bad_option(draw):
     return option, value
 
 
+# least value of each count argument of the fisher entry points
+_LEAST = {"n": 1, "n_replicates": 2, "window": 0, "fisher_n": 1,
+          "fisher_replicates": 2}
+
+
+def _count_calls(pert):
+    """(count, call) for every count argument of the fisher entry points:
+    ``call(value)`` passes ``value`` for that count and valid values for
+    the others."""
+    eps = pert.epsilon
+    entries = [
+        (fisher.estimate_fisher, (), {"n": 1, "n_replicates": 2}),
+        (fisher.loss_point, (eps,), {"window": 1, "n_replicates": 2}),
+        (fisher.missing_information_check, (eps,),
+         {"n": 1, "n_replicates": 2}),
+        (fisher.information_loss_curve, ([eps],),
+         {"window": 1, "n_replicates": 2, "fisher_n": 1,
+          "fisher_replicates": 2}),
+    ]
+    return [(name, lambda value, fn=fn, args=args, counts=counts, name=name:
+             fn(_MODEL, _THETA, *args, seed=0, **{**counts, name: value}))
+            for fn, args, counts in entries for name in counts]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_malformed_input_raises_and_returns_no_number(draw):
     kind = draw.draw(st.sampled_from(["theta", "data", "width", "init",
-                                      "transition", "perturbed_steps",
+                                      "transition", "count",
                                       "optimizer"]),
                      label="kind")
     n = draw.draw(st.integers(1, 8), label="n")
@@ -172,11 +196,42 @@ def test_malformed_input_raises_and_returns_no_number(draw):
             with pytest.raises(ValueError, match=option):
                 fit(method=method, **{option: value})
     else:
-        length = draw.draw(st.integers(0, n + 3).filter(lambda m: m != n),
-                           label="length")
-        with pytest.raises(ValueError, match="perturbed_steps"):
-            oracle.forward_score_batch(_MODEL, _THETA, ys[None], pert,
-                                       perturbed_steps=np.ones(length, bool))
+        # a count below its least value, or one that is not an integer;
+        # and a grid of no parameter rows
+        shortfall = draw.draw(st.integers(1, 10**6), label="shortfall")
+        odd = draw.draw(st.one_of(st.none(), st.floats(allow_nan=True),
+                                  st.booleans()), label="not_integer")
+        for name, call in _count_calls(pert):
+            value = _LEAST[name] - shortfall if odd is None else odd
+            with pytest.raises(ValueError,
+                               match=rf"\b{name} must be an integer"):
+                call(value)
+        with pytest.raises(ValueError, match="thetas"):
+            oracle.forward_loglik_grid(_MODEL, np.empty((0, 2)), ys, pert)
+
+
+@pytest.mark.parametrize("flag, value, name", [("--replicates", "1",
+                                                "n_replicates"),
+                                               ("--n", "0", "n")])
+def test_cli_fisher_names_a_bad_count(flag, value, name):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["fisher", "--model", "finite_gaussian", "--theta",
+                           "0.7", "--n", "5", "--replicates", "2", "--seed",
+                           "0", flag, value])
+    assert status == 2
+    assert err.getvalue().startswith("error: ") \
+        and f"{name} must be an integer" in err.getvalue()
+
+
+@pytest.mark.parametrize("box", [
+    [[0.0, math.inf]], [[math.nan, 1.0]], [[1.0, 1.0]], [[2.0, -2.0]],
+    [[-3.0, 3.0], [-3.0, 3.0]], [-3.0, 3.0]])
+def test_theta_box_checked_at_construction(box):
+    # an infinite bound once gave theta = nan inside abc_mle, and a second
+    # row failed only at the first theta check
+    with pytest.raises(ValueError, match="'finite_gaussian': theta_box"):
+        builtin_model("finite_gaussian", theta_box=box)
 
 
 @pytest.mark.parametrize("points", [0, -3])

@@ -151,11 +151,27 @@ _BRANCH_MODELS = {
 }
 
 
+def _mixed_kernel_scores(model, theta, pert, y, y_eps, b):
+    """Scores (R, d) of ``y[:, :b] ++ y_eps[:, b:]`` from one kernel run over
+    the whole mixed sequence, with both channels' weights evaluated on every
+    step and one picked per step."""
+    steps = np.arange(y.shape[1]) >= b
+    mixed = np.where(steps, y_eps, y)
+    e_ex, de_ex = oracle._emissions_and_jac(model, theta, mixed, None)
+    e_pe, de_pe = oracle._emissions_and_jac(model, theta, mixed, pert)
+    p, dp, init, dinit = oracle._laws_and_jac(model, theta)
+    state = oracle._forward_start(init, dinit, (y.shape[0],))
+    return oracle._forward_finish(oracle._forward_segment(
+        p, dp, state, np.where(steps[:, None, None], e_pe, e_ex),
+        np.where(steps[:, None, None, None], de_pe, de_ex)))[1]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_boundary_scores_match_per_boundary_score_batch(draw):
     # every boundary's score from the shared-prefix branching equals the
-    # full mixed-sequence score of forward_score_batch, NaN rows included
+    # score of one kernel run over its whole mixed sequence, NaN rows
+    # included
     make, ranges, kernels = _BRANCH_MODELS[draw.draw(
         st.sampled_from(sorted(_BRANCH_MODELS)), label="model")]
     model = make()
@@ -179,13 +195,10 @@ def test_boundary_scores_match_per_boundary_score_batch(draw):
         dead = np.array(draw.draw(st.lists(st.booleans(), min_size=r,
                                            max_size=r), label="dead"))
         series[dead, gen.integers(0, n)] = 1e3
-    got = fisher._boundary_scores(model, theta, pert, y, y_eps, boundaries)
+    got = oracle.boundary_scores(model, theta, pert, y, y_eps, boundaries)
     assert sorted(got) == sorted(set(boundaries))
     for b in set(boundaries):
-        mask = np.arange(n) >= b
-        _, want = oracle.forward_score_batch(
-            model, theta, np.where(mask, y_eps, y), pert,
-            perturbed_steps=mask)
+        want = _mixed_kernel_scores(model, theta, pert, y, y_eps, b)
         assert np.array_equal(got[b], want, equal_nan=True), b
 
 
@@ -198,9 +211,6 @@ def test_conditional_score_diffs_share_one_batch(gauss2):
     states = fisher._simulate_paths(gauss2, theta, 50, 9, 3)
     y, y_eps = fisher._coupled_obs(gauss2, theta, states, pert, 3)
     for b in (4, 5):
-        mask = np.arange(9) >= b
-        _, want = oracle.forward_score_batch(
-            gauss2, theta, np.where(mask, y_eps, y), pert,
-            perturbed_steps=mask)
+        want = _mixed_kernel_scores(gauss2, theta, pert, y, y_eps, b)
         np.testing.assert_array_equal(scores[b], want)
         assert np.all(np.isfinite(scores[b]))

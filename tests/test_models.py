@@ -220,7 +220,7 @@ def test_gaussian_kernel_perturbed_model_variance(gauss2):
 
 def test_finite_gaussian_modes():
     mean = builtin_model("finite_gaussian")
-    assert mean.param_dim == 1 and mean.tractable
+    assert mean.param_dim == 1 and oracle.has_closed_form(mean)
     scale = builtin_model("finite_gaussian", hyper={"param": "scale"})
     assert scale.param_dim == 1
     assert scale.theta_box[0, 0] > 0
@@ -234,7 +234,7 @@ def test_finite_gaussian_modes():
 
 def test_iid_pm_theta():
     m = builtin_model("iid_pm_theta")
-    assert not m.tractable
+    assert not oracle.has_closed_form(m)
     states = np.array([0, 1, 1, 0])
     y = m.obs_sampler(np.array([[0.7]]), states[None], rng.stream(0, "s"))
     np.testing.assert_allclose(y[0, :, 0], [-0.7, 0.7, 0.7, -0.7])
@@ -242,7 +242,7 @@ def test_iid_pm_theta():
 
 def test_two_state_alpha_stable():
     m = builtin_model("two_state_alpha_stable")
-    assert not m.tractable
+    assert not oracle.has_closed_form(m)
     assert m.param_dim == 2
     y = m.obs_sampler(np.array([[1.0, 0.0]]), np.zeros((1, 8), dtype=np.int64),
                       rng.stream(0, "s"))

@@ -117,49 +117,45 @@ def _mixed_brute_force(model, theta, ys, pert, noisy_mask):
 
 
 def test_mixed_channel_score_batch(gauss):
+    # every boundary's score against central differences of the brute-force
+    # log-likelihood of its mixed sequence
     pert = PerturbationSpec(epsilon=0.5)
     g = rng.stream(3, "mixed")
-    ys = np.stack([g.normal(size=5), g.normal(size=5)])        # (R=2, n=5)
-    mask = np.array([False, True, True, False, True])
+    y = np.stack([g.normal(size=5), g.normal(size=5)])         # (R=2, n=5)
+    y_eps = y + g.uniform(-0.5, 0.5, size=y.shape)
     theta = np.array([0.4, 1.2])
-    ll, score = oracle.forward_score_batch(gauss, theta, ys, pert=pert,
-                                           perturbed_steps=mask)
-    for r in range(2):
-        bf = _mixed_brute_force(gauss, theta, ys[r], pert, mask)
-        assert ll[r] == pytest.approx(bf, rel=1e-10)
-    # score against central differences of the mixed log-likelihood
+    scores = oracle.boundary_scores(gauss, theta, pert, y, y_eps, range(6))
     h = 1e-5
-    for j in range(2):
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        ll_up, _ = oracle.forward_score_batch(gauss, up, ys, pert=pert,
-                                              perturbed_steps=mask)
-        ll_dn, _ = oracle.forward_score_batch(gauss, dn, ys, pert=pert,
-                                              perturbed_steps=mask)
-        np.testing.assert_allclose(score[:, j], (ll_up - ll_dn) / (2 * h),
-                                   rtol=2e-4)
+    for b, score in scores.items():
+        mask = np.arange(5) >= b
+        for r in range(2):
+            ys = np.where(mask, y_eps[r], y[r])
+            for j in range(2):
+                up, dn = theta.copy(), theta.copy()
+                up[j] += h
+                dn[j] -= h
+                fd = (_mixed_brute_force(gauss, up, ys, pert, mask)
+                      - _mixed_brute_force(gauss, dn, ys, pert, mask)) / (2 * h)
+                assert score[r, j] == pytest.approx(fd, rel=2e-4, abs=1e-6)
 
 
 def test_score_batch_extremes_match_single(gauss, short_data):
+    # one channel on every step, against the single-series routes; the
+    # boundary scorer's extremes, all noisy (0) and all clean (n), are those
+    # one-channel scores bit for bit
     pert = PerturbationSpec(epsilon=0.5)
     ys = short_data.observations[:, 0][None, :]
     theta = [0.7, 1.1]
     n = ys.shape[1]
-    ll_all, sc_all = oracle.forward_score_batch(
-        gauss, theta, ys, pert=pert, perturbed_steps=np.ones(n, dtype=bool))
-    assert ll_all[0] == pytest.approx(
-        oracle.forward_loglik(gauss, theta, short_data, pert), rel=1e-12)
-    np.testing.assert_allclose(
-        sc_all[0], oracle.forward_score(gauss, theta, short_data, pert),
-        rtol=1e-10)
-    ll_none, sc_none = oracle.forward_score_batch(
-        gauss, theta, ys, pert=pert, perturbed_steps=np.zeros(n, dtype=bool))
-    assert ll_none[0] == pytest.approx(
-        oracle.forward_loglik(gauss, theta, short_data, None), rel=1e-12)
-    np.testing.assert_allclose(
-        sc_none[0], oracle.forward_score(gauss, theta, short_data, None),
-        rtol=1e-10)
+    ends = oracle.boundary_scores(gauss, theta, pert, ys, ys, (0, n))
+    for channel, b in ((pert, 0), (None, n)):
+        ll, score = oracle.forward_score_batch(gauss, theta, ys, pert=channel)
+        assert ll[0] == pytest.approx(
+            oracle.forward_loglik(gauss, theta, short_data, channel), rel=1e-12)
+        np.testing.assert_allclose(
+            score[0], oracle.forward_score(gauss, theta, short_data, channel),
+            rtol=1e-10)
+        np.testing.assert_array_equal(ends[b], score)
 
 
 def test_long_series_stability():
@@ -623,9 +619,11 @@ def test_tangent_kernel_matches_sensitivity_loop(draw):
     dinit = init * gen.normal(size=(d, k))
     demis = emis[:, :, None, :] * gen.normal(size=(g, n, d, k))
     want_ll, want_score = _forward_sens_batch(p, dp, init, dinit, emis, demis)
-    got_ll, got_score = oracle._forward_steps(p, dp, init, dinit, emis, demis)
+    # the kernel's time-major layout, with the rows last
+    state = oracle._forward_start(init, dinit, (g,))
+    got_ll, got_score = oracle._forward_finish(oracle._forward_segment(
+        p, dp, state, np.moveaxis(emis, 0, -1), np.moveaxis(demis, 0, -1)))
     _assert_same_loglik(got_ll, want_ll, _forward_loop(p, init, emis)[1], n)
-    got_score[np.isneginf(got_ll)] = np.nan     # as forward_score_batch does
     _assert_same_score(got_score, want_score, want_ll)
 
 
@@ -638,8 +636,9 @@ def _rows_first(emis, demis):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
-    # forward_score_batch evaluates each channel on its own steps; the
-    # reference evaluates both on every step and picks one per step
+    # forward_score_batch (one channel) and boundary_scores (mixed) evaluate
+    # each channel on its own steps; the reference evaluates both on every
+    # step and picks one per step
     k = draw.draw(st.integers(1, 3), label="n_states")
     gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
@@ -657,30 +656,43 @@ def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
     dead = np.array(draw.draw(st.lists(st.booleans(), min_size=r, max_size=r),
                               label="dead"))
     ys[dead, gen.integers(0, n)] = 1e3
+    y_eps = ys + gen.uniform(-0.5, 0.5, size=ys.shape)
     pert = PerturbationSpec(epsilon=draw.draw(st.floats(0.05, 1.0)),
                             kernel=draw.draw(st.sampled_from(KERNELS)))
-    mask = draw.draw(st.one_of(st.none(), st.lists(
-        st.booleans(), min_size=n, max_size=n).map(np.array)), label="mask")
-    steps = np.ones(n, dtype=bool) if mask is None else mask
-    # the kernel's time-major (n, K, R) and (n, d, K, R), back to rows-first
-    e_ex, de_ex = _rows_first(*oracle._emissions_and_jac(model, theta, ys,
-                                                         None))
-    e_pe, de_pe = _rows_first(*oracle._emissions_and_jac(model, theta, ys,
-                                                         pert))
-    want_ll, want_score = _forward_sens_batch(
-        p, oracle._central_diff(model.transition_matrix, theta),
-        model.initial_dist(theta),
-        oracle._central_diff(model.initial_dist, theta),
-        np.where(steps[None, :, None], e_pe, e_ex),
-        np.where(steps[None, :, None, None], de_pe, de_ex))
-    want_ll -= steps.sum() * oracle.log_weight_scale(model, pert)
-    got_ll, got_score = oracle.forward_score_batch(model, theta, ys, pert,
-                                                   perturbed_steps=mask)
-    np.testing.assert_array_equal(np.isneginf(got_ll), dead)
-    np.testing.assert_array_equal(np.isneginf(want_ll), dead)
-    np.testing.assert_allclose(got_ll[~dead], want_ll[~dead], rtol=1e-12,
-                               atol=1e-12 * n)
-    _assert_same_score(got_score, want_score, want_ll)
+    boundaries = draw.draw(st.one_of(st.none(), st.lists(
+        st.integers(0, n), min_size=1, max_size=4)), label="boundaries")
+    dp = oracle._central_diff(model.transition_matrix, theta)
+    dinit = oracle._central_diff(model.initial_dist, theta)
+
+    def reference(steps):
+        # the kernel's time-major (n, K, R) and (n, d, K, R), back to
+        # rows-first
+        mixed = np.where(steps, y_eps, ys)
+        e_ex, de_ex = _rows_first(*oracle._emissions_and_jac(
+            model, theta, mixed, None))
+        e_pe, de_pe = _rows_first(*oracle._emissions_and_jac(
+            model, theta, mixed, pert))
+        return _forward_sens_batch(
+            p, dp, model.initial_dist(theta), dinit,
+            np.where(steps[None, :, None], e_pe, e_ex),
+            np.where(steps[None, :, None, None], de_pe, de_ex))
+
+    if boundaries is None:
+        want_ll, want_score = reference(np.ones(n, dtype=bool))
+        want_ll -= n * oracle.log_weight_scale(model, pert)
+        got_ll, got_score = oracle.forward_score_batch(model, theta, y_eps,
+                                                       pert)
+        np.testing.assert_array_equal(np.isneginf(got_ll), dead)
+        np.testing.assert_array_equal(np.isneginf(want_ll), dead)
+        np.testing.assert_allclose(got_ll[~dead], want_ll[~dead], rtol=1e-12,
+                                   atol=1e-12 * n)
+        _assert_same_score(got_score, want_score, want_ll)
+        return
+    got = oracle.boundary_scores(model, theta, pert, ys, y_eps, boundaries)
+    for b in set(boundaries):
+        want_ll, want_score = reference(np.arange(n) >= b)
+        np.testing.assert_array_equal(np.isneginf(want_ll), dead)
+        _assert_same_score(got[b], want_score, want_ll)
 
 
 def test_score_batch_dead_rows_are_nan_and_live_rows_unchanged():
@@ -736,15 +748,26 @@ def test_score_batch_rows_do_not_depend_on_batch_width(k, draw):
     pert = None if channel == "exact" else PerturbationSpec(
         epsilon=draw.draw(st.floats(0.05, 1.0), label="eps"),
         kernel=draw.draw(st.sampled_from(KERNELS), label="kernel"))
-    mask = gen.random(n) < 0.5 if channel == "mixed" else None
-    ll, score = oracle.forward_score_batch(model, theta, ys, pert,
-                                           perturbed_steps=mask)
-    np.testing.assert_array_equal(np.isneginf(ll), dead)
+    if channel == "mixed":
+        # every branch row of the boundary scorer, a few boundaries at once
+        bs = np.unique(gen.integers(0, n + 1, size=3)).tolist()
+
+        def run(rows):
+            got = oracle.boundary_scores(model, theta, pert, ys[rows],
+                                         ys[rows], bs)
+            return np.stack([got[b] for b in bs], axis=1)
+    else:
+        def run(rows):
+            ll, score = oracle.forward_score_batch(model, theta, ys[rows],
+                                                   pert)
+            return np.concatenate([ll[:, None], score], axis=1)
+    out = run(slice(None))
+    # a dead row has loglik -inf and NaN scores
+    np.testing.assert_array_equal(
+        np.isnan(out.reshape(r, -1)).any(axis=1), dead)
     for i in range(r):
-        one_ll, one_score = oracle.forward_score_batch(
-            model, theta, ys[i], pert, perturbed_steps=mask)
-        assert np.array_equal(ll[i:i + 1], one_ll)
-        assert np.array_equal(score[i:i + 1], one_score, equal_nan=True)
+        assert np.array_equal(out[i:i + 1], run(slice(i, i + 1)),
+                              equal_nan=True)
 
 
 def test_score_scaling_stays_exact_at_a_subnormal_filter_sum():
