@@ -16,7 +16,8 @@ import numpy as np
 from . import estimate as est, experiments, fisher as fishermod, \
     sampling, smc as smcmod
 from .errors import ConfigError, EstimationFailedError
-from .models import PerturbationSpec, builtin_model, load_model_config
+from .models import PerturbationSpec, builtin_model, check_count, \
+    load_model_config
 from .oracle import exact_smc_target, forward_loglik, has_closed_form
 from .rng import derive_seed
 
@@ -78,6 +79,7 @@ def _parse_theta(text: str):
 
 
 def _cmd_simulate(args) -> int:
+    check_count("--n", args.n, 1)
     model = _model_from_args(args)
     traj = sampling.simulate(model, _parse_theta(args.theta), args.n,
                              seed=args.seed, with_hidden=not args.no_hidden)
@@ -134,6 +136,7 @@ def _cmd_estimate(args) -> int:
     else:
         if args.n is None:
             raise ConfigError("--n is required with --theta-star")
+        check_count("--n", args.n, 1)
         data = sampling.simulate(model, _parse_theta(args.theta_star), args.n,
                                  seed=derive_seed(args.seed, "data"),
                                  with_hidden=False)
@@ -143,9 +146,7 @@ def _cmd_estimate(args) -> int:
         objective = "oracle" if has_closed_form(model, pert) else "smc"
     opts = {}
     if args.grid_points is not None:
-        if args.grid_points < 1:
-            raise ConfigError(f"--grid-points must be >= 1, "
-                              f"got {args.grid_points}")
+        check_count("--grid-points", args.grid_points, 1)
         opts["grid_points"] = args.grid_points
     common = dict(objective=objective, method=args.optimizer,
                   seed=args.seed, **opts)
@@ -179,6 +180,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
+    check_count("--n", args.n, 1)
+    check_count("--replicates", args.replicates, 2)
     model = _model_from_args(args)
     pert = _pert_from_args(args)
     fe = fishermod.estimate_fisher(model, _parse_theta(args.theta),

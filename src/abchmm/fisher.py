@@ -23,7 +23,8 @@ identity behind it on a short horizon, where both routes (direct difference
 of full-sequence score outer products, and the summed conditional
 differences) are computed from independent replicates and must agree.
 
-This module simulates; the scores come from :mod:`abchmm.oracle`:
+The replicate series come from the chain simulator behind
+:func:`abchmm.sampling.simulate`; the scores come from :mod:`abchmm.oracle`:
 ``forward_score_batch`` for whole series in one channel, and
 ``boundary_scores`` for the mixed sequences, all the boundaries of one
 replicate batch in one pass over time that shares their clean prefix.
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    sample_categorical_rows, sample_observations
+from .models import ModelSpec, PerturbationSpec, check_count, check_theta
 from .oracle import boundary_scores, forward_score_batch
+from .sampling import _simulate_series
 
 Array = np.ndarray
 
@@ -124,36 +125,21 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _simulate_paths(model: ModelSpec, theta: Array, reps: int, n: int,
-                    seed: int) -> Array:
-    """(reps, n) hidden paths, one vectorized categorical draw per step.
-
-    The first state has law ``initial_dist @ P``: ``initial_dist`` is the
-    law of the state before the first observation.
-    """
-    p = np.asarray(model.transition_matrix(theta), dtype=float)
-    first = np.asarray(model.initial_dist(theta), dtype=float) @ p
-    path_rng = rngmod.stream(seed, "paths")
-    states = np.empty((reps, n), dtype=np.int64)
-    states[:, 0] = sample_categorical_rows(
-        np.broadcast_to(first, (reps, first.shape[0])), path_rng)
-    for t in range(1, n):
-        states[:, t] = sample_categorical_rows(p, path_rng,
-                                               rows=states[:, t - 1])
-    return states
+def _replicates(model: ModelSpec, theta: Array, reps: int, n: int,
+                seed: int) -> Array:
+    """Clean observations (reps, n) of ``reps`` series simulated at theta."""
+    obs = _simulate_series(model, theta, reps, n, rngmod.stream(seed, "paths"),
+                           rngmod.stream(seed, "obs"))[1]
+    return obs[:, :, 0]
 
 
-def _coupled_obs(model: ModelSpec, theta: Array, states: Array,
-                 pert: PerturbationSpec | None, seed: int):
-    """Clean observations and, when perturbed, their coupled noisy twins."""
-    reps, n = states.shape
-    obs_rng = rngmod.stream(seed, "obs")
-    y = sample_observations(model, theta[None], states.reshape(1, -1),
-                            obs_rng)[0, :, 0].reshape(reps, n)
+def _coupled_obs(y: Array, pert: PerturbationSpec | None, seed: int) -> Array:
+    """The noisy twins of clean observations ``y`` (R, n) under ``pert``;
+    ``y`` itself when there is no perturbation."""
     if pert is None or pert.is_exact:
-        return y, y
-    z = pert.noise(1, reps * n, rngmod.stream(seed, "pertnoise"))[:, 0]
-    return y, y + z.reshape(reps, n)
+        return y
+    z = pert.noise(1, y.size, rngmod.stream(seed, "pertnoise"))[:, 0]
+    return y + z.reshape(y.shape)
 
 
 def _outer_mean_se(samples: Array):
@@ -179,8 +165,8 @@ def estimate_fisher(model: ModelSpec, theta, *, n: int, n_replicates: int,
     theta = check_theta(model, theta)
     check_count("n", n, 1)
     check_count("n_replicates", n_replicates, 2)
-    states = _simulate_paths(model, theta, n_replicates, n, seed)
-    _, y = _coupled_obs(model, theta, states, pert, seed)
+    y = _coupled_obs(_replicates(model, theta, n_replicates, n, seed), pert,
+                     seed)
     _, scores = forward_score_batch(model, theta, y, pert=pert)
     per_rep = scores / math.sqrt(n)
     matrix, se = _outer_mean_se(per_rep)
@@ -203,9 +189,9 @@ def _conditional_score_diffs(model: ModelSpec, theta: Array,
     prefix once and branches a noisy copy off it at each boundary.  Returns
     ``{b: scores (R, d)}``.
     """
-    states = _simulate_paths(model, theta, reps, length, seed)
-    y, y_eps = _coupled_obs(model, theta, states, pert, seed)
-    return boundary_scores(model, theta, pert, y, y_eps, boundaries)
+    y = _replicates(model, theta, reps, length, seed)
+    return boundary_scores(model, theta, pert, y, _coupled_obs(y, pert, seed),
+                           boundaries)
 
 
 def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,

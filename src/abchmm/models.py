@@ -91,8 +91,9 @@ class PerturbationSpec:
     norm: str = "linf"
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be a finite number >= 0, "
+                             f"got {self.epsilon}")
         if self.kernel not in kernels.KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; expected one of {kernels.KERNELS}")
@@ -260,35 +261,21 @@ def stationary_dist(p: Array) -> Array:
 
 
 def sample_categorical_rows(probs: Array, rng: np.random.Generator,
-                            size: int | None = None, *,
-                            rows: Array | None = None) -> Array:
-    """Categorical draws from the rows of ``probs`` (R, K), by inversion.
+                            size: int) -> Array:
+    """Categorical draws from every row of ``probs`` (R, K) on ``size``
+    shared uniforms, by inversion: the result (R, size).
 
-    A draw is the number of entries of the row's cumulative sum below a
-    uniform ``u``, capped at K - 1.  Without ``size``, each row gets its own
-    ``u`` and one draw: the result is (R,).  With ``size``, ``size`` uniforms
-    are drawn once and shared by every row: the result is (R, size), and row
-    r holds the draws that ``size`` copies of ``probs[r]`` would get without
-    ``size`` from the same stream.  With ``rows`` (an index array), the draws
-    are those of ``probs[rows]``, bit for bit, but the cumulative sums are
-    taken once per row of ``probs`` and indexed, not once per draw: a chain
-    steps from the few rows of one transition matrix.
+    The uniforms are drawn once, in order, and shared by every row.  Entry
+    (r, i) is the number of entries of row r's cumulative sum below the
+    i-th uniform, capped at K - 1.
     """
     cum = np.cumsum(probs, axis=1)
-    n = cum.shape[0] if rows is None else len(rows)
-    if rows is None:
-        rows = slice(None)
-    if size is None:
-        u = rng.random(n)
-        idx = np.zeros(n, dtype=np.int64)
-    else:
-        u = rng.random(size)
-        idx = np.zeros((n, size), dtype=np.int64)
+    u = rng.random(size)
+    idx = np.zeros((cum.shape[0], size), dtype=np.int64)
     # the cumulative sum is nondecreasing, so counting the first K - 1
     # entries below u is the full count capped at K - 1
     for j in range(cum.shape[1] - 1):
-        below = cum[rows, j]
-        idx += (below < u) if size is None else (below[:, None] < u)
+        idx += cum[:, j, None] < u
     return idx
 
 
@@ -589,6 +576,12 @@ def builtin_model(name: str, hyper: dict | None = None,
     if name not in _BUILTINS:
         raise ConfigError(
             f"unknown model '{name}' (known: {sorted(_BUILTINS)})")
+    if theta_box is not None:
+        try:
+            theta_box = np.asarray(theta_box, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("theta_box must be numeric [[lo, hi], ...] "
+                              f"rows, got {theta_box!r}") from None
     return _BUILTINS[name](hyper, theta_box)
 
 
@@ -616,13 +609,7 @@ def load_model_config(source) -> ModelSpec:
                 f"unknown model-config key '{key}' (known: {sorted(allowed)})")
     if "model" not in config:
         raise ConfigError("model config is missing required key 'model'")
-    box = config.get("theta_box")
-    if box is not None:
-        box = np.asarray(box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
-            raise ConfigError(
-                "model-config key 'theta_box' must be [[lo, hi], ...] with lo < hi")
     hyper = config.get("hyper")
     if hyper is not None and not isinstance(hyper, dict):
         raise ConfigError("model-config key 'hyper' must be an object")
-    return builtin_model(config["model"], hyper, box)
+    return builtin_model(config["model"], hyper, config.get("theta_box"))

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .models import ModelSpec, PerturbationSpec, check_theta, \
-    sample_observations
+from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
+    sample_categorical_rows, sample_observations
 
 SUMMARIES = {
     "identity": lambda y: y,
@@ -76,6 +76,43 @@ def check_finite_obs(obs: np.ndarray) -> np.ndarray:
     return obs
 
 
+# Most entries of one time block's draw table in _simulate_series (at least
+# one step per block), as in the forward recursion's time blocks.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
+                     path_rng: np.random.Generator,
+                     obs_rng: np.random.Generator):
+    """``reps`` series of ``n`` steps at ``theta``: hidden paths (reps, n)
+    and observations (reps, n, obs_dim), drawn from the paths laid end to
+    end by one ``obs_sampler`` call.
+
+    Per time block, one :func:`sample_categorical_rows` call draws the next
+    state under every law the chain steps from (the rows of P, and
+    ``initial_dist @ P`` for the first state) at every (step, replicate);
+    each replicate then follows its own previous state through that table.
+    Step t of replicate r inverts the path stream's (t·reps + r)-th uniform.
+    """
+    p = np.asarray(model.transition_matrix(theta), dtype=float)
+    k = p.shape[0]
+    laws = np.vstack([p, np.asarray(model.initial_dist(theta), dtype=float) @ p])
+    states = np.empty((reps, n), dtype=np.int64)
+    prev = np.full(reps, k)     # row k of laws: the first state's law
+    block = max(1, _BLOCK_ENTRIES // ((k + 1) * reps))
+    for s in range(0, n, block):
+        b = min(block, n - s)
+        # entry j·b·reps + t·reps + r: replicate r's state at step s + t
+        # when it steps from law j
+        table = sample_categorical_rows(laws, path_rng, b * reps).ravel()
+        cols = np.arange(b * reps).reshape(b, reps)
+        for t in range(b):
+            prev = states[:, s + t] = table.take(prev * (b * reps) + cols[t])
+    obs = sample_observations(model, theta[None], states.reshape(1, -1),
+                              obs_rng)[0]
+    return states, obs.reshape(reps, n, -1)
+
+
 def simulate(model: ModelSpec, theta, n: int, seed: int,
              with_hidden: bool = True) -> Trajectory:
     """Simulate ``n`` steps of the model at ``theta``.
@@ -85,24 +122,10 @@ def simulate(model: ModelSpec, theta, n: int, seed: int,
     shuffle the state path.
     """
     theta = check_theta(model, theta)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    path_rng = rngmod.stream(seed, "path")
-    obs_rng = rngmod.stream(seed, "obs")
-
-    p = np.asarray(model.transition_matrix(theta), dtype=float)
-    cum = np.cumsum(p, axis=1)
-    # initial_dist is the law of the state before the first observation
-    cum_first = np.cumsum(np.asarray(model.initial_dist(theta), dtype=float) @ p)
-    u = path_rng.random(n)
-    states = np.empty(n, dtype=np.int64)
-    s = int(np.searchsorted(cum_first, u[0], side="left"))
-    states[0] = min(s, p.shape[1] - 1)
-    for t in range(1, n):
-        s = int(np.searchsorted(cum[states[t - 1]], u[t], side="left"))
-        states[t] = min(s, p.shape[1] - 1)
-
-    obs = sample_observations(model, theta[None], states[None], obs_rng)[0]
+    check_count("n", n, 1)
+    states, obs = _simulate_series(model, theta, 1, n,
+                                   rngmod.stream(seed, "path"),
+                                   rngmod.stream(seed, "obs"))
     meta = {
         "seed": int(seed),
         "model": model.name,
@@ -110,8 +133,8 @@ def simulate(model: ModelSpec, theta, n: int, seed: int,
         "noise_epsilon": None,
         "summary": None,
     }
-    return Trajectory(observations=obs,
-                      hidden=states if with_hidden else None,
+    return Trajectory(observations=obs[0],
+                      hidden=states[0] if with_hidden else None,
                       meta=meta)
 
 

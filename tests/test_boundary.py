@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from abchmm import cli, estimate, fisher, oracle, smc
 from abchmm.kernels import KERNELS
-from abchmm.models import PerturbationSpec, builtin_model
+from abchmm.errors import ConfigError
+from abchmm.models import PerturbationSpec, builtin_model, load_model_config
 
 _MODEL = builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
 _THETA = [0.7, 1.1]
@@ -120,7 +121,7 @@ def _count_calls(pert):
 def test_malformed_input_raises_and_returns_no_number(draw):
     kind = draw.draw(st.sampled_from(["theta", "data", "width", "init",
                                       "transition", "count",
-                                      "optimizer"]),
+                                      "optimizer", "epsilon"]),
                      label="kind")
     n = draw.draw(st.integers(1, 8), label="n")
     ys = np.linspace(-1.5, 1.5, n)
@@ -178,6 +179,20 @@ def test_malformed_input_raises_and_returns_no_number(draw):
         assert status == 2
         assert err.getvalue().startswith("error: ") \
             and "transition" in err.getvalue()
+    elif kind == "epsilon":
+        # NaN once gave NaN likelihoods and noisy data, and inf a failed fit
+        eps = draw.draw(st.one_of(
+            st.just(math.nan), st.just(math.inf),
+            st.floats(max_value=0.0, exclude_max=True)), label="epsilon")
+        with pytest.raises(ValueError, match="epsilon must be"):
+            PerturbationSpec(epsilon=eps, kernel=pert.kernel)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main(["fisher", "--model", "finite_gaussian",
+                               "--theta", "0.7", "--n", "5", "--replicates",
+                               "2", "--seed", "0", f"--epsilon={eps!r}"])
+        assert status == 2
+        assert err.getvalue().startswith("error: epsilon must be")
     elif kind == "optimizer":
         option, value = _bad_option(draw)
         fits = {
@@ -214,14 +229,26 @@ def test_malformed_input_raises_and_returns_no_number(draw):
                                                 "n_replicates"),
                                                ("--n", "0", "n")])
 def test_cli_fisher_names_a_bad_count(flag, value, name):
+    # the message names the flag, not the library argument ``name``
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         status = cli.main(["fisher", "--model", "finite_gaussian", "--theta",
                            "0.7", "--n", "5", "--replicates", "2", "--seed",
                            "0", flag, value])
     assert status == 2
-    assert err.getvalue().startswith("error: ") \
-        and f"{name} must be an integer" in err.getvalue()
+    assert err.getvalue().startswith(f"error: {flag} must be an integer")
+    assert not err.getvalue().startswith(f"error: {name} ")
+
+
+def test_cli_simulate_names_a_bad_count(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["simulate", "--model", "finite_gaussian",
+                           "--theta", "0.7", "--n", "0", "--seed", "0",
+                           "--out", str(tmp_path / "data")])
+    assert status == 2
+    assert err.getvalue().startswith("error: --n must be an integer >= 1")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("box", [
@@ -229,9 +256,27 @@ def test_cli_fisher_names_a_bad_count(flag, value, name):
     [[-3.0, 3.0], [-3.0, 3.0]], [-3.0, 3.0]])
 def test_theta_box_checked_at_construction(box):
     # an infinite bound once gave theta = nan inside abc_mle, and a second
-    # row failed only at the first theta check
+    # row failed only at the first theta check.  A model config's box gets
+    # the same check and message.
     with pytest.raises(ValueError, match="'finite_gaussian': theta_box"):
         builtin_model("finite_gaussian", theta_box=box)
+    with pytest.raises(ValueError, match="'finite_gaussian': theta_box"):
+        load_model_config({"model": "finite_gaussian", "theta_box": box})
+
+
+@pytest.mark.parametrize("box", ["wide", [[0.0, "one"]], [[0.0, 1.0], [2.0]],
+                                 {"lo": 0.0}])
+def test_theta_box_that_is_not_numeric_is_named(box):
+    # from a model config and from the --theta-box flag
+    with pytest.raises(ConfigError, match="theta_box must be numeric"):
+        load_model_config({"model": "finite_gaussian", "theta_box": box})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["fisher", "--model", "finite_gaussian",
+                           "--theta-box", json.dumps(box), "--theta", "0.7",
+                           "--seed", "0"])
+    assert status == 2
+    assert err.getvalue().startswith("error: theta_box must be numeric")
 
 
 @pytest.mark.parametrize("points", [0, -3])

@@ -7,12 +7,13 @@ so its location information is exactly 1/(s^2 + eps^2).
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abchmm import fisher, oracle
+from abchmm import fisher, oracle, rng, sampling
 from abchmm.kernels import KERNELS
 from abchmm.models import PerturbationSpec, builtin_model
 
@@ -110,9 +111,28 @@ def test_missing_information_guards(gauss2):
 def test_simulated_paths_start_after_one_transition():
     # the replicate paths read initial_dist as the law before the first
     # observation, like the forward recursion that scores them
-    model = builtin_model("finite_gaussian", hyper={"initial": [1.0, 0.0]})
-    states = fisher._simulate_paths(model, np.array([0.5]), 20000, 2, seed=4)
-    assert np.mean(states[:, 0] == 0) == pytest.approx(0.7, abs=0.01)
+    model = builtin_model("finite_gaussian", hyper={"initial": [1.0, 0.0],
+                                                    "mu_coeff": [0.0, 1.0],
+                                                    "sigma": 1e-3})
+    y = fisher._replicates(model, np.array([1.0]), 20000, 2, seed=4)
+    assert np.mean(np.abs(y[:, 0]) < 0.5) == pytest.approx(0.7, abs=0.01)
+
+
+def test_replicate_batch_bytes_are_pinned(gauss2):
+    # sha256 of one replicate batch: the hidden paths on the ("paths")
+    # stream, the clean observations and their noisy twins
+    theta = np.array([0.7, 1.1])
+    states, _ = sampling._simulate_series(gauss2, theta, 9, 65,
+                                          rng.stream(7, "paths"),
+                                          rng.stream(7, "obs"))
+    y = fisher._replicates(gauss2, theta, 9, 65, seed=7)
+    y_eps = fisher._coupled_obs(y, PerturbationSpec(epsilon=0.3), seed=7)
+    digests = [hashlib.sha256(a.tobytes()).hexdigest()
+               for a in (states, y, y_eps)]
+    assert digests == [
+        "218cb0bf02c7699367cb75cbc1296e94f8f9a6934c9ff21ea2e6fadbc8cabc8e",
+        "105355e4e1f3e8b58fe01c1b9828f7f2e7cf3605f63a985d19cf83576769a216",
+        "1596c4f0c98dcfaf83a2d3ea415f7ff9e178b0fc9f008db34bf26b36ccc93152"]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +228,8 @@ def test_conditional_score_diffs_share_one_batch(gauss2):
     theta = np.array([1.0, 1.0])
     scores = fisher._conditional_score_diffs(gauss2, theta, pert, 50, 9,
                                              boundaries=(4, 5), seed=3)
-    states = fisher._simulate_paths(gauss2, theta, 50, 9, 3)
-    y, y_eps = fisher._coupled_obs(gauss2, theta, states, pert, 3)
+    y = fisher._replicates(gauss2, theta, 50, 9, 3)
+    y_eps = fisher._coupled_obs(y, pert, 3)
     for b in (4, 5):
         want = _mixed_kernel_scores(gauss2, theta, pert, y, y_eps, b)
         np.testing.assert_array_equal(scores[b], want)
