@@ -94,6 +94,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_likelihood(args) -> int:
+    check_count("--n-particles", args.n_particles, 1)
     model = _model_from_args(args)
     data = sampling.load_trajectory(args.data)
     theta = _parse_theta(args.theta)
@@ -128,6 +129,7 @@ def _cmd_likelihood(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    check_count("--n-particles", args.n_particles, 1)
     model = _model_from_args(args)
     if (args.data is None) == (args.theta_star is None):
         raise ConfigError("exactly one of --data or --theta-star is required")

@@ -10,16 +10,21 @@ Three objective flavours share one optimizer front end:
 * ``exact_mle``: maximize the exact unperturbed likelihood (tractable only).
 
 The particle objective uses common random numbers: one stream key is derived
-from the run seed and reused for every candidate theta, making the objective
-a deterministic surface the optimizer can trust.  The grid stage hands all
-its candidates to ``smc.smc_abc_likelihood_batch`` in one call, so they share
-the filter's draws step by step, not only the seed.  The golden-section
-stage looks one step ahead through the same batch call: each call holds the
-next probe and both probes that could follow it, and only the probes the
-sequential search makes are recorded, so the result is the one the
+from the run seed and reused for every candidate theta, making the objective a
+deterministic surface the optimizer can trust.  A fit keeps one table of the
+filter's step streams for all its evaluations: each step's streams are derived
+once, by the first evaluation that reaches the step, and every later evaluation
+replays them from their saved generator states, with the same draws as a fresh
+derivation.  The table ends with the fit, and every value equals a fresh
+``smc.smc_abc_likelihood`` at the fit's stream key.  The grid stage hands all
+its candidates to the batched filter of ``smc.smc_abc_likelihood_batch`` in one
+call, so they share the filter's draws step by step, not only the seed.  The
+golden-section stage looks one step ahead through the same batch call: each
+call holds the next probe and both probes that could follow it, and only the
+probes the sequential search makes are recorded, so the result is the one the
 sequential search gives, bit for bit.  Nelder-Mead evaluates one theta at a
-time, with the same draws.  The exact objective evaluates every stage past
-the grid one theta at a time.
+time, with the same draws.  The exact objective evaluates every stage past the
+grid one theta at a time.
 
 Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
 ``grid_then_golden`` (coarse grid, then cyclic per-coordinate golden-section
@@ -285,17 +290,19 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
     Returns ``(fn, batch, lookahead)``.  Every batch row equals the single
     run bit for bit, and a three-row batch costs little more than one row,
     so the golden-section stage looks one step ahead through ``batch``.
+    Both share one step-stream table, so each value equals a fresh
+    ``smc_abc_likelihood`` at the fit's stream key.
     """
-    crn_seed = rngmod.derive_seed(seed, "crn")
+    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"))
 
     def fn(theta):
-        est = smcmod.smc_abc_likelihood(
-            model, theta, data, pert, n_particles, crn_seed)
+        est, = smcmod._likelihood_batch(
+            model, [theta], data, pert, n_particles, streams)
         return est.log_value, est.se_proxy
 
     def batch(thetas):
-        ests = smcmod.smc_abc_likelihood_batch(
-            model, thetas, data, pert, n_particles, crn_seed)
+        ests = smcmod._likelihood_batch(
+            model, thetas, data, pert, n_particles, streams)
         return [e.log_value for e in ests], [e.se_proxy for e in ests]
 
     return fn, batch, True

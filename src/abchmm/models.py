@@ -390,8 +390,10 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
 
     def obs_sampler(theta, states, rng):
         mu, s = mu_s(theta.T[:, :, None])
-        mu = np.broadcast_to(mu, (states.shape[0], k))
-        y = np.take_along_axis(mu, states, axis=1) \
+        g = states.shape[0]
+        # row r's means sit at r * k of the flat table
+        mu = np.broadcast_to(mu, (g, k)).ravel()
+        y = mu[states + k * np.arange(g)[:, None]] \
             + s * rng.standard_normal(states.shape[1])
         return y[:, :, None]
 

@@ -20,3 +20,20 @@ def child_env():
 
     package_root = Path(abchmm.__file__).resolve().parents[1]
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)}
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """The key of every ``rng.stream`` derivation made during the test, in
+    call order."""
+    from abchmm import rng
+
+    keys = []
+    derive = rng.stream
+
+    def counted(*key):
+        keys.append(key)
+        return derive(*key)
+
+    monkeypatch.setattr(rng, "stream", counted)
+    return keys

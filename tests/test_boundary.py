@@ -289,3 +289,33 @@ def test_cli_names_grid_points_below_one(points):
     assert status == 2
     assert err.getvalue().startswith("error: ") \
         and "--grid-points" in err.getvalue()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["likelihood", "--estimator", "particle"],
+    ["likelihood", "--estimator", "oracle"],
+    ["estimate", "--objective", "smc"],
+    ["estimate", "--objective", "oracle"],
+    ["estimate", "--method", "exact"],
+], ids=lambda c: f"{c[0]}-{c[-1]}")
+def test_cli_names_a_bad_particle_count(tmp_path, command, value):
+    # every subcommand that takes --n-particles checks it under the flag's
+    # name, also where the objective never reads it
+    data = tmp_path / "data.csv"
+    assert cli.main(["simulate", "--model", "finite_gaussian", "--theta",
+                     "0.7", "--n", "5", "--seed", "0", "--out",
+                     str(data)]) == 0
+    if command[0] == "likelihood":
+        args = command + ["--theta", "0.7"]
+    else:
+        args = command + ["--seed", "0"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        status = cli.main(args + ["--model", "finite_gaussian", "--data",
+                                  str(data), "--epsilon", "0.3",
+                                  "--n-particles", value])
+    assert status == 2
+    assert err.getvalue() == (
+        f"error: --n-particles must be an integer >= 1, got {value}\n")

@@ -295,19 +295,21 @@ def test_smc_fit_looks_ahead_with_the_same_bytes():
     """The particle fit of the smc_fit benchmark: 7 grid points, one sweep,
     section_tol 0.05 -- ten golden-section probes.  One grid pass plus five
     lookahead batches, against one plus ten single runs, and the same
-    estimate, trace and failure count as the sequential search."""
+    estimate, trace and failure count as the sequential search.  A fit's
+    evaluations, single or batched, all go through ``smc._likelihood_batch``
+    on the fit's step-stream table."""
     model = builtin_model("finite_gaussian")
     data = sampling.simulate(model, [0.8], 100, seed=1)
     pert = PerturbationSpec(epsilon=0.3)
     opts = {"grid_points": 7, "sweeps": 1, "section_tol": 0.05}
     calls = []
-    batch = smc.smc_abc_likelihood_batch
+    batch = smc._likelihood_batch
 
     def counted(*args, **kwargs):
         calls.append(len(args[1]))
         return batch(*args, **kwargs)
 
-    with mock.patch.object(smc, "smc_abc_likelihood_batch", counted):
+    with mock.patch.object(smc, "_likelihood_batch", counted):
         res = est.abc_mle(model, data, pert, n_particles=2000, seed=11,
                           **opts)
         assert calls == [7, 2, 3, 3, 3, 3]
@@ -350,3 +352,62 @@ def test_maximize_rejects_bad_options(option, value):
     with pytest.raises(ValueError, match=option):
         est.maximize(lambda t: (0.0, 0.0), [[0, 1]], method,
                      **{option: value})
+
+
+# ---------------------------------------------------------------------------
+# one step-stream table per particle fit
+
+
+_REPLAY_MODEL = builtin_model("finite_gaussian")
+_REPLAY_DATA = sampling.simulate(_REPLAY_MODEL, [0.7], 40, seed=6,
+                                 with_hidden=False)
+
+
+@pytest.mark.parametrize("method, eps, n_particles, opts, one_row_chunks", [
+    ("grid_then_golden", 0.3, 96,
+     {"grid_points": 5, "sweeps": 1, "section_tol": 0.05}, False),
+    # no collapse here: scipy's simplex warns on -inf values
+    ("nelder_mead", 1.0, 200, {"restarts": 1}, False),
+    # a grid filtered one row per chunk: the first row, at the box's low
+    # end, collapses within a few steps, so later passes replay the steps
+    # it reached and derive the rest
+    ("grid", 0.3, 96, {"grid_points": 5}, True),
+])
+def test_fit_replays_the_streams_of_a_fresh_call(monkeypatch, method, eps,
+                                                 n_particles, opts,
+                                                 one_row_chunks):
+    # every traced value equals a fresh call at the fit's stream key
+    pert = PerturbationSpec(epsilon=eps)
+    if one_row_chunks:
+        monkeypatch.setattr(smc, "_CHUNK_ELEMENTS", n_particles)
+    res = est.abc_mle(_REPLAY_MODEL, _REPLAY_DATA, pert, method=method,
+                      n_particles=n_particles, seed=8, **opts)
+    crn = rng.derive_seed(8, "crn")
+    fresh = [smc.smc_abc_likelihood(_REPLAY_MODEL, theta, _REPLAY_DATA, pert,
+                                    n_particles, crn)
+             for theta, _, _ in res.trace]
+    got = [(value, se) for _, value, se in res.trace]
+    want = [(e.log_value, e.se_proxy) for e in fresh]
+    assert repr(got) == repr(want)          # repr: every bit, -inf too
+    collapsed = [e.collapsed_at for e in fresh]
+    if one_row_chunks:
+        assert collapsed[0] is not None and collapsed[0] < 10
+        assert None in collapsed
+    else:
+        assert len(got) > 10
+
+
+def test_one_fit_derives_each_step_stream_once(stream_keys):
+    # 2 streams per step, derived by the first evaluation that reaches the
+    # step; a second fit with the same seed derives them all again
+    pert = PerturbationSpec(epsilon=0.3)
+    n = _REPLAY_DATA.n
+    fits = []
+    for _ in range(2):
+        stream_keys.clear()
+        fits.append(est.abc_mle(_REPLAY_MODEL, _REPLAY_DATA, pert,
+                                n_particles=96, seed=8, grid_points=5,
+                                sweeps=1, section_tol=0.05))
+        assert fits[-1].n_evaluations > 10
+        assert len(stream_keys) == len(set(stream_keys)) == 2 * n
+    assert repr(fits[0].trace) == repr(fits[1].trace)

@@ -211,7 +211,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         "'finite_gaussian'\n")
     assert run_cli(likelihood + ["--theta", "0.8", "--n-particles", "0"]) == 2
     assert capsys.readouterr().err == (
-        "error: n_particles must be a positive integer, got 0\n")
+        "error: --n-particles must be an integer >= 1, got 0\n")
 
 
 def test_cli_estimate_out_file(tmp_path, capsys):

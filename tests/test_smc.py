@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -98,7 +99,8 @@ def test_unbiased_with_asymmetric_chain_and_nonstationary_start():
 
 def test_boolean_particle_count_rejected():
     model, data = _pm_data()
-    with pytest.raises(ValueError, match="n_particles must be a positive"):
+    with pytest.raises(ValueError,
+                       match="n_particles must be an integer >= 1"):
         smc.smc_abc_likelihood(model, [1.0], data,
                                PerturbationSpec(epsilon=1.5), True, seed=0)
 
@@ -272,3 +274,89 @@ def test_batch_equals_single_runs(data):
     _assert_batch_equals_singles(name, thetas, pert,
                                  data.draw(st.integers(1, 96)),
                                  data.draw(st.integers(0, 2**32)))
+
+
+# ---------------------------------------------------------------------------
+# the step-stream table
+
+
+# A G = 3 batch on finite_gaussian per parameter mode (the observation
+# sampler's means come from theta, or are fixed and broadcast): each row's
+# collapse step, and the sha256 of every row's log_value, step_acceptance
+# and ess_trace.  Recorded before the per-fit step-stream table and the flat
+# gather of the means; a change here moves every particle estimate, so it
+# must be stated, not re-recorded.
+_PIN_CASES = {
+    "mean": (
+        {"param": "mean"}, [[-2.5], [0.8], [1.4]], PerturbationSpec(0.3),
+        [None, 5, 5],
+        "4e0508da7c9cdc59c1ff3fa6f4c7f97c8b3958df1e19df5432494ee1d5acccb1"),
+    "scale": (
+        {"param": "scale"}, [[0.3], [1.0], [2.5]],
+        PerturbationSpec(0.3, "gaussian"), [None, None, None],
+        "476daf477cf406762e7980e19ec95b4431c08a60fe8a98b9a71981362b7d0187"),
+    "mean_scale": (
+        {"param": "mean_scale"}, [[0.7, 1.1], [-0.4, 0.5], [2.0, 3.0]],
+        PerturbationSpec(0.5, "uniform", "l2"), [None, 1, None],
+        "6d072d371239d51f95bc233be5f0e1ac28c3a338d1aec8351bf175a10498ebef"),
+}
+
+
+def _pin_inputs(label):
+    hyper, thetas, pert, _, _ = _PIN_CASES[label]
+    model = builtin_model("finite_gaussian", hyper=hyper)
+    data = sampling.simulate(model, thetas[0], 60, seed=3, with_hidden=False)
+    return model, thetas, data, pert
+
+
+@pytest.mark.parametrize("label", sorted(_PIN_CASES))
+def test_batch_bytes_are_pinned(label):
+    model, thetas, data, pert = _pin_inputs(label)
+    ests = smc.smc_abc_likelihood_batch(model, thetas, data, pert, 500,
+                                        seed=12)
+    h = hashlib.sha256()
+    for est in ests:
+        for a in (np.array(est.log_value), est.step_acceptance,
+                  est.ess_trace):
+            h.update(np.ascontiguousarray(a).tobytes())
+    *_, collapsed_at, digest = _PIN_CASES[label]
+    assert [est.collapsed_at for est in ests] == collapsed_at
+    assert h.hexdigest() == digest
+
+
+def test_table_fills_as_passes_reach_the_steps(stream_keys):
+    # a pass that collapses early derives only the steps it reached; the
+    # next pass replays those and derives the rest, and every value equals
+    # a run on a fresh table
+    model, thetas, data, pert = _pin_inputs("mean")
+    stream_keys.clear()                 # the data's own streams
+    order = (thetas[1], thetas[0], thetas[2])
+    table = smc._StepStreams(12)
+    early, = smc._likelihood_batch(model, [order[0]], data, pert, 500, table)
+    assert early.collapsed_at == 5
+    assert sorted(stream_keys) == sorted((12, tag, k) for k in range(6)
+                                         for tag in ("prop", "obsdraw"))
+    passes = [early] + [
+        smc._likelihood_batch(model, [th], data, pert, 500, table)[0]
+        for th in order[1:]]
+    assert len(stream_keys) == len(set(stream_keys)) == 2 * 60
+    for th, got in zip(order, passes):
+        want = smc.smc_abc_likelihood(model, th, data, pert, 500, seed=12)
+        assert _bits(got) == _bits(want)
+
+
+def test_each_call_derives_its_own_streams(stream_keys):
+    # the public entry points take a fresh table on every call: nothing is
+    # kept from one call to the next
+    model, _ = _BATCH_MODELS["iid_pm_theta"]
+    data = _BATCH_DATA["iid_pm_theta"]
+    pert = PerturbationSpec(epsilon=1.5)
+    first = smc.smc_abc_likelihood_batch(model, [[1.0], [2.0]], data, pert,
+                                         64, seed=3)
+    assert len(stream_keys) == 2 * 25
+    second = smc.smc_abc_likelihood_batch(model, [[1.0], [2.0]], data, pert,
+                                          64, seed=3)
+    single = smc.smc_abc_likelihood(model, [1.0], data, pert, 64, seed=3)
+    assert len(stream_keys) == 3 * 2 * 25
+    assert [_bits(e) for e in first] == [_bits(e) for e in second]
+    assert _bits(single) == _bits(first[0])
