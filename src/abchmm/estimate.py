@@ -31,7 +31,12 @@ Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
 refinement, two sweeps), ``nelder_mead`` (restarted from Latin hypercube
 starts).  The default is ``grid_then_golden`` up to two parameters and
 ``nelder_mead`` beyond.  Every evaluation lands in ``trace``; failed
-(collapsed) evaluations stay there with value -inf.
+(collapsed) evaluations stay there with value -inf.  A Nelder-Mead restart
+whose initial simplex (its first d + 1 evaluations) all failed ends there:
+a simplex of equal infinite values has nowhere to go, and scipy's
+convergence test cannot pass on it, so the restart would wander to
+``maxiter``.  Once one vertex is finite, scipy never builds an all-failed
+simplex again, so every other restart runs as before.
 """
 
 from __future__ import annotations
@@ -176,6 +181,10 @@ def _lhs_starts(box: np.ndarray, count: int, rs: np.random.Generator):
     return starts
 
 
+class _CollapsedSimplex(Exception):
+    """Every vertex of a Nelder-Mead restart's initial simplex failed."""
+
+
 def maximize(objective, box, method: str = "grid_then_golden", *,
              batch_objective=None, lookahead: bool = False,
              grid_points: int = 21, sweeps: int = 2,
@@ -240,11 +249,23 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
     elif method == "nelder_mead":
         rs = rngmod.stream(seed, "nelder-mead-starts")
         for start in _lhs_starts(box, restarts, rs):
-            scipy.optimize.minimize(
-                lambda th: -rec(np.clip(th, box[:, 0], box[:, 1])),
-                start, method="Nelder-Mead",
-                bounds=[(lo, hi) for lo, hi in box],
-                options={"xatol": 1e-6, "fatol": 1e-10, "maxiter": 400 * d})
+            evals, failures = len(rec.trace), rec.n_failures
+
+            def negated(th):
+                value = rec(np.clip(th, box[:, 0], box[:, 1]))
+                # the first d + 1 evaluations are the initial simplex
+                if len(rec.trace) - evals == rec.n_failures - failures == d + 1:
+                    raise _CollapsedSimplex
+                return -value
+
+            try:
+                scipy.optimize.minimize(
+                    negated, start, method="Nelder-Mead",
+                    bounds=[(lo, hi) for lo, hi in box],
+                    options={"xatol": 1e-6, "fatol": 1e-10,
+                             "maxiter": 400 * d})
+            except _CollapsedSimplex:
+                pass
     else:
         raise ValueError(f"unknown optimizer {method!r}")
 

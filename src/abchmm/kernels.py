@@ -56,10 +56,17 @@ def log_ball_volume(eps: float, m: int, norm: str = "linf") -> float:
 
 
 def within_ball(diff: np.ndarray, eps: float, norm: str = "linf") -> np.ndarray:
-    """Indicator of ``||diff_i|| <= eps`` per row of ``diff`` (N, m)."""
+    """Indicator of ``||d|| <= eps`` for every point ``d`` on the last axis
+    of ``diff`` (..., m); the result has shape (...).  A NaN coordinate puts
+    its point outside the ball."""
     diff = np.atleast_2d(diff)
     if norm == "linf":
-        return np.max(np.abs(diff), axis=-1) <= eps
+        # one coordinate at a time: np.max over a short last axis costs
+        # more than the loop; np.maximum propagates NaN
+        dist = np.abs(diff[..., 0])
+        for j in range(1, diff.shape[-1]):
+            np.maximum(dist, np.abs(diff[..., j]), out=dist)
+        return dist <= eps
     if norm == "l2":
         return np.einsum("...j,...j->...", diff, diff) <= eps * eps
     raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")

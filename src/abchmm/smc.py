@@ -29,6 +29,13 @@ Weeds worth knowing about:
 * Every step starts from equal weights, so the per-step factor is a plain
   mean: an all-accept step contributes a factor of exactly 1.0 and an
   everything-accepts run gives ``log_value == 0.0`` exactly.
+* Under the uniform kernel every weight is 0 or 1, so the filter keeps
+  the kernel's booleans and takes its sums as counts: the accepted count
+  gives the step's factor, the second moment equals the factor (0/1
+  weights square to themselves), and the next predictive law is each
+  state's accepted count over the total.  Every count is an integer below
+  2**53, so these sums are exact, and the values are those of the same
+  sums over 0.0/1.0 floats, bit for bit.  The ESS keeps its float sum.
 * A step where every weight vanishes collapses the estimate: ``log_value``
   is -inf, ``collapsed_at`` records the 0-based step, and the remaining
   entries of ``step_acceptance`` / ``ess_trace`` stay 0.
@@ -214,8 +221,8 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
     collapsed_at = [None] * g_all
 
     live = np.arange(g_all)
-    # per-step scratch: the pseudo-observations' distance to the data, then
-    # the weights, which need the distance only until they are computed
+    uniform = pert.kernel == "uniform"
+    # per-step scratch for the pseudo-observations' distance to the data
     scratch = np.empty(g_all * n_particles * model.obs_dim)
     offsets = np.arange(g_all)[:, None] * n_states
 
@@ -229,14 +236,13 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
                                 streams("obsdraw", k)),
             obs[k], out=scratch[:m * n_particles * model.obs_dim].reshape(
                 m, n_particles, model.obs_dim))
-        w = scratch[:m * n_particles].reshape(m, n_particles)
-        if pert.kernel == "uniform":
-            w[...] = within_ball(diff, eps, pert.norm)
-        else:
-            w[...] = smooth_weight(diff, eps)
+        # the uniform kernel's weights stay booleans and its sums counts
+        w = within_ball(diff, eps, pert.norm) if uniform \
+            else smooth_weight(diff, eps)
+        total = w.sum(axis=1)
 
         # sum / N is what mean does, without its per-call overhead
-        step_val = w.sum(axis=1) / n_particles
+        step_val = total / n_particles
         step_acceptance[live, k] = step_val
         dead = step_val <= 0.0
         if dead.any():
@@ -245,27 +251,46 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
                 log_value[g] = -math.inf
             keep = ~dead
             live, thetas, p = live[keep], thetas[keep], p[keep]
-            step_val, states = step_val[keep], states[keep]
+            step_val, states, w, total = (step_val[keep], states[keep],
+                                          w[keep], total[keep])
             m = live.size
             if m == 0:
                 break
-            scratch[:m * n_particles] = w[keep].ravel()
-            w = scratch[:m * n_particles].reshape(m, n_particles)
 
         # crude delta-method variance proxy, treating steps as independent;
-        # dividing twice by step_val (no square) keeps a tiny step_val from
-        # underflowing to a zero denominator, at worst giving inf
-        second = (w * w).sum(axis=1) / n_particles
+        # 0/1 weights square to themselves, so the uniform kernel's second
+        # moment is step_val.  Dividing twice by step_val (no square) keeps
+        # a tiny step_val from underflowing to a zero denominator, at worst
+        # giving inf
+        second = step_val if uniform else (w * w).sum(axis=1) / n_particles
         var_log[live] += np.maximum(second / step_val / step_val - 1.0,
                                     0.0) / n_particles
 
-        ess_trace[live, k] = 1.0 / (
-            (w / (n_particles * step_val)[:, None]) ** 2).sum(axis=1)
+        # the normalised weights are w / (N * step_val); a 0/1 weight's
+        # square is the square of that denominator's reciprocal or 0
+        scale = n_particles * step_val
+        if uniform:
+            ess_trace[live, k] = 1.0 / (
+                w * ((1.0 / scale) ** 2)[:, None]).sum(axis=1)
+        else:
+            ess_trace[live, k] = 1.0 / (
+                (w / scale[:, None]) ** 2).sum(axis=1)
         log_value[live] += [math.log(v) for v in step_val.tolist()]
-        states += offsets[:m]        # flat (row, state) bins
-        q = np.bincount(states.ravel(), weights=w.ravel(),
-                        minlength=m * n_states).reshape(m, n_states) \
-            / w.sum(axis=1)[:, None]
+
+        # the next predictive law: each state's share of the weight
+        if uniform:
+            # accepted counts per state; the last state takes the rest
+            q = np.empty((m, n_states))
+            q[:, -1] = total
+            for j in range(n_states - 1):
+                q[:, j] = (w & (states == j)).sum(axis=1)
+                q[:, -1] -= q[:, j]
+            q /= total[:, None]
+        else:
+            states += offsets[:m]        # flat (row, state) bins
+            q = np.bincount(states.ravel(), weights=w.ravel(),
+                            minlength=m * n_states).reshape(m, n_states) \
+                / total[:, None]
 
     out = []
     for g in range(g_all):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -51,6 +52,33 @@ def test_maximize_all_failures_raises():
         est.maximize(lambda t: (-math.inf, 0.0), [[0, 1]], "grid",
                      grid_points=5)
     assert info.value.diagnostics["n_evaluations"] == 5
+
+
+def test_nelder_mead_ends_a_restart_whose_simplex_failed():
+    # a restart whose initial simplex (d + 1 evaluations) all failed ends
+    # there, with those evaluations kept, instead of running to maxiter
+    with pytest.raises(EstimationFailedError) as info:
+        est.maximize(lambda t: (-math.inf, 0.0), [[0, 1], [0, 1]],
+                     "nelder_mead", restarts=3)
+    assert info.value.diagnostics == {"n_evaluations": 9, "n_failures": 9}
+
+
+def test_nelder_mead_collapsed_start_does_not_wander():
+    # the first restart starts where every particle evaluation collapses;
+    # scipy would otherwise take inf - inf in its convergence test and run
+    # to maxiter (1262 evaluations, 1209 failed)
+    model = builtin_model("finite_gaussian")
+    data = sampling.simulate(model, [0.7], 40, seed=6, with_hidden=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = est.abc_mle(model, data, PerturbationSpec(epsilon=0.5),
+                          method="nelder_mead", n_particles=96, seed=8,
+                          restarts=2)
+    assert [v for _, v, _ in res.trace[:3]] == [-math.inf, -math.inf,
+                                                pytest.approx(-86.1205720)]
+    assert (res.n_evaluations, res.n_failures) == (65, 12)
+    assert res.theta_hat.values[0] == pytest.approx(1.08340162, abs=1e-8)
+    assert res.value == pytest.approx(-68.4638566, abs=1e-6)
 
 
 def test_pathological_two_point_collapses_to_zero():

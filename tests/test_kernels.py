@@ -1,0 +1,51 @@
+import numpy as np
+import pytest
+
+from abchmm.kernels import NORMS, within_ball
+
+
+def _reference(diff, eps, norm):
+    if norm == "linf":
+        return np.max(np.abs(diff), axis=-1) <= eps
+    return np.sqrt(np.sum(diff * diff, axis=-1)) <= eps
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("shape", [(40,), (3, 40)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_within_ball_matches_reference(m, shape, norm):
+    eps = 0.75
+    rs = np.random.default_rng(m)
+    diff = rs.uniform(-1.5, 1.5, size=shape + (m,))
+    # points exactly on the boundary, in every coordinate and of both signs
+    diff[..., 0, :] = eps
+    diff[..., 1, :] = -eps
+    diff[..., 2, :] = 0.0
+    diff[..., 2, -1] = eps
+    diff[..., 3, :] = 0.0
+    diff[..., 3, 0] = -eps
+    got = within_ball(diff, eps, norm)
+    assert got.dtype == bool and got.shape == shape
+    np.testing.assert_array_equal(got, _reference(diff, eps, norm))
+    assert got[..., 2:4].all()
+    if norm == "linf":
+        assert got[..., :2].all()
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_within_ball_rejects_nan(m, norm):
+    diff = np.zeros((2, 5, m))
+    for j in range(m):
+        diff[0, j, j] = np.nan
+    got = within_ball(diff, 1.0, norm)
+    np.testing.assert_array_equal(got[0], [j >= m for j in range(5)])
+    assert got[1].all()
+
+
+def test_within_ball_one_point():
+    # a single (m,) point is one row
+    np.testing.assert_array_equal(within_ball(np.array([0.5, -0.2]), 0.5),
+                                  [True])
+    np.testing.assert_array_equal(within_ball(np.array([0.5, -0.6]), 0.5),
+                                  [False])

@@ -288,23 +288,34 @@ def test_batch_equals_single_runs(data):
 # must be stated, not re-recorded.
 _PIN_CASES = {
     "mean": (
-        {"param": "mean"}, [[-2.5], [0.8], [1.4]], PerturbationSpec(0.3),
-        [None, 5, 5],
+        "finite_gaussian", {"param": "mean"}, [[-2.5], [0.8], [1.4]],
+        PerturbationSpec(0.3), [None, 5, 5],
         "4e0508da7c9cdc59c1ff3fa6f4c7f97c8b3958df1e19df5432494ee1d5acccb1"),
     "scale": (
-        {"param": "scale"}, [[0.3], [1.0], [2.5]],
+        "finite_gaussian", {"param": "scale"}, [[0.3], [1.0], [2.5]],
         PerturbationSpec(0.3, "gaussian"), [None, None, None],
         "476daf477cf406762e7980e19ec95b4431c08a60fe8a98b9a71981362b7d0187"),
     "mean_scale": (
-        {"param": "mean_scale"}, [[0.7, 1.1], [-0.4, 0.5], [2.0, 3.0]],
+        "finite_gaussian", {"param": "mean_scale"},
+        [[0.7, 1.1], [-0.4, 0.5], [2.0, 3.0]],
         PerturbationSpec(0.5, "uniform", "l2"), [None, 1, None],
         "6d072d371239d51f95bc233be5f0e1ac28c3a338d1aec8351bf175a10498ebef"),
+    # recorded on the float-weight filter, before the uniform kernel ran
+    # on acceptance counts
+    "stable": (
+        "two_state_alpha_stable", None, [[1.0, 0.0], [0.6, 1.5], [2.5, -1.0]],
+        PerturbationSpec(0.8), [None, 19, None],
+        "e5770892ae8876b244220b19a2601892497091387fdbdc618f474376dc8f84fd"),
+    "iid_pm": (
+        "iid_pm_theta", None, [[1.0], [0.1], [2.5]], PerturbationSpec(1.2),
+        [None, None, 0],
+        "4b1a7d08199a61a545ccca7ff168e92bac50f733c423ab10b58e5d655d682737"),
 }
 
 
 def _pin_inputs(label):
-    hyper, thetas, pert, _, _ = _PIN_CASES[label]
-    model = builtin_model("finite_gaussian", hyper=hyper)
+    name, hyper, thetas, pert, _, _ = _PIN_CASES[label]
+    model = builtin_model(name, hyper=hyper)
     data = sampling.simulate(model, thetas[0], 60, seed=3, with_hidden=False)
     return model, thetas, data, pert
 
@@ -322,6 +333,19 @@ def test_batch_bytes_are_pinned(label):
     *_, collapsed_at, digest = _PIN_CASES[label]
     assert [est.collapsed_at for est in ests] == collapsed_at
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("label", ["stable", "iid_pm"])
+def test_uniform_se_proxy_from_step_acceptance(label):
+    # 0/1 weights square to themselves, so each step's second moment is its
+    # acceptance a and the proxy is sqrt(sum_k max(1/a_k - 1, 0) / N)
+    model, thetas, data, pert = _pin_inputs(label)
+    for est in smc.smc_abc_likelihood_batch(model, thetas, data, pert, 500,
+                                            seed=12):
+        if est.collapsed:
+            continue
+        var = sum(max(1.0 / a - 1.0, 0.0) / 500 for a in est.step_acceptance)
+        assert est.se_proxy == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
 def test_table_fills_as_passes_reach_the_steps(stream_keys):
