@@ -27,7 +27,7 @@ def _add_model_args(sub):
     sub.add_argument("--hyper", help="JSON dict of model hyperparameters")
     sub.add_argument("--theta-box", help="JSON list of [lo, hi] rows")
     sub.add_argument("--model-config",
-                     help="JSON file with keys model/hyper/theta_box "
+                     help="JSON file or text with keys model/hyper/theta_box "
                           "(overrides the flags above)")
 
 
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("experiment", help="run a preset experiment")
     p.add_argument("--preset", choices=experiments.PRESETS)
     p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON config file (alternative to flags)")
+    p.add_argument("--config",
+                   help="JSON config file or text (alternative to flags)")
     p.add_argument("--set", action="append", metavar="KEY=JSON",
                    help="override a preset parameter")
     p.add_argument("--out", required=True, help="output root directory")

@@ -25,6 +25,22 @@ Presets
 ``info_loss``
     Information destroyed by the perturbation versus tolerance (coupled
     estimator), plus exact-model and huge-tolerance Fisher estimates.
+
+The first three run one task kind, ``fit``: simulate ``n`` steps at
+``theta_star`` and fit them with the exact objective.  A fit task names its
+model (``builtin_model`` keyword arguments), estimator and optimizer
+options, ``theta_star``, ``n``, ``epsilon`` and seed, its label columns and
+the one error column it reports.
+
+Adding a preset
+---------------
+1. Defaults: its parameters go in ``_PRESET_DEFAULTS``, and a rule for any
+   new parameter name in ``_PARAM_RULES``; ``ExperimentConfig.from_dict``
+   checks every value against it.
+2. Tasks: a preset that fits data simulated at ``theta_star`` is a sweep on
+   ``_fit_tasks``, one point per fit; see ``_expand_bias_curve``.
+3. A summarizer from the rows, sorted by task, to ``(results, summary,
+   derived, plot)``.  Register it and the expander in ``_PRESET_PIPELINE``.
 """
 
 from __future__ import annotations
@@ -45,7 +61,7 @@ import numpy as np
 from . import estimate as est, fisher as fishermod, rng as rngmod, \
     sampling
 from .errors import ConfigError
-from .models import PerturbationSpec, builtin_model
+from .models import PerturbationSpec, builtin_model, read_config
 
 THREADS_ENV = "ABC_HMM_THREADS"
 
@@ -83,6 +99,64 @@ _PRESET_DEFAULTS = {
 PRESETS = tuple(sorted(_PRESET_DEFAULTS))
 
 
+def _count(least: int):
+    return (int,), f"an integer >= {least}", lambda v: v >= least
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:       # an int too large for a float
+        return False
+
+
+_REAL = (int, float), "a finite number", _finite
+_TOLERANCE = (int, float), "a finite number >= 0", \
+    lambda v: _finite(v) and v >= 0
+_POSITIVE = (int, float), "a finite number > 0", \
+    lambda v: _finite(v) and v > 0
+
+# What each parameter must hold: a rule is (types, description, test), and
+# a one-rule list asks for a non-empty list whose every entry meets it.  A
+# count's least value is the least the code accepts without failing or
+# writing a NaN; the tolerances of a log-log curve are positive.
+_PARAM_RULES = {
+    "theta_star": _REAL,
+    "theta": [_REAL],
+    "epsilon": _TOLERANCE,
+    "huge_epsilon": _TOLERANCE,
+    "epsilons": [_POSITIVE],
+    "n": _count(1),
+    "lengths": [_count(1)],
+    "grid_points": _count(1),
+    "window": _count(0),
+    "n_replicates": _count(1),
+    "fisher_n": _count(1),
+    "fisher_replicates": _count(2),
+}
+# a standard error (bias_curve) or a loss point (info_loss) needs two
+_PRESET_RULES = {"bias_curve": {"n_replicates": _count(2)},
+                 "info_loss": {"n_replicates": _count(2)}}
+
+
+def _check_param(key: str, value, rule) -> None:
+    """A ``ConfigError`` naming ``key`` unless ``value`` meets ``rule``."""
+    listed = isinstance(rule, list)
+    types, what, test = rule[0] if listed else rule
+
+    def meets(v):
+        return isinstance(v, types) and not isinstance(v, bool) and test(v)
+
+    if listed:
+        ok = isinstance(value, list) and len(value) > 0 \
+            and all(map(meets, value))
+        what = f"a non-empty list, each entry {what}"
+    else:
+        ok = meets(value)
+    if not ok:
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: str
@@ -112,21 +186,18 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key '{key}' for preset "
                                   f"'{preset}' (known: {sorted(params)})")
             params[key] = value
+        rules = {**_PARAM_RULES, **_PRESET_RULES.get(preset, {})}
+        for key, value in params.items():
+            _check_param(key, value, rules[key])
         return ExperimentConfig(preset=preset, seed=seed, params=params)
 
 
 def load_experiment_config(source) -> ExperimentConfig:
-    """Accept a dict, a JSON file path, or JSON text."""
+    """Accept an ``ExperimentConfig``, a dict, a JSON file path, or JSON
+    text."""
     if isinstance(source, ExperimentConfig):
         return source
-    if isinstance(source, dict):
-        return ExperimentConfig.from_dict(source)
-    text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"experiment config is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(read_config(source, "experiment config"))
 
 
 def resolve_workers(explicit: int | None = None) -> int:
@@ -155,98 +226,52 @@ def resolve_workers(explicit: int | None = None) -> int:
 # task execution
 
 
-def _bias_model():
-    return builtin_model("finite_gaussian", hyper={"param": "scale"})
+_ESTIMATORS = {"abc_mle": est.abc_mle, "noisy_abc_mle": est.noisy_abc_mle}
 
 
-def _mean_model():
-    # positive half-box: state relabeling makes +-theta equally likely under
-    # the full box, so the sign must be pinned for the error to be meaningful
-    return builtin_model("finite_gaussian", hyper={"param": "mean"},
-                         theta_box=[[0.0, 3.0]])
-
-
-def _info_model():
-    return builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
-
-
-def _task_bias_point(task: dict) -> dict:
-    model = _bias_model()
+def _task_fit(task: dict) -> dict:
+    """Simulate ``n`` steps at ``theta_star`` and fit them with the exact
+    objective; the row holds the task's label columns, ``theta_hat`` and its
+    one error column."""
+    model = builtin_model(**task["model"])
     data = sampling.simulate(model, [task["theta_star"]], task["n"],
                              seed=rngmod.derive_seed(task["seed"], "data"),
                              with_hidden=False)
-    pert = PerturbationSpec(epsilon=task["epsilon"])
-    result = est.abc_mle(model, data, pert, objective="oracle",
-                         seed=rngmod.derive_seed(task["seed"], "fit"))
+    result = _ESTIMATORS[task["estimator"]](
+        model, data, PerturbationSpec(epsilon=task["epsilon"]),
+        objective="oracle", seed=rngmod.derive_seed(task["seed"], "fit"),
+        **task["options"])
     theta_hat = float(result.theta_hat.values[0])
-    return {"task": task["index"], "epsilon": task["epsilon"],
-            "replicate": task["replicate"], "theta_hat": theta_hat,
-            "bias": theta_hat - task["theta_star"]}
-
-
-def _task_consistency_point(task: dict) -> dict:
-    model = _mean_model()
-    data = sampling.simulate(model, [task["theta_star"]], task["n"],
-                             seed=rngmod.derive_seed(task["seed"], "data"),
-                             with_hidden=False)
-    pert = PerturbationSpec(epsilon=task["epsilon"])
-    result = est.noisy_abc_mle(model, data, pert, objective="oracle",
-                               seed=rngmod.derive_seed(task["seed"], "fit"))
-    theta_hat = float(result.theta_hat.values[0])
-    return {"task": task["index"], "n": task["n"],
-            "replicate": task["replicate"], "theta_hat": theta_hat,
-            "abs_error": abs(theta_hat - task["theta_star"])}
-
-
-def _task_two_point(task: dict) -> dict:
-    model = builtin_model("iid_pm_theta")
-    data = sampling.simulate(model, [task["theta_star"]], task["n"],
-                             seed=rngmod.derive_seed(task["seed"], "data"),
-                             with_hidden=False)
-    pert = PerturbationSpec(epsilon=task["epsilon"])
-    fit_seed = rngmod.derive_seed(task["seed"], "fit")
-    if task["method"] == "abc":
-        result = est.abc_mle(model, data, pert, objective="oracle",
-                             method="grid", grid_points=task["grid_points"],
-                             seed=fit_seed)
-    else:
-        result = est.noisy_abc_mle(model, data, pert, objective="oracle",
-                                   method="grid",
-                                   grid_points=task["grid_points"],
-                                   seed=fit_seed)
-    return {"task": task["index"], "method": task["method"],
-            "theta_hat": float(result.theta_hat.values[0]),
-            "log_value": result.value}
+    errors = {"bias": theta_hat - task["theta_star"],
+              "abs_error": abs(theta_hat - task["theta_star"]),
+              "log_value": result.value}
+    return {"task": task["index"], **{c: task[c] for c in task["columns"]},
+            "theta_hat": theta_hat, task["error"]: errors[task["error"]]}
 
 
 def _task_loss_point(task: dict) -> dict:
-    model = _info_model()
     point = fishermod.loss_point(
-        model, task["theta"], task["epsilon"], window=task["window"],
-        n_replicates=task["n_replicates"], seed=task["seed"])
+        builtin_model(**task["model"]), task["theta"], task["epsilon"],
+        window=task["window"], n_replicates=task["n_replicates"],
+        seed=task["seed"])
     return {"task": task["index"], "epsilon": task["epsilon"],
             "loss_frobenius": point.frobenius,
             "loss_se_frobenius": point.frobenius_se}
 
 
 def _task_fisher(task: dict) -> dict:
-    model = _info_model()
     pert = None if task["epsilon"] is None else \
         PerturbationSpec(epsilon=task["epsilon"])
-    fe = fishermod.estimate_fisher(model, task["theta"], n=task["n"],
+    fe = fishermod.estimate_fisher(builtin_model(**task["model"]),
+                                   task["theta"], n=task["n"],
                                    n_replicates=task["n_replicates"],
                                    seed=task["seed"], pert=pert)
     return {"task": task["index"], "epsilon": task["epsilon"],
             "fisher_frobenius": fe.frobenius}
 
 
-_TASK_RUNNERS = {
-    "bias_point": _task_bias_point,
-    "consistency_point": _task_consistency_point,
-    "two_point": _task_two_point,
-    "loss_point": _task_loss_point,
-    "fisher": _task_fisher,
-}
+_TASK_RUNNERS = {"fit": _task_fit, "loss_point": _task_loss_point,
+                 "fisher": _task_fisher}
 
 
 def run_task(task: dict) -> dict:
@@ -266,64 +291,72 @@ def _run_tasks(tasks: list, workers: int) -> list:
 # preset expansion and aggregation
 
 
+def _fit_tasks(config: ExperimentConfig, columns: tuple, points: list,
+               **fit) -> list:
+    """One ``fit`` task per sweep point, seeded by its position.
+
+    ``fit`` holds what every fit shares: ``model`` (``builtin_model``
+    keyword arguments), ``error`` (``bias``, ``abs_error`` or
+    ``log_value``) and any of ``n``, ``epsilon``, ``estimator`` (default
+    ``abc_mle``) and ``options`` (its optimizer options).  A point's keys
+    override them; ``columns`` names the keys that label each row.
+    """
+    return [{"kind": "fit", "index": i, "estimator": "abc_mle", "options": {},
+             "theta_star": float(config.params["theta_star"]), **fit, **point,
+             "columns": columns,
+             "seed": rngmod.derive_seed(config.seed, "task", i)}
+            for i, point in enumerate(points)]
+
+
 def _expand_two_point(config: ExperimentConfig) -> list:
     p = config.params
-    tasks = []
-    for i, method in enumerate(("abc", "noisy_abc")):
-        tasks.append({"kind": "two_point", "index": i, "method": method,
-                      "theta_star": float(p["theta_star"]),
-                      "epsilon": float(p["epsilon"]), "n": int(p["n"]),
-                      "grid_points": int(p["grid_points"]),
-                      "seed": rngmod.derive_seed(config.seed, "task", i)})
-    return tasks
+    return _fit_tasks(
+        config, ("method",),
+        [{"method": m, "estimator": m + "_mle"} for m in ("abc", "noisy_abc")],
+        model={"name": "iid_pm_theta"}, error="log_value", n=p["n"],
+        epsilon=float(p["epsilon"]),
+        options={"method": "grid", "grid_points": p["grid_points"]})
 
 
 def _expand_bias_curve(config: ExperimentConfig) -> list:
     p = config.params
-    tasks = []
-    i = 0
-    for eps in p["epsilons"]:
-        for rep in range(int(p["n_replicates"])):
-            tasks.append({"kind": "bias_point", "index": i,
-                          "epsilon": float(eps), "replicate": rep,
-                          "theta_star": float(p["theta_star"]),
-                          "n": int(p["n"]),
-                          "seed": rngmod.derive_seed(config.seed, "task", i)})
-            i += 1
-    return tasks
+    return _fit_tasks(
+        config, ("epsilon", "replicate"),
+        [{"epsilon": float(eps), "replicate": rep} for eps in p["epsilons"]
+         for rep in range(p["n_replicates"])],
+        model={"name": "finite_gaussian", "hyper": {"param": "scale"}},
+        error="bias", n=p["n"])
 
 
 def _expand_consistency(config: ExperimentConfig) -> list:
     p = config.params
-    tasks = []
-    i = 0
-    for n in p["lengths"]:
-        for rep in range(int(p["n_replicates"])):
-            tasks.append({"kind": "consistency_point", "index": i,
-                          "n": int(n), "replicate": rep,
-                          "theta_star": float(p["theta_star"]),
-                          "epsilon": float(p["epsilon"]),
-                          "seed": rngmod.derive_seed(config.seed, "task", i)})
-            i += 1
-    return tasks
+    # positive half-box: state relabeling makes +-theta equally likely under
+    # the full box, so the sign must be pinned for the error to be meaningful
+    model = {"name": "finite_gaussian", "hyper": {"param": "mean"},
+             "theta_box": [[0.0, 3.0]]}
+    return _fit_tasks(
+        config, ("n", "replicate"),
+        [{"n": n, "replicate": rep} for n in p["lengths"]
+         for rep in range(p["n_replicates"])],
+        model=model, estimator="noisy_abc_mle", error="abs_error",
+        epsilon=float(p["epsilon"]))
 
 
 def _expand_info_loss(config: ExperimentConfig) -> list:
     p = config.params
-    tasks = []
+    model = {"name": "finite_gaussian", "hyper": {"param": "mean_scale"}}
+    theta = [float(v) for v in p["theta"]]
     epsilons = sorted(float(e) for e in p["epsilons"])
-    for i, eps in enumerate(epsilons):
-        tasks.append({"kind": "loss_point", "index": i, "epsilon": eps,
-                      "theta": [float(v) for v in p["theta"]],
-                      "window": int(p["window"]),
-                      "n_replicates": int(p["n_replicates"]),
-                      "seed": rngmod.derive_seed(config.seed, "loss", i)})
-    base = len(epsilons)
+    tasks = [{"kind": "loss_point", "index": i, "model": model,
+              "epsilon": eps, "theta": theta, "window": p["window"],
+              "n_replicates": p["n_replicates"],
+              "seed": rngmod.derive_seed(config.seed, "loss", i)}
+             for i, eps in enumerate(epsilons)]
     for j, eps in enumerate((None, float(p["huge_epsilon"]))):
-        tasks.append({"kind": "fisher", "index": base + j, "epsilon": eps,
-                      "theta": [float(v) for v in p["theta"]],
-                      "n": int(p["fisher_n"]),
-                      "n_replicates": int(p["fisher_replicates"]),
+        tasks.append({"kind": "fisher", "index": len(epsilons) + j,
+                      "model": model, "epsilon": eps, "theta": theta,
+                      "n": p["fisher_n"],
+                      "n_replicates": p["fisher_replicates"],
                       "seed": rngmod.derive_seed(config.seed, "fisher", j)})
     return tasks
 
@@ -347,10 +380,9 @@ def _summarize_bias_curve(config, rows):
     fit = [s for s in summary[:4] if s["abs_mean_bias"] > 0]
     derived = {"slope": fishermod.loglog_slope([s["epsilon"] for s in fit],
                                                [s["abs_mean_bias"] for s in fit])}
-    plot = _plot_script(
-        title="ABC scale bias vs tolerance",
-        xlabel="tolerance", ylabel="|mean bias|", logscale=True,
-        using="1:3", source="summary.csv")
+    plot = _plot_script(title="ABC scale bias vs tolerance",
+                        xlabel="tolerance", ylabel="|mean bias|",
+                        using="1:3", source="summary.csv")
     return rows, summary, derived, plot
 
 
@@ -365,10 +397,9 @@ def _summarize_consistency(config, rows):
     derived = {"medians": medians,
                "decreasing": bool(all(a > b for a, b in
                                       zip(medians, medians[1:])))}
-    plot = _plot_script(
-        title="Noise-calibrated ABC error vs series length",
-        xlabel="series length", ylabel="median |error|", logscale=True,
-        using="1:2", source="summary.csv")
+    plot = _plot_script(title="Noise-calibrated ABC error vs series length",
+                        xlabel="series length", ylabel="median |error|",
+                        using="1:2", source="summary.csv")
     return rows, summary, derived, plot
 
 
@@ -384,10 +415,9 @@ def _summarize_info_loss(config, rows):
         "huge_epsilon_fisher_frobenius": huge["fisher_frobenius"],
         "huge_epsilon_ratio": huge["fisher_frobenius"] / exact["fisher_frobenius"],
     }
-    plot = _plot_script(
-        title="Information destroyed by the perturbation",
-        xlabel="tolerance", ylabel="Frobenius norm of loss", logscale=True,
-        using="2:3", source="results.csv")
+    plot = _plot_script(title="Information destroyed by the perturbation",
+                        xlabel="tolerance", ylabel="Frobenius norm of loss",
+                        using="2:3", source="results.csv")
     return curve, [], derived, plot
 
 
@@ -414,18 +444,16 @@ def _csv_bytes(rows: list) -> bytes:
     return buf.getvalue().encode()
 
 
-def _plot_script(*, title, xlabel, ylabel, logscale, using, source) -> str:
-    lines = [
+def _plot_script(*, title, xlabel, ylabel, using, source) -> str:
+    return "\n".join([
         "set datafile separator ','",
         f"set title '{title}'",
         f"set xlabel '{xlabel}'",
         f"set ylabel '{ylabel}'",
-    ]
-    if logscale:
-        lines.append("set logscale xy")
-    lines.append(f"plot '{source}' using {using} skip 1 "
-                 "with linespoints pointtype 7 notitle")
-    return "\n".join(lines) + "\n"
+        "set logscale xy",
+        f"plot '{source}' using {using} skip 1 "
+        "with linespoints pointtype 7 notitle",
+    ]) + "\n"
 
 
 def _next_run_dir(out_root: Path) -> Path:

@@ -587,23 +587,38 @@ def builtin_model(name: str, hyper: dict | None = None,
     return _BUILTINS[name](hyper, theta_box)
 
 
+def read_config(source, what: str) -> dict:
+    """The JSON object ``source`` holds: a dict, the path of an existing
+    file, or JSON text.  Anything else is a ``ConfigError`` naming ``what``.
+    """
+    if isinstance(source, dict):
+        return dict(source)
+    if not isinstance(source, (str, Path)):
+        raise ConfigError(f"cannot read {what} from {source!r}")
+    try:
+        is_file = Path(source).is_file()
+    except OSError:     # e.g. JSON text longer than a file name may be
+        is_file = False
+    if isinstance(source, Path) and not is_file:
+        raise ConfigError(f"{what} file not found: {source}")
+    text = Path(source).read_text(encoding="utf8") if is_file else source
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as exc:
+        origin = f"file {source}" if is_file else "text (no such file)"
+        raise ConfigError(f"{what} {origin} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return config
+
+
 def load_model_config(source) -> ModelSpec:
-    """Build a model from a JSON config file, JSON string or dict.
+    """Build a model from a JSON config file, JSON text or dict.
 
     Schema: ``{"model": <name>, "hyper": {...}, "theta_box": [[lo, hi], ...]}``
     with ``hyper`` and ``theta_box`` optional.
     """
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        with open(source, "r", encoding="utf8") as fh:
-            config = json.load(fh)
-    elif isinstance(source, str):
-        config = json.loads(source)
-    elif isinstance(source, dict):
-        config = dict(source)
-    else:
-        raise ConfigError(f"cannot read model config from {source!r}")
-    if not isinstance(config, dict):
-        raise ConfigError("model config must be a JSON object")
+    config = read_config(source, "model config")
     allowed = {"model", "hyper", "theta_box"}
     for key in config:
         if key not in allowed:

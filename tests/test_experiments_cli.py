@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,62 @@ def test_load_config_json_file(tmp_path):
     assert c.preset == "two_point" and c.seed == 2
     with pytest.raises(ConfigError, match="JSON"):
         experiments.load_experiment_config("{broken")
+
+
+def test_load_config_long_inline_json():
+    # text longer than a file name may be is read as JSON, not as a path
+    text = '{"preset": "two_point", "seed": 2' + " " * 280 + "}"
+    c = experiments.load_experiment_config(text)
+    assert (c.preset, c.seed) == ("two_point", 2)
+    with pytest.raises(ConfigError, match="JSON"):
+        experiments.load_experiment_config("{" + " " * 300)
+    with pytest.raises(ConfigError, match="not found"):
+        experiments.load_experiment_config(Path("no_such_config.json"))
+
+
+@pytest.mark.parametrize("preset, key, value", [
+    ("bias_curve", "epsilons", 0.3),
+    ("bias_curve", "epsilons", []),
+    ("bias_curve", "epsilons", [0.3, float("nan")]),
+    ("bias_curve", "epsilons", [0.0, 0.3]),
+    ("bias_curve", "n_replicates", "two"),
+    ("bias_curve", "n_replicates", 1),
+    ("bias_curve", "n", 150.7),
+    ("bias_curve", "n", True),
+    ("bias_curve", "theta_star", float("inf")),
+    ("bias_curve", "theta_star", 10 ** 400),
+    ("consistency", "lengths", [100, 0]),
+    ("consistency", "n_replicates", 0),
+    ("consistency", "epsilon", -0.5),
+    ("two_point", "grid_points", 0),
+    ("info_loss", "theta", [1.0, "1"]),
+    ("info_loss", "n_replicates", 1),
+    ("info_loss", "window", -1),
+    ("info_loss", "fisher_replicates", 1),
+    ("info_loss", "huge_epsilon", None),
+])
+def test_config_rejects_bad_param(preset, key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        experiments.ExperimentConfig.from_dict(
+            {"preset": preset, "seed": 1, key: value})
+
+
+def test_config_keeps_valid_params_unchanged():
+    # the manifest hashes params, so a valid value is never coerced
+    for preset in experiments.PRESETS:
+        c = experiments.ExperimentConfig.from_dict({"preset": preset,
+                                                    "seed": 1})
+        assert c.params == experiments._PRESET_DEFAULTS[preset]
+    c = experiments.ExperimentConfig.from_dict(
+        {"preset": "bias_curve", "seed": 1, "epsilons": [1, 0.5],
+         "theta_star": 0, "n_replicates": 2})
+    assert c.params["epsilons"] == [1, 0.5]
+    assert type(c.params["epsilons"][0]) is int
+    assert type(c.params["theta_star"]) is int
+    c = experiments.ExperimentConfig.from_dict(
+        {"preset": "consistency", "seed": 1, "n_replicates": 1,
+         "epsilon": 0})
+    assert c.params["n_replicates"] == 1
 
 
 def test_resolve_workers(monkeypatch):
@@ -117,13 +174,44 @@ def test_results_csv_is_rfc4180(tmp_path):
     assert (run / "plot.gp").exists() is False  # two_point has no curve
 
 
+# results_sha256 and summary_sha256 of small runs, recorded before the three
+# fit presets shared one fit task; every worker count must reproduce them
+_PRESET_PINS = [
+    ({"preset": "two_point", "seed": 3, "n": 40},
+     "807ece4efb106e09669303575da7828479535452733e1687beaa03adb82b1b0b", None),
+    ({"preset": "bias_curve", "seed": 5, "n": 150, "n_replicates": 2,
+      "epsilons": [0.3, 0.6]},
+     "2ca89d4761fe8fbaa6267fa37ba8decddb573cd46a3b5838d9e9f2029bba8645",
+     "f287b24446b7e964c0a9d1a6f9d03175b2e5da2373f4a28a0669b33c907c27d4"),
+    ({"preset": "consistency", "seed": 7, "lengths": [100, 200],
+      "n_replicates": 2},
+     "8a7bac58fd5b8da32d7d3deb48874ed40ba93bd2836747eca1585517e02fc013",
+     "2cdbf371bd563d6a5b7f4477918fe522a445d31c83c0c7be0b6d0b4fdd82cfcd"),
+    ({"preset": "info_loss", "seed": 5, "n_replicates": 300,
+      "fisher_replicates": 100, "fisher_n": 50, "window": 8},
+     "2a64b5804dfde13ab32a7d48f5cc848ffec71d2ee229b5c3d37f0ff91db04100", None),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg, results_sha, summary_sha", _PRESET_PINS,
+                         ids=[c["preset"] for c, _, _ in _PRESET_PINS])
+def test_preset_bytes_pinned(tmp_path, cfg, results_sha, summary_sha,
+                             workers):
+    run = experiments.run_experiment(cfg, tmp_path, workers=workers)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["results_sha256"] == results_sha
+    assert manifest.get("summary_sha256") == summary_sha
+
+
 def test_bias_curve_outputs(tmp_path):
     cfg = {"preset": "bias_curve", "seed": 5, "n": 150, "n_replicates": 2,
            "epsilons": [0.3, 0.6]}
     run = experiments.run_experiment(cfg, tmp_path, workers=1)
     rows = (run / "results.csv").read_bytes().decode().strip().split("\r\n")
     assert len(rows) == 1 + 4  # header + 2 eps x 2 reps
-    assert (run / "plot.gp").read_text().startswith("set datafile")
+    plot = (run / "plot.gp").read_text()
+    assert plot.startswith("set datafile") and "\nset logscale xy\n" in plot
     manifest = json.loads((run / "manifest.json").read_text())
     assert "slope" in manifest["derived"]
     assert "timestamp" not in json.dumps(manifest).lower()
@@ -260,6 +348,26 @@ def test_cli_experiment_config_file(tmp_path, capsys):
     rc = run_cli(["experiment", "--preset", "two_point", "--seed", "1",
                   "--set", "bogus=3", "--out", str(tmp_path / "runs")])
     assert rc == 2
+
+
+def test_cli_experiment_bad_param_exits_2(tmp_path, capsys):
+    rc = run_cli(["experiment", "--preset", "bias_curve", "--seed", "5",
+                  "--set", "epsilons=0.3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "'epsilons'" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
+def test_cli_experiment_long_inline_config(tmp_path, capsys):
+    text = '{"preset": "two_point", "seed": 3, "n": 40' + " " * 260 + "}"
+    assert len(text) > 300
+    assert run_cli(["experiment", "--config", text, "--out",
+                    str(tmp_path)]) == 0
+    assert "abc_theta_hat: 0.0" in capsys.readouterr().out
+    bad = text.replace('"n": 40', '"n": 40.5')
+    assert run_cli(["experiment", "--config", bad, "--out",
+                    str(tmp_path)]) == 2
+    assert "'n'" in capsys.readouterr().err
 
 
 def test_cli_model_config_file(tmp_path, capsys):

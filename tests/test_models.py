@@ -319,3 +319,16 @@ def test_load_model_config(tmp_path):
     path.write_text('{"hyper": {}}')
     with pytest.raises(ConfigError, match="'model'"):
         load_model_config(path)
+
+
+def test_load_model_config_long_inline_json(tmp_path):
+    # text longer than a file name may be is read as JSON, not as a path
+    text = '{"model": "finite_gaussian", "hyper": {"sigma": 2.0}' \
+        + " " * 280 + "}"
+    assert load_model_config(text).hyper["sigma"] == 2.0
+    with pytest.raises(ConfigError, match="JSON"):
+        load_model_config("{" + " " * 300)
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_model_config("[1, 2]")
+    with pytest.raises(ConfigError, match="not found"):
+        load_model_config(tmp_path / "missing.json")
