@@ -16,9 +16,8 @@ from .estimate import (EstimateResult, abc_mle, exact_mle, maximize,
                        noisy_abc_mle, result_to_dict, save_estimate)
 from .experiments import (PRESETS, ExperimentConfig, load_experiment_config,
                           resolve_workers, run_experiment)
-from .fisher import (FisherEstimate, LossCurve, LossPoint, MissingInfoCheck,
-                     estimate_fisher, information_loss_curve, loss_point,
-                     missing_information_check)
+from .fisher import (FisherEstimate, LossPoint, MissingInfoCheck,
+                     estimate_fisher, loss_point, missing_information_check)
 from .models import (ModelSpec, ParameterVector, PerturbationSpec,
                      builtin_model, load_model_config, stationary_dist)
 from .oracle import (brute_force_loglik, exact_smc_target, filter_tv_forgetting,
@@ -38,9 +37,8 @@ __all__ = [
     "result_to_dict", "save_estimate",
     "PRESETS", "ExperimentConfig", "load_experiment_config",
     "resolve_workers", "run_experiment",
-    "FisherEstimate", "LossCurve", "LossPoint", "MissingInfoCheck",
-    "estimate_fisher", "information_loss_curve", "loss_point",
-    "missing_information_check",
+    "FisherEstimate", "LossPoint", "MissingInfoCheck",
+    "estimate_fisher", "loss_point", "missing_information_check",
     "ModelSpec", "ParameterVector", "PerturbationSpec", "builtin_model",
     "load_model_config", "stationary_dist",
     "brute_force_loglik", "exact_smc_target", "filter_tv_forgetting",

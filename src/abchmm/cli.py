@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``simulate``, ``likelihood``, ``estimate``, ``fisher``,
-``experiment``.  Configuration errors exit with status 2, failed
-estimations with status 1; both report to stderr.
+``experiment``.  Configuration errors, bad input files and paths that
+cannot be read or written exit with status 2, failed estimations with
+status 1; both report to stderr.
 """
 
 from __future__ import annotations
@@ -315,7 +316,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:   # ConfigError and bad input the library rejects
+    except (ValueError, OSError) as exc:
+        # ConfigError, bad input the library rejects, unusable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimationFailedError as exc:

@@ -9,22 +9,23 @@ Three objective flavours share one optimizer front end:
   data-generating parameter actually maximizes asymptotically;
 * ``exact_mle``: maximize the exact unperturbed likelihood (tractable only).
 
+Every objective is a batch objective: it maps a (G, d) array of candidate
+thetas to ``(values, ses)``, one entry per row, and a single probe is a
+one-row call.  The grid stage hands all its candidates over in one call; the
+golden-section and Nelder-Mead stages probe one theta per call.
+
 The particle objective uses common random numbers: one stream key is derived
 from the run seed and reused for every candidate theta, making the objective a
 deterministic surface the optimizer can trust.  A fit keeps one table of the
 filter's step streams for all its evaluations: each step's streams are derived
 once, by the first evaluation that reaches the step, and every later evaluation
-replays them from their saved generator states, with the same draws as a fresh
-derivation.  The table ends with the fit, and every value equals a fresh
-``smc.smc_abc_likelihood`` at the fit's stream key.  The grid stage hands all
-its candidates to the batched filter of ``smc.smc_abc_likelihood_batch`` in one
-call, so they share the filter's draws step by step, not only the seed.  The
-golden-section stage looks one step ahead through the same batch call: each
-call holds the next probe and both probes that could follow it, and only the
-probes the sequential search makes are recorded, so the result is the one the
-sequential search gives, bit for bit.  Nelder-Mead evaluates one theta at a
-time, with the same draws.  The exact objective evaluates every stage past the
-grid one theta at a time.
+replays them.  Every value equals a fresh ``smc.smc_abc_likelihood`` at the
+fit's stream key, and the rows of one call share the filter's draws step by
+step.  A three-row call costs about one row, so the particle fit's
+golden-section stage looks one step ahead: each call holds the next probe and
+both probes that could follow it, and only the probes the sequential search
+makes are recorded, so the result is the sequential search's, bit for bit.
+The exact objective's cost grows with the rows, so it does not look ahead.
 
 Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
 ``grid_then_golden`` (coarse grid, then cyclic per-coordinate golden-section
@@ -71,31 +72,32 @@ class EstimateResult:
 
 
 class _Recorder:
-    """Wrap an objective, recording evaluations and the running best."""
+    """Call a batch objective; record the evaluations kept and the running
+    best."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, objective):
+        self.objective = objective
         self.trace = []
         self.best_value = -math.inf
         self.best_theta = None
         self.n_failures = 0
 
-    def __call__(self, theta: np.ndarray) -> float:
-        value, se = self.fn(theta)
-        self.record(theta, value, se)
-        return value
+    def evaluate(self, thetas) -> list:
+        """``(theta, value, se)`` of each row of ``thetas``, from one call;
+        none is recorded."""
+        thetas = np.asarray(thetas, dtype=float)
+        values, ses = self.objective(thetas)
+        return list(zip(thetas, values, ses))
 
-    def record_batch(self, thetas, values, ses):
-        for theta, value, se in zip(thetas, values, ses):
-            self.record(np.asarray(theta), float(value), float(se))
-
-    def record(self, theta, value, se):
-        self.trace.append((tuple(float(v) for v in theta), float(value), float(se)))
+    def record(self, theta, value, se) -> float:
+        value = float(value)
+        self.trace.append((tuple(float(v) for v in theta), value, float(se)))
         if not math.isfinite(value):
             self.n_failures += 1
-        if value > self.best_value and math.isfinite(value):
+        elif value > self.best_value:
             self.best_value = value
             self.best_theta = np.asarray(theta, dtype=float).copy()
+        return value
 
 
 def _grid_axes(box: np.ndarray, points_per_dim: int):
@@ -121,38 +123,28 @@ def _narrow(lo: float, hi: float, c: float, d: float, keep_left: bool):
 
 
 def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
-                   a: float, b: float, tol: float, batch=None):
+                   a: float, b: float, tol: float, lookahead: bool):
     """Golden-section maximization of coordinate j on [a, b].
 
-    Without ``batch`` each probe is one call of the recorder's objective.
-    With ``batch``, a batch objective whose every row equals the single
-    call bit for bit, the two bracket points share one call, and each later
-    call holds the next probe together with both probes that could follow
-    it: which of the two the search makes depends on the value of the
-    first, and the next step takes it without a call.  Only the probes the
-    search makes are recorded, in its order, so the trace is the same
-    either way.
+    Without ``lookahead`` each probe is a one-row call of the objective.
+    With it, the two bracket points share one call, and each later call
+    holds the next probe together with both probes that could follow it:
+    which of the two the search makes depends on the value of the first,
+    and the next step takes it without a call.  Only the probes the search
+    makes are recorded, in its order, so the trace is the same either way
+    when every row of a call equals its one-row call bit for bit.
     """
-    lookahead = batch is not None
-    if not lookahead:
-        def batch(thetas):
-            return zip(*[rec.fn(th) for th in thetas])
-
-    def evaluate(xs):
+    def probe(xs):
         """``(theta, value, se)`` at each point of ``xs``, in one call."""
         thetas = np.repeat(theta[None], len(xs), axis=0)
         thetas[:, j] = xs
-        values, ses = batch(thetas)
-        return list(zip(thetas, values, ses))
-
-    def take(row):
-        rec.record(*row)
-        return row[1]
+        return rec.evaluate(thetas)
 
     lo, hi = a, b
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
-    fc, fd = [take(row) for row in evaluate([c, d])]
+    bracket = probe([c, d]) if lookahead else probe([c]) + probe([d])
+    fc, fd = [rec.record(*row) for row in bracket]
     ahead = {}          # keep_left -> the probe that step makes, evaluated
     while (hi - lo) > tol:
         keep_left = fc >= fd
@@ -161,11 +153,11 @@ def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
         if row is None:
             nxt = [_narrow(lo, hi, c, d, k)[1] for k in (True, False)] \
                 if lookahead and (hi - lo) > tol else []
-            row, *rest = evaluate([x, *nxt])
+            row, *rest = probe([x, *nxt])
             ahead = dict(zip((True, False), rest))
         else:
             ahead = {}
-        fx = take(row)
+        fx = rec.record(*row)
         if keep_left:
             fc, fd = fx, fc
         else:
@@ -185,25 +177,27 @@ class _CollapsedSimplex(Exception):
     """Every vertex of a Nelder-Mead restart's initial simplex failed."""
 
 
-def maximize(objective, box, method: str = "grid_then_golden", *,
-             batch_objective=None, lookahead: bool = False,
-             grid_points: int = 21, sweeps: int = 2,
+def maximize(batch_objective, box, method: str = "grid_then_golden", *,
+             lookahead: bool = False, grid_points: int = 21, sweeps: int = 2,
              section_tol: float | None = None, restarts: int = 5,
              seed: int = 0):
-    """Maximize ``objective(theta) -> (value, se)`` over a box.
+    """Maximize ``batch_objective(thetas) -> (values, ses)`` over a box.
 
-    Returns ``(theta_hat, value, trace, n_failures, settings)``.  The grid
-    stage prefers ``batch_objective(thetas) -> (values, ses)`` when given.
-    Grid ties resolve to the lowest (row-major first) index.
+    ``thetas`` is a (G, d) array of candidates, and ``values`` and ``ses``
+    hold one entry per row; a single probe is a one-row call.  Returns
+    ``(theta_hat, value, trace, n_failures, settings)``.  The grid stage
+    evaluates all its points in one call; ties resolve to the lowest
+    (row-major first) index.  The golden-section and Nelder-Mead stages
+    probe one theta per call.
 
-    With ``lookahead``, the golden-section stage also goes through
-    ``batch_objective``, one step ahead: each call evaluates the next probe
-    and both probes that could follow it.  The speculative probe the search
-    does not take is evaluated but not recorded, so ``trace`` (and with it
-    ``n_evaluations`` and ``n_failures``) holds only the probes of the
-    sequential search, in its order, and the result is the same as without
-    ``lookahead`` -- provided every row of a batch equals the single call
-    bit for bit, as under the particle objective's common random numbers.
+    With ``lookahead``, the golden-section stage looks one step ahead: each
+    call evaluates the next probe and both probes that could follow it.  The
+    speculative probe the search does not take is evaluated but not
+    recorded, so ``trace`` (and with it ``n_evaluations`` and
+    ``n_failures``) holds only the probes of the sequential search, in its
+    order, and the result is the same as without ``lookahead`` -- provided
+    every row of a call equals its one-row call bit for bit, as under the
+    particle objective's common random numbers.
     """
     check_count("grid_points", grid_points, 1)
     check_count("sweeps", sweeps, 0)
@@ -211,28 +205,18 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
     if section_tol is not None and not 0.0 < section_tol < math.inf:
         raise ValueError("section_tol must be a positive finite number, "
                          f"got {section_tol!r}")
-    if lookahead and batch_objective is None:
-        raise ValueError("lookahead needs a batch_objective")
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
-    rec = _Recorder(objective)
+    rec = _Recorder(batch_objective)
     used = {"method": method, "grid_points": grid_points, "sweeps": sweeps,
             "restarts": restarts, "seed": seed}
 
     if method in ("grid", "grid_then_golden"):
         axes = _grid_axes(box, grid_points)
-        thetas = _grid_thetas(axes)
-        if batch_objective is not None:
-            values, ses = batch_objective(thetas)
-            rec.record_batch(thetas, values, ses)
-        else:
-            for th in thetas:
-                rec(th)
-        values = np.asarray([v for _, v, _ in rec.trace])
+        values = [rec.record(*row) for row in rec.evaluate(_grid_thetas(axes))]
         best_flat = int(np.argmax(values))       # first max on ties
-        best = np.asarray(rec.trace[best_flat][0], dtype=float)
         if method == "grid_then_golden" and math.isfinite(values[best_flat]):
-            current = best.copy()
+            current = np.asarray(rec.trace[best_flat][0], dtype=float)
             for _ in range(sweeps):
                 for j in range(d):
                     axis = axes[j]
@@ -242,8 +226,7 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
                     b = min(box[j, 1], current[j] + step)
                     tol = section_tol if section_tol is not None \
                         else max(step * 1e-3, 1e-10)
-                    _golden_refine(rec, current, j, a, b, tol,
-                                   batch_objective if lookahead else None)
+                    _golden_refine(rec, current, j, a, b, tol, lookahead)
                     if rec.best_theta is not None:
                         current = rec.best_theta.copy()
     elif method == "nelder_mead":
@@ -252,7 +235,8 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
             evals, failures = len(rec.trace), rec.n_failures
 
             def negated(th):
-                value = rec(np.clip(th, box[:, 0], box[:, 1]))
+                row, = rec.evaluate(np.clip(th, box[:, 0], box[:, 1])[None])
+                value = rec.record(*row)
                 # the first d + 1 evaluations are the initial simplex
                 if len(rec.trace) - evals == rec.n_failures - failures == d + 1:
                     raise _CollapsedSimplex
@@ -284,9 +268,8 @@ def maximize(objective, box, method: str = "grid_then_golden", *,
 def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
     """Exact objective on the same scale as the particle estimator.
 
-    Returns ``(fn, batch, lookahead)``.  No lookahead: a batch row can round
-    differently from ``forward_loglik``, and three rows cost about three
-    single calls.
+    Returns ``(batch, lookahead)``.  No lookahead: a three-row call costs
+    about three one-row calls.
     """
     if not oracle.has_closed_form(model, pert):
         raise ValueError(f"model {model.name!r} has no oracle objective for "
@@ -294,39 +277,31 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
     n = oracle.as_obs_1d(data).shape[0]
     shift = n * oracle.log_weight_scale(model, pert)
 
-    def fn(theta):
-        return oracle.forward_loglik(model, theta, data, pert) + shift, 0.0
-
     def batch(thetas):
         values = oracle.forward_loglik_grid(model, thetas, data, pert) + shift
         return values, np.zeros(len(values))
 
-    return fn, batch, False
+    return batch, False
 
 
 def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
                    n_particles: int, seed: int):
     """Particle objective on common random numbers.
 
-    Returns ``(fn, batch, lookahead)``.  Every batch row equals the single
-    run bit for bit, and a three-row batch costs little more than one row,
-    so the golden-section stage looks one step ahead through ``batch``.
-    Both share one step-stream table, so each value equals a fresh
-    ``smc_abc_likelihood`` at the fit's stream key.
+    Returns ``(batch, lookahead)``.  Every row of a call equals its one-row
+    call bit for bit, and a three-row call costs little more than one row,
+    so the golden-section stage looks one step ahead.  All calls share one
+    step-stream table, so each value equals a fresh ``smc_abc_likelihood``
+    at the fit's stream key.
     """
     streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"))
-
-    def fn(theta):
-        est, = smcmod._likelihood_batch(
-            model, [theta], data, pert, n_particles, streams)
-        return est.log_value, est.se_proxy
 
     def batch(thetas):
         ests = smcmod._likelihood_batch(
             model, thetas, data, pert, n_particles, streams)
         return [e.log_value for e in ests], [e.se_proxy for e in ests]
 
-    return fn, batch, True
+    return batch, True
 
 
 def _run(model, data, pert, objective, method, n_particles, seed, opts,
@@ -334,17 +309,16 @@ def _run(model, data, pert, objective, method, n_particles, seed, opts,
     if method is None:
         method = "grid_then_golden" if model.param_dim <= 2 else "nelder_mead"
     if objective == "oracle":
-        fn, batch, lookahead = _oracle_objective(model, data, pert)
+        batch, lookahead = _oracle_objective(model, data, pert)
     elif objective == "smc":
         if pert is None:
             raise ValueError("the particle objective needs a perturbation")
-        fn, batch, lookahead = _smc_objective(model, data, pert, n_particles,
-                                              seed)
+        batch, lookahead = _smc_objective(model, data, pert, n_particles, seed)
     else:
         raise ValueError(f"unknown objective {objective!r}; "
                          "expected 'smc' or 'oracle'")
     theta, value, trace, failures, settings = maximize(
-        fn, model.theta_box, method, batch_objective=batch,
+        batch_objective=batch, box=model.theta_box, method=method,
         lookahead=lookahead, seed=seed, **opts)
     settings.update({"objective": objective, "seed": seed,
                      "n_particles": n_particles if objective == "smc" else None,

@@ -116,18 +116,34 @@ _TOLERANCE = (int, float), "a finite number >= 0", \
 _POSITIVE = (int, float), "a finite number > 0", \
     lambda v: _finite(v) and v > 0
 
-# What each parameter must hold: a rule is (types, description, test), and
-# a one-rule list asks for a non-empty list whose every entry meets it.  A
+
+def _meets(value, rule) -> bool:
+    types, _, test = rule
+    return isinstance(value, types) and not isinstance(value, bool) \
+        and test(value)
+
+
+def _list_of(rule, least: int = 1):
+    """A rule for a list of ``least`` or more entries that each meet
+    ``rule``."""
+    what = "a non-empty list" if least == 1 else \
+        f"a list of {least} or more entries"
+    return (list,), f"{what}, each entry {rule[1]}", \
+        lambda v: len(v) >= least and all(_meets(e, rule) for e in v)
+
+
+# What each parameter must hold: a rule is (types, description, test).  A
 # count's least value is the least the code accepts without failing or
-# writing a NaN; the tolerances of a log-log curve are positive.
+# writing a NaN.  Only the two curve presets take ``epsilons``, and a
+# log-log slope needs two or more positive tolerances.
 _PARAM_RULES = {
     "theta_star": _REAL,
-    "theta": [_REAL],
+    "theta": _list_of(_REAL),
     "epsilon": _TOLERANCE,
     "huge_epsilon": _TOLERANCE,
-    "epsilons": [_POSITIVE],
+    "epsilons": _list_of(_POSITIVE, 2),
     "n": _count(1),
-    "lengths": [_count(1)],
+    "lengths": _list_of(_count(1)),
     "grid_points": _count(1),
     "window": _count(0),
     "n_replicates": _count(1),
@@ -141,20 +157,9 @@ _PRESET_RULES = {"bias_curve": {"n_replicates": _count(2)},
 
 def _check_param(key: str, value, rule) -> None:
     """A ``ConfigError`` naming ``key`` unless ``value`` meets ``rule``."""
-    listed = isinstance(rule, list)
-    types, what, test = rule[0] if listed else rule
-
-    def meets(v):
-        return isinstance(v, types) and not isinstance(v, bool) and test(v)
-
-    if listed:
-        ok = isinstance(value, list) and len(value) > 0 \
-            and all(map(meets, value))
-        what = f"a non-empty list, each entry {what}"
-    else:
-        ok = meets(value)
-    if not ok:
-        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+    if not _meets(value, rule):
+        raise ConfigError(f"config key '{key}' must be {rule[1]}, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -473,23 +478,21 @@ def run_experiment(config, out_root, workers: int | None = None) -> Path:
     rows = _run_tasks(expand(config), workers)
     rows, summary, derived, plot = summarize(config, rows)
 
+    files = {"results.csv": _csv_bytes(rows)}
+    if summary:
+        files["summary.csv"] = _csv_bytes(summary)
+    manifest = {"preset": config.preset, "seed": config.seed,
+                "params": config.params, "derived": derived}
+    for name, data in files.items():
+        manifest[f"{name.split('.')[0]}_sha256"] = \
+            hashlib.sha256(data).hexdigest()
+    if plot is not None:
+        files["plot.gp"] = plot.encode()
+    # strict JSON: a NaN or infinite number fails here, before any file
+    files["manifest.json"] = (json.dumps(manifest, sort_keys=True, indent=2,
+                                         allow_nan=False) + "\n").encode()
     run_dir = _next_run_dir(Path(out_root))
     run_dir.mkdir()
-    results_bytes = _csv_bytes(rows)
-    (run_dir / "results.csv").write_bytes(results_bytes)
-    manifest = {
-        "preset": config.preset,
-        "seed": config.seed,
-        "params": config.params,
-        "derived": derived,
-        "results_sha256": hashlib.sha256(results_bytes).hexdigest(),
-    }
-    if summary:
-        summary_bytes = _csv_bytes(summary)
-        (run_dir / "summary.csv").write_bytes(summary_bytes)
-        manifest["summary_sha256"] = hashlib.sha256(summary_bytes).hexdigest()
-    if plot is not None:
-        (run_dir / "plot.gp").write_text(plot)
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    for name, data in files.items():
+        (run_dir / name).write_bytes(data)
     return run_dir

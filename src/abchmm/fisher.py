@@ -6,8 +6,9 @@ series at theta (from the perturbed model when a perturbation is given),
 compute exact scores by sensitivity propagation, and average
 ``score score^T / n`` across replicates.
 
-``information_loss_curve`` estimates the information lost to the
-perturbation, ``I - I_eps``, per tolerance.  Differencing two independent
+``loss_point`` estimates the information lost to the perturbation,
+``I - I_eps``, at one tolerance (the ``info_loss`` experiment preset sweeps
+it over tolerances and fits the log-log slope).  Differencing two independent
 ``estimate_fisher`` outputs cannot resolve the loss at small tolerances (the
 loss scales like eps^2 while the difference's noise floor does not), so the
 loss is estimated directly from coupled data: simulate one series, build its
@@ -81,14 +82,6 @@ class LossPoint:
 
 
 @dataclass
-class LossCurve:
-    points: list
-    fisher_exact: FisherEstimate
-    slope: float            # log-log slope over the smallest 4 tolerances
-    slope_epsilons: list
-
-
-@dataclass
 class MissingInfoCheck:
     conditional: Array      # route A: summed conditional score differences
     conditional_se: Array
@@ -112,8 +105,8 @@ class MissingInfoCheck:
 # helpers
 
 
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of ``log ys`` on ``log xs``; NaN below two points.
+def loglog_slope(xs, ys) -> float | None:
+    """Least-squares slope of ``log ys`` on ``log xs``; None below two points.
 
     ``ys`` is floored at 1e-300 so a zero entry gives a finite, very negative
     log instead of -inf.
@@ -121,7 +114,7 @@ def loglog_slope(xs, ys) -> float:
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
     if xs.size < 2:
-        return math.nan
+        return None
     return float(np.polyfit(xs, ys, 1)[0])
 
 
@@ -220,43 +213,6 @@ def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
     loss = 0.5 * (loss + loss.T)
     return LossPoint(epsilon=float(epsilon), loss=loss, se=se,
                      n_replicates=n_replicates)
-
-
-def information_loss_curve(model: ModelSpec, theta, epsilons, *,
-                           window: int = 32, n_replicates: int = 4000,
-                           seed: int = 0, kernel: str = "uniform",
-                           norm: str = "linf",
-                           fisher_n: int = 200,
-                           fisher_replicates: int = 2000) -> LossCurve:
-    """Estimate ``I - I_eps`` per tolerance plus the small-eps scaling slope.
-
-    One ``loss_point`` per tolerance (seeds derived from ``seed`` by
-    position in the sorted tolerance list); the slope is the least-squares
-    log-log fit over the four smallest tolerances.
-    """
-    theta = check_theta(model, theta)
-    check_count("window", window, 0)
-    check_count("n_replicates", n_replicates, 2)
-    check_count("fisher_n", fisher_n, 1)
-    check_count("fisher_replicates", fisher_replicates, 2)
-    epsilons = sorted(float(e) for e in epsilons)
-    if any(e <= 0 for e in epsilons):
-        raise ValueError("tolerances must be positive")
-    fisher_exact = estimate_fisher(model, theta, n=fisher_n,
-                                   n_replicates=fisher_replicates,
-                                   seed=rngmod.derive_seed(seed, "exact"))
-    points = [
-        loss_point(model, theta, eps, window=window,
-                   n_replicates=n_replicates,
-                   seed=rngmod.derive_seed(seed, "loss", i),
-                   kernel=kernel, norm=norm)
-        for i, eps in enumerate(epsilons)
-    ]
-    small = points[:4]
-    slope = loglog_slope([p.epsilon for p in small],
-                         [p.frobenius for p in small])
-    return LossCurve(points=points, fisher_exact=fisher_exact, slope=slope,
-                     slope_epsilons=[p.epsilon for p in small])
 
 
 def missing_information_check(model: ModelSpec, theta, epsilon: float, *,

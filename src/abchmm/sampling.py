@@ -215,12 +215,15 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`.
 
     A missing sidecar is tolerated: metadata comes back as unknown (None
-    fields) with a warning.
+    fields) with a warning.  A file that does not parse raises a
+    ``ValueError`` that names it, and the line where one applies.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty, not a trajectory CSV")
         if not header or header[0] != "t":
             raise ValueError(f"{path} does not look like a trajectory CSV "
                              f"(header {header!r})")
@@ -228,13 +231,23 @@ def load_trajectory(path) -> Trajectory:
         m = len(header) - 1 - (1 if has_hidden else 0)
         obs_rows, hid_rows = [], []
         for row in reader:
-            obs_rows.append([float(v) for v in row[1:1 + m]])
-            if has_hidden:
-                hid_rows.append(int(row[-1]))
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has "
+                                     f"{len(header)}")
+                obs_rows.append([float(v) for v in row[1:1 + m]])
+                if has_hidden:
+                    hid_rows.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") \
+                    from None
     sidecar = _sidecar(path)
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{sidecar}: {exc}") from None
     else:
         warnings.warn(f"no metadata sidecar next to {path}; "
                       "meta reconstructed as unknown")

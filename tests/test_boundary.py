@@ -93,8 +93,7 @@ def _bad_option(draw):
 
 
 # least value of each count argument of the fisher entry points
-_LEAST = {"n": 1, "n_replicates": 2, "window": 0, "fisher_n": 1,
-          "fisher_replicates": 2}
+_LEAST = {"n": 1, "n_replicates": 2, "window": 0}
 
 
 def _count_calls(pert):
@@ -107,9 +106,6 @@ def _count_calls(pert):
         (fisher.loss_point, (eps,), {"window": 1, "n_replicates": 2}),
         (fisher.missing_information_check, (eps,),
          {"n": 1, "n_replicates": 2}),
-        (fisher.information_loss_curve, ([eps],),
-         {"window": 1, "n_replicates": 2, "fisher_n": 1,
-          "fisher_replicates": 2}),
     ]
     return [(name, lambda value, fn=fn, args=args, counts=counts, name=name:
              fn(_MODEL, _THETA, *args, seed=0, **{**counts, name: value}))
@@ -197,7 +193,8 @@ def test_malformed_input_raises_and_returns_no_number(draw):
         option, value = _bad_option(draw)
         fits = {
             "maximize": lambda **kw: estimate.maximize(
-                lambda th: (0.0, 0.0), _MODEL.theta_box, **kw),
+                lambda ths: (np.zeros(len(ths)),) * 2, _MODEL.theta_box,
+                **kw),
             "abc_mle": lambda **kw: estimate.abc_mle(
                 _MODEL, ys, pert, objective="oracle", **kw),
             "noisy_abc_mle": lambda **kw: estimate.noisy_abc_mle(

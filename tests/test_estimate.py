@@ -12,20 +12,28 @@ from abchmm.errors import EstimationFailedError
 from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
 
+def _rows(f):
+    """The batch objective of a one-theta ``f(theta) -> (value, se)``."""
+    def batch(thetas):
+        values, ses = zip(*map(f, thetas))
+        return values, ses
+    return batch
+
+
 def test_maximize_grid_finds_quadratic_peak():
     def f(theta):
         return -((theta[0] - 0.3) ** 2 + (theta[1] + 0.7) ** 2), 0.0
 
     theta, value, trace, failures, _ = est.maximize(
-        f, [[-1, 1], [-1, 1]], "grid", grid_points=41)
+        _rows(f), [[-1, 1], [-1, 1]], "grid", grid_points=41)
     np.testing.assert_allclose(theta, [0.3, -0.7], atol=0.026)
     assert failures == 0
     assert len(trace) == 41 * 41
 
 
 def test_maximize_grid_ties_to_lowest():
-    theta, value, *_ = est.maximize(lambda t: (1.0, 0.0), [[0, 1]], "grid",
-                                    grid_points=11)
+    theta, value, *_ = est.maximize(_rows(lambda t: (1.0, 0.0)), [[0, 1]],
+                                    "grid", grid_points=11)
     assert theta[0] == 0.0 and value == 1.0
 
 
@@ -33,8 +41,8 @@ def test_maximize_golden_refines():
     def f(theta):
         return -(theta[0] - 0.3217) ** 2, 0.0
 
-    theta, *_ = est.maximize(f, [[0, 1]], "grid_then_golden", grid_points=11,
-                             section_tol=1e-6)
+    theta, *_ = est.maximize(_rows(f), [[0, 1]], "grid_then_golden",
+                             grid_points=11, section_tol=1e-6)
     assert theta[0] == pytest.approx(0.3217, abs=1e-4)
 
 
@@ -43,13 +51,13 @@ def test_maximize_nelder_mead():
         return -((theta[0] - 0.25) ** 2 + 3 * (theta[1] - 0.5) ** 2
                  + (theta[2] + 0.1) ** 2), 0.0
 
-    theta, *_ = est.maximize(f, [[-1, 1]] * 3, "nelder_mead", seed=4)
+    theta, *_ = est.maximize(_rows(f), [[-1, 1]] * 3, "nelder_mead", seed=4)
     np.testing.assert_allclose(theta, [0.25, 0.5, -0.1], atol=1e-3)
 
 
 def test_maximize_all_failures_raises():
     with pytest.raises(EstimationFailedError) as info:
-        est.maximize(lambda t: (-math.inf, 0.0), [[0, 1]], "grid",
+        est.maximize(_rows(lambda t: (-math.inf, 0.0)), [[0, 1]], "grid",
                      grid_points=5)
     assert info.value.diagnostics["n_evaluations"] == 5
 
@@ -58,7 +66,7 @@ def test_nelder_mead_ends_a_restart_whose_simplex_failed():
     # a restart whose initial simplex (d + 1 evaluations) all failed ends
     # there, with those evaluations kept, instead of running to maxiter
     with pytest.raises(EstimationFailedError) as info:
-        est.maximize(lambda t: (-math.inf, 0.0), [[0, 1], [0, 1]],
+        est.maximize(_rows(lambda t: (-math.inf, 0.0)), [[0, 1], [0, 1]],
                      "nelder_mead", restarts=3)
     assert info.value.diagnostics == {"n_evaluations": 9, "n_failures": 9}
 
@@ -219,7 +227,7 @@ def test_save_estimate_round_trip(tmp_path):
     assert any(v == "-inf" for v in values)  # this fit has dead grid points
 
 
-def _reference_golden_refine(rec, theta, j, a, b, tol):
+def _reference_golden_refine(rec, theta, j, a, b, tol, lookahead):
     """The sequential golden-section search, one probe per call, as it was
     before the particle objective looked ahead: the reference that the
     lookahead must reproduce bit for bit."""
@@ -229,7 +237,7 @@ def _reference_golden_refine(rec, theta, j, a, b, tol):
     def f(x):
         cand = base.copy()
         cand[j] = x
-        return rec(cand)
+        return rec.record(*rec.evaluate(cand[None])[0])
 
     c = hi - est.GOLDEN * (hi - lo)
     d = lo + est.GOLDEN * (hi - lo)
@@ -247,9 +255,9 @@ def _reference_golden_refine(rec, theta, j, a, b, tol):
 
 def _stepped_objective(d, centre, step, dead):
     """A quadratic rounded down to multiples of ``step`` (so probes tie
-    exactly), -inf on the interval ``dead`` of the first coordinate.  The
-    batch form evaluates every row at once with the same elementwise
-    operations, so each row equals its single call bit for bit."""
+    exactly), -inf on the interval ``dead`` of the first coordinate.  It
+    evaluates every row at once with the same elementwise operations, so
+    each row equals its one-row call bit for bit."""
     def batch(thetas):
         t = np.asarray(thetas, dtype=float)
         q = -(t[:, 0] - centre[0]) ** 2
@@ -260,11 +268,7 @@ def _stepped_objective(d, centre, step, dead):
         q[(dead[0] <= t[:, 0]) & (t[:, 0] <= dead[1])] = -math.inf
         return q, 0.5 * t[:, 0]
 
-    def single(theta):
-        values, ses = batch(np.asarray(theta, dtype=float)[None])
-        return values[0], ses[0]
-
-    return single, batch
+    return batch
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -278,7 +282,7 @@ def test_golden_lookahead_matches_sequential_reference(draw):
                      label="step")
     dead_lo = draw.draw(st.floats(-1.0, 1.5), label="dead_lo")
     dead = (dead_lo, dead_lo + draw.draw(st.floats(0.0, 1.2), label="width"))
-    fn, batch = _stepped_objective(d, centre, step, dead)
+    batch = _stepped_objective(d, centre, step, dead)
     opts = {"grid_points": draw.draw(st.integers(1, 9), label="grid_points"),
             "sweeps": draw.draw(st.integers(1, 2), label="sweeps"),
             "section_tol": draw.draw(st.one_of(
@@ -292,17 +296,17 @@ def test_golden_lookahead_matches_sequential_reference(draw):
 
     def run(**kw):
         try:
-            return est.maximize(fn, box, "grid_then_golden",
-                                batch_objective=counted, **opts, **kw)[:4]
+            return est.maximize(counted, box, "grid_then_golden", **opts,
+                                **kw)[:4]
         except est.EstimationFailedError as exc:
             return exc.diagnostics
 
-    def reference(rec, theta, j, a, b, tol, batch=None):
-        _reference_golden_refine(rec, theta, j, a, b, tol)
-
-    with mock.patch.object(est, "_golden_refine", reference):
+    with mock.patch.object(est, "_golden_refine", _reference_golden_refine):
         want = run()
+    widths.clear()
     sequential = run()
+    # without lookahead, every call after the grid's is one probe
+    assert all(w == 1 for w in widths[1:])
     widths.clear()
     got = run(lookahead=True)
     for result in (got, sequential):
@@ -322,10 +326,10 @@ def test_golden_lookahead_matches_sequential_reference(draw):
 def test_smc_fit_looks_ahead_with_the_same_bytes():
     """The particle fit of the smc_fit benchmark: 7 grid points, one sweep,
     section_tol 0.05 -- ten golden-section probes.  One grid pass plus five
-    lookahead batches, against one plus ten single runs, and the same
-    estimate, trace and failure count as the sequential search.  A fit's
-    evaluations, single or batched, all go through ``smc._likelihood_batch``
-    on the fit's step-stream table."""
+    lookahead calls, against one plus ten one-row calls, and the same
+    estimate, trace and failure count as the sequential search.  Every
+    evaluation of a fit goes through ``smc._likelihood_batch`` on the fit's
+    step-stream table."""
     model = builtin_model("finite_gaussian")
     data = sampling.simulate(model, [0.8], 100, seed=1)
     pert = PerturbationSpec(epsilon=0.3)
@@ -342,12 +346,12 @@ def test_smc_fit_looks_ahead_with_the_same_bytes():
                           **opts)
         assert calls == [7, 2, 3, 3, 3, 3]
         calls.clear()
-        fn, batch_fn, lookahead = est._smc_objective(model, data, pert, 2000,
-                                                     seed=11)
+        batch_fn, lookahead = est._smc_objective(model, data, pert, 2000,
+                                                 seed=11)
         assert lookahead
         theta, value, trace, failures, _ = est.maximize(
-            fn, model.theta_box, batch_objective=batch_fn, seed=11, **opts)
-    assert len(calls) == 11
+            batch_fn, model.theta_box, seed=11, **opts)
+    assert calls == [7] + [1] * 10
     assert res.trace == trace and len(trace) == 17
     assert res.theta_hat.values.tobytes() == theta.tobytes()
     assert res.value == value and res.n_failures == failures
@@ -357,18 +361,20 @@ def test_oracle_objective_probes_one_at_a_time():
     model = builtin_model("finite_gaussian", hyper={"param": "scale"})
     data = sampling.simulate(model, [0.2], 200, seed=3, with_hidden=False)
     pert = PerturbationSpec(epsilon=0.05)
-    fn, _, lookahead = est._oracle_objective(model, data, pert)
+    _, lookahead = est._oracle_objective(model, data, pert)
     assert not lookahead
-    singles = []
-    forward = est.oracle.forward_loglik
+    calls = []
+    forward = est.oracle.forward_loglik_grid
 
-    def counted(model, theta, *args):
-        singles.append(tuple(theta))
-        return forward(model, theta, *args)
+    def counted(model, thetas, *args):
+        calls.append([tuple(t) for t in thetas])
+        return forward(model, thetas, *args)
 
-    with mock.patch.object(est.oracle, "forward_loglik", counted):
+    with mock.patch.object(est.oracle, "forward_loglik_grid", counted):
         res = est.abc_mle(model, data, pert, objective="oracle", seed=0)
-    assert [t for t, _, _ in res.trace[21:]] == singles
+    # the grid's 21 points in one call, then one call per probe
+    assert len(calls[0]) == 21 and all(len(c) == 1 for c in calls[1:])
+    assert [t for t, _, _ in res.trace[21:]] == [c[0] for c in calls[1:]]
 
 
 @pytest.mark.parametrize("option, value", [
@@ -378,7 +384,7 @@ def test_oracle_objective_probes_one_at_a_time():
 def test_maximize_rejects_bad_options(option, value):
     method = "nelder_mead" if option == "restarts" else "grid_then_golden"
     with pytest.raises(ValueError, match=option):
-        est.maximize(lambda t: (0.0, 0.0), [[0, 1]], method,
+        est.maximize(_rows(lambda t: (0.0, 0.0)), [[0, 1]], method,
                      **{option: value})
 
 

@@ -10,6 +10,13 @@ from abchmm import cli, experiments, sampling
 from abchmm.errors import ConfigError
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and infinities, as strict parsers do."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 
@@ -85,6 +92,8 @@ def test_load_config_long_inline_json():
     ("info_loss", "window", -1),
     ("info_loss", "fisher_replicates", 1),
     ("info_loss", "huge_epsilon", None),
+    ("bias_curve", "epsilons", [0.3]),      # a slope needs two tolerances
+    ("info_loss", "epsilons", [0.3]),
 ])
 def test_config_rejects_bad_param(preset, key, value):
     with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -199,7 +208,7 @@ _PRESET_PINS = [
 def test_preset_bytes_pinned(tmp_path, cfg, results_sha, summary_sha,
                              workers):
     run = experiments.run_experiment(cfg, tmp_path, workers=workers)
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = _strict_json((run / "manifest.json").read_text())
     assert manifest["results_sha256"] == results_sha
     assert manifest.get("summary_sha256") == summary_sha
 
@@ -212,9 +221,36 @@ def test_bias_curve_outputs(tmp_path):
     assert len(rows) == 1 + 4  # header + 2 eps x 2 reps
     plot = (run / "plot.gp").read_text()
     assert plot.startswith("set datafile") and "\nset logscale xy\n" in plot
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest = _strict_json((run / "manifest.json").read_text())
     assert "slope" in manifest["derived"]
     assert "timestamp" not in json.dumps(manifest).lower()
+
+
+def test_bias_curve_slope_needs_two_points():
+    # a tolerance whose bias is zero drops out of the fit; one point left
+    # gives no slope, written as JSON null, not NaN
+    config = experiments.ExperimentConfig.from_dict(
+        {"preset": "bias_curve", "seed": 1, "epsilons": [0.1, 0.2]})
+    rows = [{"epsilon": eps, "bias": bias}
+            for eps, bias in [(0.1, 0.0), (0.1, 0.0), (0.2, 0.5), (0.2, 0.7)]]
+    derived = experiments._summarize_bias_curve(config, rows)[2]
+    assert derived == {"slope": None}
+
+
+def test_manifest_is_strict_json(tmp_path, monkeypatch):
+    # a NaN in the derived numbers fails the run before any file is written
+    expand, summarize = experiments._PRESET_PIPELINE["two_point"]
+
+    def nan_summary(config, rows):
+        results, summary, _, plot = summarize(config, rows)
+        return results, summary, {"slope": float("nan")}, plot
+
+    monkeypatch.setitem(experiments._PRESET_PIPELINE, "two_point",
+                        (expand, nan_summary))
+    with pytest.raises(ValueError, match="JSON"):
+        experiments.run_experiment({"preset": "two_point", "seed": 3,
+                                    "n": 40}, tmp_path, workers=1)
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +336,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(likelihood + ["--theta", "0.8", "--n-particles", "0"]) == 2
     assert capsys.readouterr().err == (
         "error: --n-particles must be an integer >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("content, where", [
+    (None, "No such file"),                       # missing
+    ("dir", "Is a directory"),
+    ("", "is empty"),
+    ("t,y_1\r\n0,0.5\r\n1,\r\n", "line 3: could not convert"),
+    ("t,y_1,x\r\n0,0.5,1\r\n1,0.25\r\n", "line 3: 2 fields"),
+    ("t,y_1,x\r\n0,0.5,one\r\n", "line 2: invalid literal"),
+    ("y_1\r\n0.5\r\n", "does not look like a trajectory"),
+])
+def test_cli_bad_data_path_exits_2(tmp_path, capsys, content, where):
+    # an unreadable or malformed --data file is an error line naming the
+    # file and status 2, not a traceback (status 1 is a failed estimation)
+    data = tmp_path / "series.csv"
+    if content == "dir":
+        data.mkdir()
+    elif content is not None:
+        data.write_text(content, newline="")
+    rc = run_cli(["likelihood", "--model", "finite_gaussian", "--theta",
+                  "0.8", "--data", str(data), "--epsilon", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(data) in err and where in err
+
+
+def test_cli_out_into_missing_dir_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    assert run_cli(["simulate", "--model", "finite_gaussian", "--theta",
+                    "0.8", "--n", "5", "--seed", "0", "--out",
+                    str(missing / "x.csv")]) == 2
+    assert run_cli(["estimate", "--model", "iid_pm_theta", "--theta-star",
+                    "1.0", "--n", "20", "--epsilon", "1.5", "--seed", "0",
+                    "--objective", "oracle", "--optimizer", "grid",
+                    "--grid-points", "5", "--out",
+                    str(missing / "fit.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(e.startswith("error: ") and str(missing) in e for e in err)
 
 
 def test_cli_estimate_out_file(tmp_path, capsys):

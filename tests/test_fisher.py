@@ -82,16 +82,6 @@ def test_loss_point_psd_and_ordering(gauss2):
     assert large.frobenius > 4 * small.frobenius
 
 
-def test_curve_slope_and_monotonicity(gauss2):
-    curve = fisher.information_loss_curve(
-        gauss2, [1.0, 1.0], [0.1, 0.2, 0.4, 0.8], window=16,
-        n_replicates=1000, seed=7, fisher_n=60, fisher_replicates=400)
-    fros = [p.frobenius for p in curve.points]
-    assert fros == sorted(fros)
-    assert 1.5 < curve.slope < 2.5
-    assert curve.slope_epsilons == [0.1, 0.2, 0.4, 0.8]
-
-
 def test_missing_information_routes_agree(gauss2):
     chk = fisher.missing_information_check(gauss2, [1.0, 1.0], 0.5, n=4,
                                            n_replicates=4000, seed=8)
