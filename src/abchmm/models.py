@@ -130,11 +130,14 @@ class ModelSpec:
     Emission callables are vectorized over observations: given ``theta`` and a
     1-D array of ``n`` observation values they return an ``(n, K)`` array with
     one column per latent state.  Jacobian callables return ``(d, n, K)``.
-    All of them are optional; samplers alone support simulation and
-    particle-based likelihood work.  Scores differentiate a missing emission
-    Jacobian, ``transition_matrix`` and ``initial_dist`` by central
-    differences, which are exactly zero for a law that ``theta`` leaves
-    fixed.
+    The results may be in any memory order.  The built-ins compute
+    state-major, on (K, n) and (d, K, n) arrays, and return their
+    transposed views, the layout the score kernel reads fastest; a C-ordered
+    result costs it one copy.  All of them are optional; samplers alone
+    support simulation and particle-based likelihood work.  Scores
+    differentiate a missing emission Jacobian, ``transition_matrix`` and
+    ``initial_dist`` by central differences, which are exactly zero for a
+    law that ``theta`` leaves fixed.
 
     ``initial_dist`` is the law of the latent state *before* the first
     observation: the first observed state has law ``initial_dist @ P``.
@@ -397,25 +400,30 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
             + s * rng.standard_normal(states.shape[1])
         return y[:, :, None]
 
+    # The emission callables compute state-major, on (K, n) and (d, K, n)
+    # arrays, so each elementwise op runs over the n observations of one
+    # state, and return the transposed (n, K) and (d, n, K) views.
+
     def emission_density(theta, ys):
         mu, s = mu_s(theta)
-        z = (ys[:, None] - mu[None, :]) / s
-        return _norm_pdf(z) / s
+        z = (ys[None, :] - mu[:, None]) / s
+        return (_norm_pdf(z) / s).T
 
     def emission_interval_prob(theta, lo, hi):
         mu, s = mu_s(theta)
-        zh = (hi[:, None] - mu[None, :]) / s
-        zl = (lo[:, None] - mu[None, :]) / s
+        zh = (hi[None, :] - mu[:, None]) / s
+        zl = (lo[None, :] - mu[:, None]) / s
         # above the mean, Phi(zh) - Phi(zl) cancels to 0; there the equal
         # difference of upper tails, Phi(-zl) - Phi(-zh), keeps its digits
         upper = zl > 0.0
-        return ndtr(np.where(upper, -zl, zh)) - ndtr(np.where(upper, -zh, zl))
+        return (ndtr(np.where(upper, -zl, zh))
+                - ndtr(np.where(upper, -zh, zl))).T
 
     def emission_smooth_density(theta, ys, sd):
         mu, s = mu_s(theta)
         s_eff = math.sqrt(s * s + sd * sd)
-        z = (ys[:, None] - mu[None, :]) / s_eff
-        return _norm_pdf(z) / s_eff
+        z = (ys[None, :] - mu[:, None]) / s_eff
+        return (_norm_pdf(z) / s_eff).T
 
     # Parameter Jacobians.  With f the N(mu, s^2) density and z = (y - mu)/s:
     #   df/dmu = f z / s,     df/ds = f (z^2 - 1) / s
@@ -424,22 +432,22 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
 
     def emission_density_jac(theta, ys):
         mu, s = mu_s(theta)
-        z = (ys[:, None] - mu[None, :]) / s
+        z = (ys[None, :] - mu[:, None]) / s
         f = _norm_pdf(z) / s
         rows = []
         if mode in ("mean", "mean_scale"):
-            rows.append(f * z / s * coeff[None, :])
+            rows.append(f * z / s * coeff[:, None])
         if mode in ("scale", "mean_scale"):
             rows.append(f * (z * z - 1.0) / s)
-        return np.stack(rows)
+        return np.stack(rows).transpose(0, 2, 1)
 
     def emission_interval_prob_jac(theta, lo, hi):
-        # written by in-place ops into one (d, n, K) array, in the order of
+        # written by in-place ops into one (d, K, n) array, in the order of
         # the formulas above: pdf(zh) goes into the first row and pdf(zl)
         # into zh once zh is spent, so zh and zl are the only temporaries
         mu, s = mu_s(theta)
-        zh = (hi[:, None] - mu[None, :]) / s
-        zl = (lo[:, None] - mu[None, :]) / s
+        zh = (hi[None, :] - mu[:, None]) / s
+        zl = (lo[None, :] - mu[:, None]) / s
         out = np.empty((d, *zh.shape))
         ph = _norm_pdf(zh, out=out[0])
         if mode in ("scale", "mean_scale"):
@@ -454,20 +462,20 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
             out[0] -= pl
             np.negative(out[0], out=out[0])
             out[0] /= s
-            out[0] *= coeff[None, :]
-        return out
+            out[0] *= coeff[:, None]
+        return out.transpose(0, 2, 1)
 
     def emission_smooth_density_jac(theta, ys, sd):
         mu, s = mu_s(theta)
         s_eff = math.sqrt(s * s + sd * sd)
-        z = (ys[:, None] - mu[None, :]) / s_eff
+        z = (ys[None, :] - mu[:, None]) / s_eff
         f = _norm_pdf(z) / s_eff
         rows = []
         if mode in ("mean", "mean_scale"):
-            rows.append(f * z / s_eff * coeff[None, :])
+            rows.append(f * z / s_eff * coeff[:, None])
         if mode in ("scale", "mean_scale"):
             rows.append(f * (z * z - 1.0) / s_eff * (s / s_eff))
-        return np.stack(rows)
+        return np.stack(rows).transpose(0, 2, 1)
 
     box = np.asarray(default_box if theta_box is None else theta_box, dtype=float)
     return ModelSpec(
@@ -499,8 +507,9 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         return np.take_along_axis(values, states, axis=1)[:, :, None]
 
     def emission_interval_prob(theta, lo, hi):
-        values = np.array([-theta[0], theta[0]])
-        return ((lo[:, None] <= values) & (values <= hi[:, None])).astype(float)
+        values = np.array([-theta[0], theta[0]])[:, None]
+        return ((lo[None, :] <= values) & (values <= hi[None, :])) \
+            .astype(float).T
 
     box = np.asarray([[0.0, 3.0]] if theta_box is None else theta_box, dtype=float)
     return ModelSpec(

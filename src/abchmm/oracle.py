@@ -253,14 +253,16 @@ def _forward_segment(p: Array, dp: Array, state, emis: Array, demis: Array):
     Each step predicts through P and adds ``alpha · dP`` to the tangent
     rows, as elementwise multiply-adds over the states in the order
     i = 0..K-1 (not a matmul: a BLAS product may round one row differently
-    at another batch width).  It applies the emission weights, adds
-    ``pred · de_t`` to the tangent rows, and then multiplies the whole row
-    by the power of two that puts its filter sum in [1, 2).  Every
-    operation acts on one row at a time, so a row's result does not depend
-    on how many rows run beside it.  A power of two scales exactly, also
-    when the filter sum is subnormal: the factor 2^-exp then overflows, and
-    that step scales by ``ldexp`` instead.  The state passed in is left as
-    it was.  A row whose filter dies stays zero.
+    at another batch width).  An all-zero dP, from a P that does not move
+    with theta, skips those terms: adding ``alpha · 0`` changes no value
+    (at most the sign of a zero tangent entry).  It applies the emission
+    weights, adds ``pred · de_t`` to the tangent rows, and then multiplies
+    the whole row by the power of two that puts its filter sum in [1, 2).
+    Every operation acts on one row at a time, so a row's result does not
+    depend on how many rows run beside it.  A power of two scales exactly,
+    also when the filter sum is subnormal: the factor 2^-exp then
+    overflows, and that step scales by ``ldexp`` instead.  The state passed
+    in is left as it was.  A row whose filter dies stays zero.
     """
     v, shift = state
     k = v.shape[1]
@@ -268,7 +270,8 @@ def _forward_segment(p: Array, dp: Array, state, emis: Array, demis: Array):
     ones = (1,) * (v.ndim - 2)
     if p.ndim == 2:
         p = p.reshape(k, k, *ones)
-    dp_rows = [dp[:, i].reshape(d, k, *ones) for i in range(k)]
+    dp_rows = [dp[:, i].reshape(d, k, *ones) for i in range(k)] \
+        if dp.any() else []
     v, shift = v.copy(), shift.copy()
     pred, term = np.empty_like(v), np.empty_like(v)
     # after a dead step the zero filter gets exponent -1 each step, so a dead
@@ -478,12 +481,14 @@ def _emissions_and_jac(model, theta, obs, pert):
     their Jacobian (n, d, K, R), time-major for :func:`_forward_segment`:
     analytic when the model registers one, central differences otherwise.
 
-    The model's callables return rows-first (d, m, K) and (m, K) arrays.
-    They run on blocks of whole steps, about ``_BLOCK_ENTRIES`` observations
-    each (one step at least), and each block is transposed into the
-    outputs, so neither their results nor their temporaries span the whole
-    batch.  They act on each observation alone, so blocking changes no
-    value.
+    The model's callables return (d, m, K) and (m, K) arrays in any memory
+    order.  They run on blocks of whole steps, about ``_BLOCK_ENTRIES``
+    observations each (one step at least), and each block is read through
+    its state-major transpose into the outputs, so neither their results
+    nor their temporaries span the whole batch.  The built-ins compute
+    state-major, so that read runs over contiguous replicate rows; a
+    C-ordered result costs one copy more.  The callables act on each
+    observation alone, so blocking changes no value.
     """
     r, n = obs.shape
     d, k = theta.shape[0], model.n_states
@@ -498,9 +503,10 @@ def _emissions_and_jac(model, theta, obs, pert):
     for s in range(0, n, block):
         b = min(block, n - s)
         ys = obs[:, s:s + b].T.reshape(-1)
-        de[s:s + b] = jac(theta, ys).reshape(d, b, r, k).transpose(1, 0, 3, 2)
-        e[s:s + b] = emission_matrix(model, theta, ys, pert) \
-            .reshape(b, r, k).transpose(0, 2, 1)
+        de[s:s + b] = jac(theta, ys).transpose(0, 2, 1) \
+            .reshape(d, k, b, r).transpose(2, 0, 1, 3)
+        e[s:s + b] = emission_matrix(model, theta, ys, pert).T \
+            .reshape(k, b, r).transpose(1, 0, 2)
     return e, de
 
 

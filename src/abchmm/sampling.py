@@ -189,6 +189,15 @@ def _sidecar(path: Path) -> Path:
     return path.with_suffix(".json")
 
 
+def _utf8_lines(fh, path: Path):
+    """The lines of the text file ``fh``, or a ``ValueError`` naming
+    ``path`` where they are not UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text ({exc})") from None
+
+
 def save_trajectory(traj: Trajectory, path) -> Path:
     """Write ``<path>.csv`` (observations) and ``<path>.json`` (metadata)."""
     path = Path(path)
@@ -215,12 +224,13 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`.
 
     A missing sidecar is tolerated: metadata comes back as unknown (None
-    fields) with a warning.  A file that does not parse raises a
-    ``ValueError`` that names it, and the line where one applies.
+    fields) with a warning.  A file that does not parse, or is not UTF-8
+    text, raises a ``ValueError`` that names it, and the line where one
+    applies.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path} is empty, not a trajectory CSV")
@@ -246,7 +256,7 @@ def load_trajectory(path) -> Trajectory:
         with open(sidecar, "r", encoding="utf8") as fh:
             try:
                 meta = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{sidecar}: {exc}") from None
     else:
         warnings.warn(f"no metadata sidecar next to {path}; "

@@ -338,6 +338,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         "error: --n-particles must be an integer >= 1, got 0\n")
 
 
+# the first bytes of a PNG file: 0x89 is no UTF-8 start byte
+_PNG = b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR"
+
+
 @pytest.mark.parametrize("content, where", [
     (None, "No such file"),                       # missing
     ("dir", "Is a directory"),
@@ -346,12 +350,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("t,y_1,x\r\n0,0.5,1\r\n1,0.25\r\n", "line 3: 2 fields"),
     ("t,y_1,x\r\n0,0.5,one\r\n", "line 2: invalid literal"),
     ("y_1\r\n0.5\r\n", "does not look like a trajectory"),
+    (_PNG, "series.csv is not UTF-8 text"),
+    # a good CSV beside a sidecar that is not UTF-8: the sidecar is named
+    (("t,y_1\r\n0,0.5\r\n", _PNG), "series.json: 'utf-8' codec can't"),
 ])
 def test_cli_bad_data_path_exits_2(tmp_path, capsys, content, where):
     # an unreadable or malformed --data file is an error line naming the
     # file and status 2, not a traceback (status 1 is a failed estimation)
-    data = tmp_path / "series.csv"
-    if content == "dir":
+    data = named = tmp_path / "series.csv"
+    if isinstance(content, tuple):
+        data.write_text(content[0], newline="")
+        named = data.with_suffix(".json")
+        named.write_bytes(content[1])
+    elif isinstance(content, bytes):
+        data.write_bytes(content)
+    elif content == "dir":
         data.mkdir()
     elif content is not None:
         data.write_text(content, newline="")
@@ -359,7 +372,7 @@ def test_cli_bad_data_path_exits_2(tmp_path, capsys, content, where):
                   "0.8", "--data", str(data), "--epsilon", "0.5"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: ") and str(data) in err and where in err
+    assert err.startswith("error: ") and str(named) in err and where in err
 
 
 def test_cli_out_into_missing_dir_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -332,3 +333,82 @@ def test_load_model_config_long_inline_json(tmp_path):
         load_model_config("[1, 2]")
     with pytest.raises(ConfigError, match="not found"):
         load_model_config(tmp_path / "missing.json")
+
+
+# sha256 of each built-in emission callable's result, weights and
+# Jacobians, on one fixed input per mode: three states, mu_coeff off ±1 and
+# observations far into both tails.  Recorded before the callables computed
+# state-major.  A change here moves every oracle result, so it must be
+# stated, not re-recorded.
+_EMISSION_PINS = {
+    "mean": {
+        "emission_density":
+            "a552c9e502e6178b96e941a6995315e740914155ede5d5544bfa723a210cf54f",
+        "emission_interval_prob":
+            "ad109abcf7b3f305cd0b97082d2620a6ffcb390777ecbd23b1528895bd37a497",
+        "emission_smooth_density":
+            "9303f2820d721caf37e9d87dd9a9a3a0a5098f159393de51633c9a867a005810",
+        "emission_density_jac":
+            "ec5992fe2a9a265084db59fd472203781034428b23cf8f551c73f1ef52bb225b",
+        "emission_interval_prob_jac":
+            "badbf2745d517f0aaf301f2115e19f0a1652bcd548040d4631ca14103df16d80",
+        "emission_smooth_density_jac":
+            "bd5f6df96aa879ad0f67961e2eb50525eb66aec6813bcbeeebc65b4b3792b7cf",
+    },
+    "scale": {
+        "emission_density":
+            "61920fdca3bbc7eba6a8d8cd8aeacfac1c23c8e4021ef1ea41c01db9c1d3c461",
+        "emission_interval_prob":
+            "51a5bb7989c6d281a7c1db3f106da64a57f8bbefa82ea343d02dd2e60da4ac33",
+        "emission_smooth_density":
+            "d3866a992d484d7cd6161b54cc61455701b4c5b2fcca8fdad4e4156c957ecb1d",
+        "emission_density_jac":
+            "a61032387a508ec4029035d23bd5887d69aca09404652f8508d85dad6ba99471",
+        "emission_interval_prob_jac":
+            "e5c31690d8d121553e8114e710237dc346ea8104e1a1276b10f20a8c89a4cd62",
+        "emission_smooth_density_jac":
+            "c608ac62ea0f7ce386f98a90d2c530bffc278a7e79dc165a08208d5820c2a57b",
+    },
+    "mean_scale": {
+        "emission_density":
+            "f4f99fe09516017b5f639433e50b31a480157b271ac112619be134dbba2584f0",
+        "emission_interval_prob":
+            "97fe9e9c9f5b3f9dc1ab39594f32b2307ec020991d5fabd5b46401ae90509cd0",
+        "emission_smooth_density":
+            "faa6e69d9643a92b4e3372fcc637ca4c25564e38846162ec2c9dadfafdde2385",
+        "emission_density_jac":
+            "cba19a6ce5cc90d27774c7e73d220556a901ae0d7754ab5d0cc961add58318fd",
+        "emission_interval_prob_jac":
+            "5e9313ddc21fab66e7515921ac0f13c35c3620e5aa81a08fbeb9dc1133f19bc3",
+        "emission_smooth_density_jac":
+            "087d639cb5bc5a5de0507d176079578e8de4a110de2953b1d2cad00c324c3720",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["mean", "scale", "mean_scale"])
+def test_emission_callable_bytes_are_pinned(mode):
+    model = builtin_model("finite_gaussian", hyper={
+        "param": mode, "n_states": 3, "mu_coeff": [-1.3, 0.2, 0.7],
+        "mu": [-1.0, 0.0, 2.0],
+        "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]})
+    theta = np.array({"mean": [0.6], "scale": [0.9],
+                      "mean_scale": [0.6, 0.9]}[mode])
+    ys = np.random.default_rng(11).normal(0.0, 4.0, size=61)
+    lo, hi = ys - 0.3, ys + 0.3
+    args = {"emission_density": (ys,), "emission_interval_prob": (lo, hi),
+            "emission_smooth_density": (ys, 0.25)}
+    for name, digest in _EMISSION_PINS[mode].items():
+        got = getattr(model, name)(theta, *args[name.removesuffix("_jac")])
+        want = (len(theta), 61, 3) if name.endswith("_jac") else (61, 3)
+        assert got.shape == want, name
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest, name
+
+
+def test_iid_pm_theta_ball_indicator_bytes_are_pinned():
+    ys = np.linspace(-2.0, 2.0, 21)
+    got = builtin_model("iid_pm_theta").emission_interval_prob(
+        np.array([1.2]), ys - 0.5, ys + 0.5)
+    assert got.shape == (21, 2) and got.sum() == 10.0
+    assert hashlib.sha256(got.tobytes()).hexdigest() == \
+        "35652924c60d72a71514d3185ff64553920a8908540bb48c10e36bbcfad22b04"

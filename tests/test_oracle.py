@@ -795,7 +795,8 @@ def test_score_scaling_stays_exact_at_a_subnormal_filter_sum():
 
 def test_score_with_theta_dependent_transition_matches_fd():
     # P and the initial law move with theta, so dP and dinit come from
-    # central differences and feed the tangent rows
+    # central differences and feed the tangent rows: a kernel that skipped
+    # the nonzero dP terms fails here
     def transition(th):
         return np.array([[0.5 + 0.1 * th[0], 0.5 - 0.1 * th[0]],
                          [0.3 - 0.05 * th[0], 0.7 + 0.05 * th[0]]])
@@ -813,3 +814,68 @@ def test_score_with_theta_dependent_transition_matches_fd():
             fd = (oracle.forward_loglik(model, [theta + h], ys, pert)
                   - oracle.forward_loglik(model, [theta - h], ys, pert)) / (2 * h)
             assert score[0] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+
+_EMISSION_CALLABLES = (
+    "emission_density", "emission_interval_prob", "emission_smooth_density",
+    "emission_density_jac", "emission_interval_prob_jac",
+    "emission_smooth_density_jac")
+
+
+def _c_ordered(model):
+    """``model`` with every emission callable returning a C-ordered copy of
+    the built-in's result."""
+    def wrap(f):
+        return lambda *args: np.ascontiguousarray(f(*args))
+
+    return dataclasses.replace(model, **{
+        name: wrap(getattr(model, name)) for name in _EMISSION_CALLABLES
+        if getattr(model, name) is not None})
+
+
+def _result_bytes(result):
+    """The C-order bytes of an array, of each array of a tuple, or of each
+    ``(key, array)`` of a dict."""
+    if isinstance(result, dict):
+        return [(key, value.tobytes()) for key, value in result.items()]
+    if isinstance(result, tuple):
+        return [value.tobytes() for value in result]
+    return result.tobytes()
+
+
+@pytest.mark.parametrize("name, hyper, theta", [
+    ("finite_gaussian", {"param": "mean"}, [0.7]),
+    ("finite_gaussian", {"param": "scale"}, [1.3]),
+    ("finite_gaussian", {"param": "mean_scale", "n_states": 3,
+                         "mu_coeff": [-1.3, 0.2, 0.7],
+                         "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3],
+                                        [0.3, 0.3, 0.4]]}, [0.7, 1.1]),
+    ("iid_pm_theta", None, [1.2]),
+])
+def test_emission_memory_order_changes_no_bit(name, hyper, theta):
+    # the built-ins return state-major views; the same values in C order,
+    # as a user callable may return them, give every result bit for bit
+    model = builtin_model(name, hyper=hyper)
+    c_model = _c_ordered(model)
+    ys = sampling.simulate(model, theta, 300, seed=4).observations[:, 0]
+    y = ys.reshape(3, 100)
+    y_eps = y + rng.stream(4, "noise").uniform(-0.4, 0.4, size=y.shape)
+    thetas = np.array([theta, theta]) * [[1.0], [0.9]]
+    exact = model.emission_density is not None
+    # iid_pm_theta has only the uniform kernel's closed form, so its mixed
+    # sequences can start noisy only: boundary 0
+    boundaries = (0, 40, 100) if exact else (0,)
+    perts = [PerturbationSpec(epsilon=0.4)]
+    if exact:
+        perts += [None, PerturbationSpec(epsilon=0.4, kernel="gaussian")]
+    for pert in perts:
+        # the two models do differ in layout
+        assert oracle.emission_matrix(model, theta, ys, pert).flags.f_contiguous
+        for call in (
+                lambda m: oracle.emission_matrix(m, theta, ys, pert),
+                lambda m: oracle.forward_loglik_grid(m, thetas, ys, pert),
+                lambda m: oracle.forward_score_batch(m, theta, y_eps, pert),
+                lambda m: oracle.boundary_scores(m, theta, pert, y, y_eps,
+                                                 boundaries)):
+            assert _result_bytes(call(model)) == _result_bytes(call(c_model))
