@@ -9,7 +9,7 @@ so smeared maximum likelihood goes through unchanged.
 The builtin ``two_state_alpha_stable`` model carries (scale, location);
 here we want to profile the scale alone, which is also a chance to show
 how little a custom model needs: a transition matrix, an initial law,
-and an observation sampler.
+the observation noise and the observation sampler that transforms it.
 """
 
 import numpy as np
@@ -22,11 +22,15 @@ LEVELS = np.array([-1.0, 1.0])
 P = np.array([[0.95, 0.05], [0.20, 0.80]])
 
 
-def draw_obs(theta, states, rng):
+def draw_noise(rng, size):
+    # standard stable draws; they never see theta
+    return stable.sample(ALPHA, 0.0, 1.0, 0.0, size, rng)
+
+
+def draw_obs(theta, states, noise):
     # theta (G, 1) and states (G, N): one set of N stable draws, scaled by
     # each row's sigma, serves the whole batch
-    y = stable.sample(ALPHA, 0.0, theta[:, :1], 0.0, states.shape[1], rng)
-    return (y + LEVELS[states])[:, :, None]
+    return (theta[:, :1] * noise + LEVELS[states])[:, :, None]
 
 
 model = ModelSpec(
@@ -37,6 +41,7 @@ model = ModelSpec(
     transition_matrix=lambda theta: P,
     initial_dist=lambda theta: stationary_dist(P),
     obs_sampler=draw_obs,
+    obs_noise=draw_noise,
 )
 
 TRUE_SIGMA = 1.0

@@ -17,14 +17,16 @@ golden-section and Nelder-Mead stages probe one theta per call.
 The particle objective uses common random numbers: one stream key is derived
 from the run seed and reused for every candidate theta, making the objective a
 deterministic surface the optimizer can trust.  A fit keeps one table of the
-filter's step streams for all its evaluations: each step's streams are derived
-once, by the first evaluation that reaches the step, and every later evaluation
-replays them.  Every value equals a fresh ``smc.smc_abc_likelihood`` at the
-fit's stream key, and the rows of one call share the filter's draws step by
-step.  A three-row call costs about one row, so the particle fit's
-golden-section stage looks one step ahead: each call holds the next probe and
-both probes that could follow it, and only the probes the sequential search
-makes are recorded, so the result is the sequential search's, bit for bit.
+filter's step draws for all its evaluations: each step's streams are derived
+once, by the first evaluation that reaches the step, the second evaluation
+keeps the step's uniforms and noise (up to a fixed memory budget), and every
+later evaluation replays them.  Every value equals a fresh
+``smc.smc_abc_likelihood`` at the fit's stream key, and the rows of one call
+share the filter's draws step by step.  A three-row call costs about one row,
+so the particle fit's golden-section stage looks one step ahead: each call
+holds the next probe and both probes that could follow it, and only the
+probes the sequential search makes are recorded, so the result is the
+sequential search's, bit for bit.
 The exact objective's cost grows with the rows, so it does not look ahead.
 
 Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
@@ -91,6 +93,9 @@ class _Recorder:
 
     def record(self, theta, value, se) -> float:
         value = float(value)
+        if math.isnan(value):
+            raise ValueError("the objective is NaN at theta "
+                             f"{[float(v) for v in theta]}")
         self.trace.append((tuple(float(v) for v in theta), value, float(se)))
         if not math.isfinite(value):
             self.n_failures += 1
@@ -291,10 +296,12 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
     Returns ``(batch, lookahead)``.  Every row of a call equals its one-row
     call bit for bit, and a three-row call costs little more than one row,
     so the golden-section stage looks one step ahead.  All calls share one
-    step-stream table, so each value equals a fresh ``smc_abc_likelihood``
-    at the fit's stream key.
+    table of step draws, which replays them from the second call on, so
+    each value equals a fresh ``smc_abc_likelihood`` at the fit's stream
+    key.
     """
-    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"))
+    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"),
+                                  replay=True)
 
     def batch(thetas):
         ests = smcmod._likelihood_batch(

@@ -73,11 +73,15 @@ def within_ball(diff: np.ndarray, eps: float, norm: str = "linf") -> np.ndarray:
 
 
 def smooth_weight(diff: np.ndarray, eps: float) -> np.ndarray:
-    """Gaussian kernel weight ``prod_j pdf(diff_j / eps)`` per row."""
+    """Gaussian kernel weight ``prod_j pdf(diff_j / eps)`` for every point
+    on the last axis of ``diff`` (..., m); the result has shape (...).  A
+    NaN coordinate gives its point weight 0, as it puts the point outside
+    the uniform kernel's ball."""
     if eps <= 0.0:
         raise ValueError(f"smooth kernel requires eps > 0, got {eps}")
     diff = np.atleast_2d(diff)
     z = diff / eps
     log_w = -0.5 * np.einsum("...j,...j->...", z, z) \
         - diff.shape[-1] * 0.5 * math.log(2.0 * math.pi)
-    return np.exp(log_w)
+    # fmax passes every number through and turns NaN into -inf
+    return np.exp(np.fmax(log_w, -math.inf, out=log_w))

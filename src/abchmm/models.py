@@ -2,10 +2,11 @@
 
 A :class:`ModelSpec` bundles everything the rest of the package needs to know
 about a hidden Markov model with a finite latent chain: transition matrix,
-initial distribution, an observation sampler, and (when tractable) vectorized
-emission-density callables plus their parameter Jacobians.  Models whose
-emission density is unavailable (the alpha-stable regime model) still work
-everywhere that only requires forward simulation.
+initial distribution, observation noise and the sampler that transforms it,
+and (when tractable) vectorized emission-density callables plus their
+parameter Jacobians.  Models whose emission density is unavailable (the
+alpha-stable regime model) still work everywhere that only requires forward
+simulation.
 
 A :class:`PerturbationSpec` describes the observation-space perturbation used
 by the ABC constructions: a kernel (``uniform`` ball indicator or ``gaussian``
@@ -145,14 +146,19 @@ class ModelSpec:
     particle filter all read it this way; for a stationary initial law the
     two coincide.
 
-    ``obs_sampler(theta, states, rng)`` is batched over parameters: ``theta``
-    is (G, d), ``states`` (G, N) integer states, and the result (G, N,
-    obs_dim) holds row g's pseudo-observations at ``theta[g]``.  It draws its
-    N noise values from ``rng`` once per call, without reference to
-    ``theta``, and transforms them by each row's parameter and states.  So a
-    G=1 call draws exactly what each row of a G-row call uses, and the
-    particle filter can run a whole batch of candidate parameters on one set
-    of draws (common random numbers).  Simulation calls it with G=1.
+    Observations are drawn in two parts.  ``obs_noise(rng, size)`` draws
+    the randomness of ``size`` pseudo-observations, with no reference to
+    any parameter, as an array whose first axis has ``size`` entries (a
+    model without noise returns an empty ``(size, 0)`` array).
+    ``obs_sampler(theta, states, noise)`` is the deterministic transform,
+    batched over parameters: ``theta`` is (G, d), ``states`` (G, N) integer
+    states, ``noise`` one ``obs_noise`` draw of size N, and the result (G,
+    N, obs_dim) holds row g's pseudo-observations at ``theta[g]``.  Every
+    row reads the same noise, so the particle filter runs a whole batch of
+    candidate parameters on one set of draws (common random numbers), and a
+    particle fit draws each step's noise once or twice and replays it.  The
+    noise is read-only: a transform that writes into it raises.
+    Simulation calls the transform with G=1.
 
     Construction (``dataclasses.replace`` too) raises a ``ValueError``
     naming the model unless ``theta_box`` holds ``param_dim`` finite rows
@@ -170,7 +176,8 @@ class ModelSpec:
     hyper: dict
     transition_matrix: Callable[[Array], Array]
     initial_dist: Callable[[Array], Array]
-    obs_sampler: Callable[[Array, Array, np.random.Generator], Array]
+    obs_sampler: Callable[[Array, Array, Array], Array]
+    obs_noise: Callable[[np.random.Generator, int], Array]
     emission_density: Callable | None = None
     emission_interval_prob: Callable | None = None
     emission_smooth_density: Callable | None = None
@@ -263,30 +270,42 @@ def stationary_dist(p: Array) -> Array:
     return pi / pi.sum()
 
 
-def sample_categorical_rows(probs: Array, rng: np.random.Generator,
-                            size: int) -> Array:
-    """Categorical draws from every row of ``probs`` (R, K) on ``size``
-    shared uniforms, by inversion: the result (R, size).
+def sample_categorical_rows(probs: Array, u: Array) -> Array:
+    """Categorical draws from every row of ``probs`` (R, K) by inversion of
+    the uniforms ``u`` (size,), which every row shares: the result (R, size).
 
-    The uniforms are drawn once, in order, and shared by every row.  Entry
-    (r, i) is the number of entries of row r's cumulative sum below the
-    i-th uniform, capped at K - 1.
+    Entry (r, i) is the number of entries of row r's cumulative sum below
+    ``u[i]``, capped at K - 1.
     """
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(size)
-    idx = np.zeros((cum.shape[0], size), dtype=np.int64)
+    if cum.shape[1] == 1:
+        return np.zeros((cum.shape[0], u.size), dtype=np.int64)
     # the cumulative sum is nondecreasing, so counting the first K - 1
     # entries below u is the full count capped at K - 1
-    for j in range(cum.shape[1] - 1):
+    idx = np.less(cum[:, 0, None], u,
+                  out=np.empty((cum.shape[0], u.size), dtype=np.int64))
+    for j in range(1, cum.shape[1] - 1):
         idx += cum[:, j, None] < u
     return idx
 
 
+def draw_noise(model: ModelSpec, rng: np.random.Generator, size: int) -> Array:
+    """``model.obs_noise(rng, size)``, made read-only, with its first axis
+    checked: ``size`` entries."""
+    noise = np.asarray(model.obs_noise(rng, size))
+    if noise.shape[:1] != (size,):
+        raise ValueError(
+            f"obs_noise of model {model.name!r} returned shape {noise.shape}, "
+            f"expected {size} entries on the first axis")
+    noise.flags.writeable = False
+    return noise
+
+
 def sample_observations(model: ModelSpec, theta: Array, states: Array,
-                        rng: np.random.Generator) -> Array:
-    """``model.obs_sampler(theta, states, rng)`` with its result's shape
+                        noise: Array) -> Array:
+    """``model.obs_sampler(theta, states, noise)`` with its result's shape
     checked against the batched contract: (G, N, obs_dim)."""
-    y = model.obs_sampler(theta, states, rng)
+    y = model.obs_sampler(theta, states, noise)
     want = states.shape + (model.obs_dim,)
     if np.shape(y) != want:
         raise ValueError(
@@ -391,13 +410,15 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
             return mu_fixed, theta[0]
         return coeff * theta[0], theta[1]
 
-    def obs_sampler(theta, states, rng):
+    def obs_noise(rng, size):
+        return rng.standard_normal(size)
+
+    def obs_sampler(theta, states, noise):
         mu, s = mu_s(theta.T[:, :, None])
         g = states.shape[0]
         # row r's means sit at r * k of the flat table
         mu = np.broadcast_to(mu, (g, k)).ravel()
-        y = mu[states + k * np.arange(g)[:, None]] \
-            + s * rng.standard_normal(states.shape[1])
+        y = mu[states + k * np.arange(g)[:, None]] + s * noise
         return y[:, :, None]
 
     # The emission callables compute state-major, on (K, n) and (d, K, n)
@@ -488,6 +509,7 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
+        obs_noise=obs_noise,
         emission_density=emission_density,
         emission_interval_prob=emission_interval_prob,
         emission_smooth_density=emission_smooth_density,
@@ -502,7 +524,7 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
     transition = np.full((2, 2), 0.5)
     initial = np.array([0.5, 0.5])
 
-    def obs_sampler(theta, states, rng):
+    def obs_sampler(theta, states, noise):
         values = np.concatenate([-theta[:, :1], theta[:, :1]], axis=1)
         return np.take_along_axis(values, states, axis=1)[:, :, None]
 
@@ -522,6 +544,7 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
+        obs_noise=lambda rng, size: np.empty((size, 0)),     # no noise
         emission_interval_prob=emission_interval_prob,
     )
 
@@ -533,11 +556,16 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
     transition = check_transition(np.asarray(hyper["transition"], dtype=float))
     initial = _initial_from_hyper(hyper, transition)
 
-    def obs_sampler(theta, states, rng):
+    def obs_noise(rng, size):
+        # standard draws x as S(alpha, 0, 1, 0) gives them: 1.0 * x + 0.0
+        return stable.sample(alpha, 0.0, 1.0, 0.0, size, rng)
+
+    def obs_sampler(theta, states, noise):
         sigma, delta = theta.T[:, :, None]
-        # (sigma * x + 0.0) + value + delta, in that order: the bytes of
-        # the one-theta sampler this replaces
-        y = stable.sample(alpha, 0.0, sigma, 0.0, states.shape[1], rng)
+        # sigma * (x + 0.0) + value + delta, in that order, has the bytes
+        # of the one-theta sampler's (sigma * x + 0.0) + value + delta, as
+        # sigma > 0
+        y = sigma * noise
         y += values[states]
         y += delta
         return y[:, :, None]
@@ -554,6 +582,7 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
+        obs_noise=obs_noise,
     )
 
 

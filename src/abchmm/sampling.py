@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    sample_categorical_rows, sample_observations
+    draw_noise, sample_categorical_rows, sample_observations
 
 SUMMARIES = {
     "identity": lambda y: y,
@@ -86,7 +86,8 @@ def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
                      obs_rng: np.random.Generator):
     """``reps`` series of ``n`` steps at ``theta``: hidden paths (reps, n)
     and observations (reps, n, obs_dim), drawn from the paths laid end to
-    end by one ``obs_sampler`` call.
+    end by one ``obs_noise`` draw from ``obs_rng`` and one ``obs_sampler``
+    call.
 
     Per time block, one :func:`sample_categorical_rows` call draws the next
     state under every law the chain steps from (the rows of P, and
@@ -104,12 +105,13 @@ def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
         b = min(block, n - s)
         # entry j·b·reps + t·reps + r: replicate r's state at step s + t
         # when it steps from law j
-        table = sample_categorical_rows(laws, path_rng, b * reps).ravel()
+        table = sample_categorical_rows(laws,
+                                        path_rng.random(b * reps)).ravel()
         cols = np.arange(b * reps).reshape(b, reps)
         for t in range(b):
             prev = states[:, s + t] = table.take(prev * (b * reps) + cols[t])
     obs = sample_observations(model, theta[None], states.reshape(1, -1),
-                              obs_rng)[0]
+                              draw_noise(model, obs_rng, reps * n))[0]
     return states, obs.reshape(reps, n, -1)
 
 

@@ -40,24 +40,31 @@ Weeds worth knowing about:
   is -inf, ``collapsed_at`` records the 0-based step, and the remaining
   entries of ``step_acceptance`` / ``ess_trace`` stay 0.
 * All randomness is derived from ``seed`` through per-step tagged streams
-  (``"prop"`` for the states, ``"obsdraw"`` for the pseudo-observations),
-  so estimates are reproducible bit-for-bit and independent of scheduling.
-  A call derives each step's two streams the first time a pass reaches the
-  step and saves their fresh generator states; every later pass over the
-  same seed (another chunk of the batch, or another call of the same
-  particle fit, see ``estimate``) restores the saved state instead of
-  deriving it again.  A restore gives the same draws as a derivation, for
-  about a tenth of its cost.
+  (``"prop"`` for the uniforms the state draw inverts, ``"obsdraw"`` for
+  the pseudo-observations' noise), so estimates are reproducible
+  bit-for-bit and independent of scheduling.  The first pass that reaches
+  a step derives its two streams, draws from them, and saves their fresh
+  generator states.  The second pass (another chunk of the batch, or
+  another call of the same particle fit, see ``estimate``) restores those
+  states, which gives the same draws for about a tenth of the cost of a
+  derivation.  A particle fit's table also keeps the arrays that second
+  pass drew, read-only, up to a fixed budget, and every later pass reads
+  them without drawing at all.  One pass over the steps, as in a public
+  call below or a grid fit, keeps no arrays.
+* The filter's running sums per row (log value, variance proxy) are taken
+  after the loop over steps, in step order: ``math.log`` of each step's
+  factor and a sequential cumulative sum, the same bits as summing step
+  by step.  The ESS is the reciprocal of a sum kept per step.
 
 Batching over candidate parameters.  Neither stream depends on theta: the
 state draw inverts each particle's predictive CDF at a uniform from
-``("prop", k)``, and ``ModelSpec.obs_sampler`` draws its noise from
-``("obsdraw", k)`` once per call and transforms it by theta and the states.
-So :func:`smc_abc_likelihood_batch` runs G candidates in one loop over time
-steps: each step takes its two streams once, every candidate inverts its
-own CDF at the same N uniforms, and one ``obs_sampler`` call on (G, d)
-thetas serves them all.  The candidates' common random numbers (Malik &
-Pitt, "Particle filters for continuous likelihood evaluation and
+``("prop", k)``, and ``ModelSpec.obs_noise`` draws the noise from
+``("obsdraw", k)``, which ``ModelSpec.obs_sampler`` transforms by theta and
+the states.  So :func:`smc_abc_likelihood_batch` runs G candidates in one
+loop over time steps: each step takes its draws once, every candidate
+inverts its own CDF at the same N uniforms, and one ``obs_sampler`` call
+on (G, d) thetas serves them all.  The candidates' common random numbers
+(Malik & Pitt, "Particle filters for continuous likelihood evaluation and
 maximisation", J. Econometrics 2011) are the same draws, and each row is
 bit-identical to the single-theta run, which is the G=1 case.  A candidate
 that collapses leaves the batch; the others go on.
@@ -73,7 +80,7 @@ import numpy as np
 from . import rng as rngmod
 from .kernels import GAUSS_SUP, smooth_weight, within_ball
 from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    sample_categorical_rows, sample_observations
+    draw_noise, sample_categorical_rows, sample_observations
 from .sampling import Trajectory, check_finite_obs
 
 
@@ -108,38 +115,64 @@ def _observations(data) -> np.ndarray:
 
 # entries of one (rows, N) step temporary in a chunk: 8 MB of float64
 _CHUNK_ELEMENTS = 1 << 20
+# bytes of step draws one particle fit's table may keep
+_REPLAY_BYTES = 1 << 25
 
 
 class _StepStreams:
-    """The filter's per-step streams for one seed, each derived once.
+    """Each filter step's theta-free draws for one seed: the N uniforms the
+    state draw inverts and the ``obs_noise`` draw of size N.
 
-    The first request for ``(tag, k)`` derives ``rng.stream(seed, tag, k)``
-    and saves the fresh generator's ``bit_generator.state``.  Every later
-    request restores that state into one reused generator per tag, which
-    then draws exactly what a fresh derivation would.  The table fills as
-    passes reach the steps, so a pass that collapses early leaves the later
-    steps to the first pass that gets there.  A table lives for one call of
-    the public functions below, or for one particle fit.
+    The first pass that reaches step k derives ``rng.stream(seed, "prop",
+    k)`` and ``rng.stream(seed, "obsdraw", k)``, draws from them and saves
+    their fresh generator states.  The second pass restores those states
+    into two reused generators, which then draw exactly what fresh
+    derivations would.  With ``replay`` the second pass also keeps the
+    arrays it drew, while the kept arrays stay within ``_REPLAY_BYTES``, and
+    later passes take them as they are; steps past the budget go on
+    restoring states.  The table fills as passes reach the steps, so a pass
+    that collapses early leaves the later steps to the first pass that gets
+    there.  Every array handed out is read-only.  A table serves one model
+    and one particle count, for one call of the public functions below
+    (without ``replay``) or for one particle fit (with it).
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, replay: bool = False):
         self.seed = seed
-        self._saved = {}        # (tag, k) -> a fresh generator's state
-        self._reused = {}       # tag -> the generator the states go into
+        self.replay = replay
+        self._saved = {}        # k -> the fresh generators' states
+        self._kept = {}         # k -> (uniforms, noise)
+        self.kept_bytes = 0
+        self._reused = None     # the generators the states go into
 
-    def __call__(self, tag: str, k: int) -> np.random.Generator:
-        saved = self._saved.get((tag, k))
+    def draws(self, model: ModelSpec, k: int, n_particles: int):
+        """Step k's ``(uniforms, noise)``, each with N entries."""
+        kept = self._kept.get(k)
+        if kept is not None:
+            return kept
+        saved = self._saved.get(k)
         if saved is None:
-            gen = rngmod.stream(self.seed, tag, k)
-            self._saved[tag, k] = gen.bit_generator.state
-            return gen
-        gen = self._reused.get(tag)
-        if gen is None:
-            # the same kind of bit generator as rng.stream's; its seed is
-            # overwritten by every restore
-            gen = self._reused[tag] = np.random.default_rng(0)
-        gen.bit_generator.state = saved
-        return gen
+            prop = rngmod.stream(self.seed, "prop", k)
+            obs = rngmod.stream(self.seed, "obsdraw", k)
+            self._saved[k] = (prop.bit_generator.state,
+                              obs.bit_generator.state)
+        else:
+            if self._reused is None:
+                # the same kind of bit generator as rng.stream's; their
+                # seeds are overwritten by every restore
+                self._reused = (np.random.default_rng(0),
+                                np.random.default_rng(0))
+            prop, obs = self._reused
+            prop.bit_generator.state, obs.bit_generator.state = saved
+        u = prop.random(n_particles)
+        u.flags.writeable = False
+        noise = draw_noise(model, obs, n_particles)
+        if saved is not None and self.replay \
+                and self.kept_bytes + u.nbytes + noise.nbytes <= _REPLAY_BYTES:
+            self._kept[k] = u, noise
+            self.kept_bytes += u.nbytes + noise.nbytes
+            del self._saved[k]
+        return u, noise
 
 
 def smc_abc_likelihood(model: ModelSpec, theta, data, pert: PerturbationSpec,
@@ -213,15 +246,17 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
                   for th in thetas])
     n_states = q.shape[1]
     cap = GAUSS_SUP ** model.obs_dim if pert.kernel == "gaussian" else 1.0
+    uniform = pert.kernel == "uniform"
 
+    # per row and step: the mean weight, the mean squared weight (0/1
+    # weights square to themselves, so the uniform kernel's is the mean),
+    # and the sum of the squared normalised weights, the ESS's reciprocal
     step_acceptance = np.zeros((g_all, n))
+    second = step_acceptance if uniform else np.zeros((g_all, n))
     ess_trace = np.zeros((g_all, n))
-    log_value = np.zeros(g_all)
-    var_log = np.zeros(g_all)
     collapsed_at = [None] * g_all
 
     live = np.arange(g_all)
-    uniform = pert.kernel == "uniform"
     # per-step scratch for the pseudo-observations' distance to the data
     scratch = np.empty(g_all * n_particles * model.obs_dim)
     offsets = np.arange(g_all)[:, None] * n_states
@@ -229,12 +264,11 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
     for k in range(n):
         m = live.size
         pred = (q[:, None, :] @ p)[:, 0]
-        states = sample_categorical_rows(pred, streams("prop", k),
-                                         size=n_particles)
+        u, noise = streams.draws(model, k, n_particles)
+        states = sample_categorical_rows(pred, u)
         diff = np.subtract(
-            sample_observations(model, thetas, states,
-                                streams("obsdraw", k)),
-            obs[k], out=scratch[:m * n_particles * model.obs_dim].reshape(
+            sample_observations(model, thetas, states, noise), obs[k],
+            out=scratch[:m * n_particles * model.obs_dim].reshape(
                 m, n_particles, model.obs_dim))
         # the uniform kernel's weights stay booleans and its sums counts
         w = within_ball(diff, eps, pert.norm) if uniform \
@@ -248,7 +282,6 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
         if dead.any():
             for g in live[dead]:
                 collapsed_at[g] = k
-                log_value[g] = -math.inf
             keep = ~dead
             live, thetas, p = live[keep], thetas[keep], p[keep]
             step_val, states, w, total = (step_val[keep], states[keep],
@@ -257,28 +290,12 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
             if m == 0:
                 break
 
-        # crude delta-method variance proxy, treating steps as independent;
-        # 0/1 weights square to themselves, so the uniform kernel's second
-        # moment is step_val.  Dividing twice by step_val (no square) keeps
-        # a tiny step_val from underflowing to a zero denominator, at worst
-        # giving inf
-        second = step_val if uniform else (w * w).sum(axis=1) / n_particles
-        var_log[live] += np.maximum(second / step_val / step_val - 1.0,
-                                    0.0) / n_particles
-
         # the normalised weights are w / (N * step_val); a 0/1 weight's
         # square is the square of that denominator's reciprocal or 0
         scale = n_particles * step_val
         if uniform:
-            ess_trace[live, k] = 1.0 / (
-                w * ((1.0 / scale) ** 2)[:, None]).sum(axis=1)
-        else:
-            ess_trace[live, k] = 1.0 / (
-                (w / scale[:, None]) ** 2).sum(axis=1)
-        log_value[live] += [math.log(v) for v in step_val.tolist()]
-
-        # the next predictive law: each state's share of the weight
-        if uniform:
+            ess_trace[live, k] = (w * ((1.0 / scale) ** 2)[:, None]).sum(
+                axis=1)
             # accepted counts per state; the last state takes the rest
             q = np.empty((m, n_states))
             q[:, -1] = total
@@ -287,18 +304,36 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
                 q[:, -1] -= q[:, j]
             q /= total[:, None]
         else:
+            second[live, k] = (w * w).sum(axis=1) / n_particles
+            ess_trace[live, k] = ((w / scale[:, None]) ** 2).sum(axis=1)
+            # each state's share of the weight
             states += offsets[:m]        # flat (row, state) bins
             q = np.bincount(states.ravel(), weights=w.ravel(),
                             minlength=m * n_states).reshape(m, n_states) \
                 / total[:, None]
 
+    reached = np.arange(n) < np.array(
+        [n if c is None else c for c in collapsed_at])[:, None]
+    np.divide(1.0, ess_trace, out=ess_trace, where=reached)
     out = []
     for g in range(g_all):
-        if collapsed_at[g] is None and np.any(
-                step_acceptance[g] > cap * (1 + 1e-12)):
-            raise AssertionError("step acceptance exceeded its kernel bound")
+        if collapsed_at[g] is None:
+            if np.any(step_acceptance[g] > cap * (1 + 1e-12)):
+                raise AssertionError(
+                    "step acceptance exceeded its kernel bound")
+            log_value = np.cumsum(
+                [math.log(v) for v in step_acceptance[g].tolist()])[-1]
+            # crude delta-method variance proxy, treating steps as
+            # independent.  Dividing twice by the factor (no square) keeps
+            # a tiny one from underflowing to a zero denominator, at worst
+            # giving inf
+            se_proxy = math.sqrt(np.cumsum(np.maximum(
+                second[g] / step_acceptance[g] / step_acceptance[g] - 1.0,
+                0.0) / n_particles)[-1])
+        else:
+            log_value, se_proxy = -math.inf, math.inf
         out.append(LikelihoodEstimate(
-            log_value=float(log_value[g]),
+            log_value=float(log_value),
             step_acceptance=step_acceptance[g],
             ess_trace=ess_trace[g],
             collapsed_at=collapsed_at[g],
@@ -306,7 +341,6 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
             n_particles=n_particles,
             epsilon=float(eps),
             seed=int(streams.seed),
-            se_proxy=math.inf if collapsed_at[g] is not None
-            else math.sqrt(var_log[g]),
+            se_proxy=se_proxy,
         ))
     return out

@@ -62,6 +62,29 @@ def test_maximize_all_failures_raises():
     assert info.value.diagnostics["n_evaluations"] == 5
 
 
+@pytest.mark.parametrize("method", ["grid", "grid_then_golden"])
+def test_maximize_nan_objective_names_its_theta(method):
+    # a NaN is not a collapse: argmax would take the NaN edge of the grid
+    # as the best point and skip the golden stage
+    def f(theta):
+        value = math.nan if theta[0] in (0.0, 1.0) \
+            else -(theta[0] - 0.4) ** 2
+        return value, 0.0
+
+    with pytest.raises(ValueError,
+                       match=r"objective is NaN at theta \[0\.0\]"):
+        est.maximize(_rows(f), [[0, 1]], method, grid_points=5)
+
+
+@pytest.mark.parametrize("method", ["grid", "nelder_mead"])
+def test_maximize_all_nan_objective_is_not_a_failure(method):
+    # not "every objective evaluation failed (value -inf)": the first NaN
+    # names its theta
+    with pytest.raises(ValueError, match="objective is NaN at theta"):
+        est.maximize(_rows(lambda t: (math.nan, 0.0)), [[0, 1]], method,
+                     grid_points=5)
+
+
 def test_nelder_mead_ends_a_restart_whose_simplex_failed():
     # a restart whose initial simplex (d + 1 evaluations) all failed ends
     # there, with those evaluations kept, instead of running to maxiter
@@ -136,8 +159,9 @@ def _constant_summary_model():
         hyper={},
         transition_matrix=base.transition_matrix,
         initial_dist=base.initial_dist,
-        obs_sampler=lambda theta, states, rng: np.full(
+        obs_sampler=lambda theta, states, noise: np.full(
             states.shape + (1,), theta[:, None, :1]),
+        obs_noise=base.obs_noise,
     )
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from abchmm.kernels import NORMS, within_ball
+from abchmm.kernels import NORMS, smooth_weight, within_ball
 
 
 def _reference(diff, eps, norm):
@@ -49,3 +51,29 @@ def test_within_ball_one_point():
                                   [True])
     np.testing.assert_array_equal(within_ball(np.array([0.5, -0.6]), 0.5),
                                   [False])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_nan_point_weighs_nothing_under_both_kernels(m):
+    # 1% of the points have a NaN coordinate: the uniform kernel puts them
+    # outside its ball and the gaussian kernel gives them weight 0; every
+    # other weight keeps the bytes of the formula on finite input
+    eps = 0.5
+    rs = np.random.default_rng(m)
+    diff = rs.normal(scale=0.5, size=(2, 400, m))
+    z = diff / eps
+    want = np.exp(-0.5 * np.einsum("...j,...j->...", z, z)
+                  - m * 0.5 * math.log(2.0 * math.pi))
+    inside = within_ball(diff, eps)
+    assert smooth_weight(diff, eps).tobytes() == want.tobytes()
+    nan = np.zeros((2, 400), dtype=bool)
+    nan[:, ::100] = True
+    diff[:, ::100, rs.integers(0, m)] = np.nan
+    got = smooth_weight(diff, eps)
+    assert got.shape == (2, 400)
+    np.testing.assert_array_equal(got[nan], 0.0)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    for norm in NORMS:
+        np.testing.assert_array_equal(within_ball(diff, eps, norm)[nan],
+                                      False)
+    np.testing.assert_array_equal(within_ball(diff, eps)[~nan], inside[~nan])

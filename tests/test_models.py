@@ -9,8 +9,9 @@ from scipy.integrate import quad
 from abchmm import oracle, rng
 from abchmm.errors import ConfigError
 from abchmm.models import (ModelSpec, ParameterVector, PerturbationSpec,
-                           builtin_model, check_transition, load_model_config,
-                           sample_categorical_rows, stationary_dist)
+                           builtin_model, check_transition, draw_noise,
+                           load_model_config, sample_categorical_rows,
+                           stationary_dist)
 
 
 def test_parameter_vector_validation():
@@ -50,7 +51,7 @@ def test_model_laws_checked_at_construction():
                   theta_box=np.array([[-1.0, 1.0]]), n_states=2, hyper={},
                   transition_matrix=lambda th: bad_rows,
                   initial_dist=lambda th: np.array([0.5, 0.5]),
-                  obs_sampler=base.obs_sampler)
+                  obs_sampler=base.obs_sampler, obs_noise=base.obs_noise)
     # a law that moves with theta is evaluated at the box centre only
     seen = []
 
@@ -237,7 +238,9 @@ def test_iid_pm_theta():
     m = builtin_model("iid_pm_theta")
     assert not oracle.has_closed_form(m)
     states = np.array([0, 1, 1, 0])
-    y = m.obs_sampler(np.array([[0.7]]), states[None], rng.stream(0, "s"))
+    noise = m.obs_noise(rng.stream(0, "s"), 4)
+    assert noise.shape == (4, 0)
+    y = m.obs_sampler(np.array([[0.7]]), states[None], noise)
     np.testing.assert_allclose(y[0, :, 0], [-0.7, 0.7, 0.7, -0.7])
 
 
@@ -246,7 +249,7 @@ def test_two_state_alpha_stable():
     assert not oracle.has_closed_form(m)
     assert m.param_dim == 2
     y = m.obs_sampler(np.array([[1.0, 0.0]]), np.zeros((1, 8), dtype=np.int64),
-                      rng.stream(0, "s"))
+                      m.obs_noise(rng.stream(0, "s"), 8))
     assert y.shape == (1, 8, 1)
     np.testing.assert_allclose(m.initial_dist(np.array([1.0, 0.0])) @
                                m.transition_matrix(np.array([1.0, 0.0])),
@@ -264,19 +267,21 @@ def test_two_state_alpha_stable():
     ("two_state_alpha_stable", None),
 ])
 def test_obs_sampler_rows_equal_single_theta_calls(name, hyper):
-    # the batched contract: theta (G, d) and states (G, N) give (G, N,
-    # obs_dim), row g bit-identical to the G=1 call at theta[g] on the
-    # same stream, because the N noise values are drawn once per call
+    # the batched contract: theta (G, d), states (G, N) and one noise draw
+    # give (G, N, obs_dim), row g bit-identical to the G=1 call at
+    # theta[g] on the same noise, which no call writes into (it is
+    # read-only)
     m = builtin_model(name, hyper=hyper)
     g = rng.stream(1, "contract")
     thetas = g.uniform(m.theta_box[:, 0], m.theta_box[:, 1],
                        size=(4, m.param_dim))
     states = g.integers(0, m.n_states, size=(4, 50))
-    y = m.obs_sampler(thetas, states, rng.stream(2, "obs"))
+    noise = draw_noise(m, rng.stream(2, "obs"), 50)
+    assert not noise.flags.writeable
+    y = m.obs_sampler(thetas, states, noise)
     assert y.shape == (4, 50, m.obs_dim)
     for row in range(4):
-        one = m.obs_sampler(thetas[row:row + 1], states[row:row + 1],
-                            rng.stream(2, "obs"))
+        one = m.obs_sampler(thetas[row:row + 1], states[row:row + 1], noise)
         assert one.shape == (1, 50, m.obs_dim)
         assert y[row].tobytes() == one[0].tobytes()
 
@@ -284,10 +289,10 @@ def test_obs_sampler_rows_equal_single_theta_calls(name, hyper):
 def test_categorical_shared_uniforms_match_per_row_draws():
     probs = np.array([[0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.6, 0.0, 0.4],
                       [1.0, 0.0, 0.0]])
-    shared = sample_categorical_rows(probs, rng.stream(3, "u"), size=400)
-    assert shared.shape == (4, 400)
-    # every row inverts the same uniforms, drawn in order from the stream
     u = rng.stream(3, "u").random(400)
+    shared = sample_categorical_rows(probs, u)
+    assert shared.shape == (4, 400)
+    # every row inverts the same uniforms
     for r in range(4):
         own = np.searchsorted(np.cumsum(probs[r]), u, side="left")
         np.testing.assert_array_equal(shared[r], np.minimum(own, 2))

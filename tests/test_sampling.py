@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abchmm import rng, sampling
-from abchmm.models import PerturbationSpec, builtin_model, \
+from abchmm.models import PerturbationSpec, builtin_model, draw_noise, \
     sample_observations
 
 
@@ -138,7 +138,7 @@ def _reference_series(model, theta, reps, n, path_rng, obs_rng):
             states[r, t] = min(s, k - 1)
             law = cum[states[r, t]]
     obs = sample_observations(model, theta[None], states.reshape(1, -1),
-                              obs_rng)[0]
+                              draw_noise(model, obs_rng, reps * n))[0]
     return states, obs.reshape(reps, n, -1)
 
 

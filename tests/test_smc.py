@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abchmm import oracle, rng, sampling, smc
+from abchmm import estimate, oracle, rng, sampling, smc
 from abchmm.kernels import KERNELS, NORMS
 from abchmm.models import ModelSpec, PerturbationSpec, builtin_model
 
@@ -145,6 +146,42 @@ def test_non_finite_observation_rejected():
                                PerturbationSpec(epsilon=1.5), 64, seed=0)
 
 
+def _gauss_1d_model(fill=None):
+    """One state, observations theta + N(0, 1); with ``fill``, every 100th
+    particle's observation is ``fill`` instead."""
+    def obs_sampler(theta, states, noise):
+        y = theta[:, None, :1] + noise[None, :, None]
+        if fill is not None:
+            y[:, ::100] = fill
+        return y
+
+    return ModelSpec(
+        name="gauss_1d", param_dim=1, obs_dim=1,
+        theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
+        transition_matrix=lambda theta: np.ones((1, 1)),
+        initial_dist=lambda theta: np.ones(1),
+        obs_sampler=obs_sampler,
+        obs_noise=lambda g, size: g.standard_normal(size))
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "gaussian"])
+def test_nan_pseudo_observation_has_weight_zero(kernel):
+    # 1% of the particles emit NaN: they weigh nothing under either kernel,
+    # bit for bit as if they had landed far from every observation
+    data = sampling.simulate(_gauss_1d_model(), [0.5], 30, seed=2,
+                             with_hidden=False)
+    pert = PerturbationSpec(0.5, kernel)
+    nan, far = (smc.smc_abc_likelihood(_gauss_1d_model(fill), [0.5], data,
+                                       pert, 400, seed=8)
+                for fill in (np.nan, 1e6))
+    assert nan.collapsed_at is None
+    assert math.isfinite(nan.log_value) and math.isfinite(nan.se_proxy)
+    assert _bits(nan) == _bits(far)
+    clean = smc.smc_abc_likelihood(_gauss_1d_model(), [0.5], data, pert,
+                                   400, seed=8)
+    assert nan.log_value < clean.log_value
+
+
 def _gauss_2d_model():
     """One state, 2-D observations theta + N(0, I): the two ball norms
     differ here."""
@@ -153,8 +190,8 @@ def _gauss_2d_model():
         theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
         transition_matrix=lambda theta: np.ones((1, 1)),
         initial_dist=lambda theta: np.ones(1),
-        obs_sampler=lambda theta, states, g: theta[:, None, :1]
-        + g.standard_normal((states.shape[1], 2)))
+        obs_sampler=lambda theta, states, noise: theta[:, None, :1] + noise,
+        obs_noise=lambda g, size: g.standard_normal((size, 2)))
 
 
 def test_observation_dimension_mismatch_rejected():
@@ -178,8 +215,8 @@ def test_old_sampler_shape_rejected():
         theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
         transition_matrix=lambda theta: np.ones((1, 1)),
         initial_dist=lambda theta: np.ones(1),
-        obs_sampler=lambda theta, states, g: theta[0] + g.standard_normal(
-            (states.shape[0], 1)))
+        obs_sampler=lambda theta, states, noise: theta[0] + noise,
+        obs_noise=lambda g, size: g.standard_normal((size, 1)))
     with pytest.raises(ValueError, match="obs_sampler of model 'flat'"):
         smc.smc_abc_likelihood(model, [0.0], np.zeros(5),
                                PerturbationSpec(epsilon=1.0), 16, seed=0)
@@ -384,3 +421,115 @@ def test_each_call_derives_its_own_streams(stream_keys):
     assert len(stream_keys) == 3 * 2 * 25
     assert [_bits(e) for e in first] == [_bits(e) for e in second]
     assert _bits(single) == _bits(first[0])
+
+
+# ---------------------------------------------------------------------------
+# the replay of a particle fit's step draws
+
+
+def _noise_calls(model, calls):
+    """``model`` with an ``obs_noise`` that appends each call's size to
+    ``calls``."""
+    def obs_noise(g, size):
+        calls.append(size)
+        return model.obs_noise(g, size)
+    return dataclasses.replace(model, obs_noise=obs_noise)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every step-draw table made during the test."""
+    made = []
+
+    class Recorded(smc._StepStreams):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(smc, "_StepStreams", Recorded)
+    return made
+
+
+_FIT_MODEL = builtin_model("finite_gaussian")
+_FIT_DATA = sampling.simulate(_FIT_MODEL, [0.8], 40, seed=1, with_hidden=False)
+
+
+def _fit(model=_FIT_MODEL, **opts):
+    """A short golden-section particle fit (or ``opts``' method) of
+    ``_FIT_DATA``."""
+    opts = {"grid_points": 7, "sweeps": 1, "section_tol": 0.05, **opts}
+    return estimate.abc_mle(model, _FIT_DATA, PerturbationSpec(0.3),
+                            n_particles=300, seed=5, **opts)
+
+
+def _fit_bits(result):
+    return repr((result.theta_hat.to_list(), result.value, result.trace))
+
+
+def test_golden_fit_draws_each_step_at_most_twice(tables):
+    calls = []
+    fit = _fit(_noise_calls(_FIT_MODEL, calls))
+    assert fit.n_evaluations > 2
+    assert len(calls) <= 2 * _FIT_DATA.n
+    table, = tables
+    # every step two passes reached is kept; no derivation is repeated
+    assert table._kept and set(table._kept).isdisjoint(table._saved)
+    assert table.kept_bytes == sum(u.nbytes + noise.nbytes
+                                   for u, noise in table._kept.values())
+    assert _fit_bits(fit) == _fit_bits(_fit())
+
+
+def test_one_pass_tables_keep_no_arrays(tables, monkeypatch):
+    # a grid fit is one call; the public functions' tables die with the
+    # call, even one that passes over the steps once per chunk
+    calls = []
+    model = _noise_calls(_FIT_MODEL, calls)
+    _fit(model, method="grid")
+    assert len(calls) == _FIT_DATA.n
+    monkeypatch.setattr(smc, "_CHUNK_ELEMENTS", 2 * 300)   # chunks of 2 rows
+    smc.smc_abc_likelihood_batch(model, [[0.6], [0.8], [-0.8]], _FIT_DATA,
+                                 PerturbationSpec(1.0), 300, seed=5)
+    smc.smc_abc_likelihood(model, [0.8], _FIT_DATA, PerturbationSpec(1.0),
+                           300, seed=5)
+    assert len(calls) == 4 * _FIT_DATA.n
+    assert len(tables) == 3
+    for table in tables:
+        assert not table._kept and table.kept_bytes == 0
+
+
+def test_replay_budget_is_kept_and_moves_no_bit(tables, monkeypatch):
+    want = _fit_bits(_fit())
+    full = tables[-1].kept_bytes
+    step = 2 * 300 * 8          # one step's uniforms and noise
+    assert full == _FIT_DATA.n * step
+    for budget in (0, 10 * step + step // 2):
+        monkeypatch.setattr(smc, "_REPLAY_BYTES", budget)
+        calls = []
+        assert _fit_bits(_fit(_noise_calls(_FIT_MODEL, calls))) == want
+        assert tables[-1].kept_bytes == budget // step * step
+        # past the budget, every pass draws again
+        assert len(calls) > 2 * _FIT_DATA.n
+
+
+def test_transform_that_writes_into_its_noise_raises():
+    def obs_sampler(theta, states, noise):
+        noise *= 2.0            # would corrupt every later replay
+        return _FIT_MODEL.obs_sampler(theta, states, noise)
+
+    model = dataclasses.replace(_FIT_MODEL, obs_sampler=obs_sampler)
+    with pytest.raises(ValueError, match="read-only"):
+        _fit(model)
+    with pytest.raises(ValueError, match="read-only"):
+        smc.smc_abc_likelihood(model, [0.8], _FIT_DATA,
+                               PerturbationSpec(0.3), 300, seed=5)
+    with pytest.raises(ValueError, match="read-only"):
+        sampling.simulate(model, [0.8], 10, seed=1)
+
+
+def test_noise_of_the_wrong_length_is_named():
+    model = dataclasses.replace(
+        _FIT_MODEL, obs_noise=lambda g, size: g.standard_normal(size + 1))
+    with pytest.raises(ValueError, match="obs_noise of model "
+                       "'finite_gaussian' returned shape \\(301,\\)"):
+        smc.smc_abc_likelihood(model, [0.8], _FIT_DATA,
+                               PerturbationSpec(0.3), 300, seed=5)
