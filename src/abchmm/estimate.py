@@ -300,8 +300,7 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
     each value equals a fresh ``smc_abc_likelihood`` at the fit's stream
     key.
     """
-    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"),
-                                  replay=True)
+    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"))
 
     def batch(thetas):
         ests = smcmod._likelihood_batch(

@@ -562,6 +562,8 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
 
     def obs_sampler(theta, states, noise):
         sigma, delta = theta.T[:, :, None]
+        if np.any(sigma <= 0.0):
+            raise ValueError(f"sigma must be positive, got {sigma}")
         # sigma * (x + 0.0) + value + delta, in that order, has the bytes
         # of the one-theta sampler's (sigma * x + 0.0) + value + delta, as
         # sigma > 0

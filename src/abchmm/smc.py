@@ -47,9 +47,9 @@ Weeds worth knowing about:
   generator states.  The second pass (another chunk of the batch, or
   another call of the same particle fit, see ``estimate``) restores those
   states, which gives the same draws for about a tenth of the cost of a
-  derivation.  A particle fit's table also keeps the arrays that second
-  pass drew, read-only, up to a fixed budget, and every later pass reads
-  them without drawing at all.  One pass over the steps, as in a public
+  derivation.  The table also keeps the arrays that second pass drew,
+  read-only, up to a fixed budget, and every later pass reads them without
+  drawing at all.  One pass over the steps, as in a single-chunk public
   call below or a grid fit, keeps no arrays.
 * The filter's running sums per row (log value, variance proxy) are taken
   after the loop over steps, in step order: ``math.log`` of each step's
@@ -115,7 +115,7 @@ def _observations(data) -> np.ndarray:
 
 # entries of one (rows, N) step temporary in a chunk: 8 MB of float64
 _CHUNK_ELEMENTS = 1 << 20
-# bytes of step draws one particle fit's table may keep
+# bytes of step draws one table may keep
 _REPLAY_BYTES = 1 << 25
 
 
@@ -127,26 +127,28 @@ class _StepStreams:
     k)`` and ``rng.stream(seed, "obsdraw", k)``, draws from them and saves
     their fresh generator states.  The second pass restores those states
     into two reused generators, which then draw exactly what fresh
-    derivations would.  With ``replay`` the second pass also keeps the
-    arrays it drew, while the kept arrays stay within ``_REPLAY_BYTES``, and
-    later passes take them as they are; steps past the budget go on
-    restoring states.  The table fills as passes reach the steps, so a pass
-    that collapses early leaves the later steps to the first pass that gets
-    there.  Every array handed out is read-only.  A table serves one model
-    and one particle count, for one call of the public functions below
-    (without ``replay``) or for one particle fit (with it).
+    derivations would.  The second pass also keeps the arrays it drew, as
+    rows of one block per kind, with room for as many steps as the data
+    has or ``_REPLAY_BYTES`` holds, and later passes take them as they are;
+    steps past the budget go on restoring states.  The table fills as
+    passes reach the steps, so a pass that collapses early leaves the later
+    steps to the first pass that gets there.  Every array handed out is
+    read-only.  A table serves one model and one particle count, for one
+    call of the public functions below or for one particle fit.
     """
 
-    def __init__(self, seed: int, replay: bool = False):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.replay = replay
         self._saved = {}        # k -> the fresh generators' states
-        self._kept = {}         # k -> (uniforms, noise)
+        self._kept = {}         # k -> (uniforms, noise), rows of _rows
         self.kept_bytes = 0
+        self._rows = None       # the (slots, N) uniforms and noise arrays
         self._reused = None     # the generators the states go into
 
-    def draws(self, model: ModelSpec, k: int, n_particles: int):
-        """Step k's ``(uniforms, noise)``, each with N entries."""
+    def draws(self, model: ModelSpec, k: int, n_steps: int,
+              n_particles: int):
+        """Step k of ``n_steps``: its ``(uniforms, noise)``, each with N
+        entries."""
         kept = self._kept.get(k)
         if kept is not None:
             return kept
@@ -167,11 +169,24 @@ class _StepStreams:
         u = prop.random(n_particles)
         u.flags.writeable = False
         noise = draw_noise(model, obs, n_particles)
-        if saved is not None and self.replay \
-                and self.kept_bytes + u.nbytes + noise.nbytes <= _REPLAY_BYTES:
-            self._kept[k] = u, noise
-            self.kept_bytes += u.nbytes + noise.nbytes
-            del self._saved[k]
+        if saved is None:
+            return u, noise
+        if self._rows is None:
+            # two blocks, so that no kept array sits among the filter's
+            # temporaries and fragments the heap
+            slots = min(n_steps, _REPLAY_BYTES // (u.nbytes + noise.nbytes))
+            self._rows = (np.empty((slots,) + u.shape),
+                          np.empty((slots,) + noise.shape, noise.dtype))
+        i = len(self._kept)
+        if i == len(self._rows[0]):
+            return u, noise
+        self._rows[0][i] = u
+        self._rows[1][i] = noise
+        u, noise = self._rows[0][i], self._rows[1][i]
+        u.flags.writeable = noise.flags.writeable = False
+        self._kept[k] = u, noise
+        self.kept_bytes += u.nbytes + noise.nbytes
+        del self._saved[k]
         return u, noise
 
 
@@ -264,7 +279,7 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
     for k in range(n):
         m = live.size
         pred = (q[:, None, :] @ p)[:, 0]
-        u, noise = streams.draws(model, k, n_particles)
+        u, noise = streams.draws(model, k, n, n_particles)
         states = sample_categorical_rows(pred, u)
         diff = np.subtract(
             sample_observations(model, thetas, states, noise), obs[k],

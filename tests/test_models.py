@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from abchmm import oracle, rng
+from abchmm import oracle, rng, sampling, smc
 from abchmm.errors import ConfigError
 from abchmm.models import (ModelSpec, ParameterVector, PerturbationSpec,
                            builtin_model, check_transition, draw_noise,
@@ -254,6 +254,23 @@ def test_two_state_alpha_stable():
     np.testing.assert_allclose(m.initial_dist(np.array([1.0, 0.0])) @
                                m.transition_matrix(np.array([1.0, 0.0])),
                                m.initial_dist(np.array([1.0, 0.0])), atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_two_state_alpha_stable_needs_a_positive_sigma(sigma):
+    # a box may reach sigma <= 0; the transform refuses it, in a batch with
+    # good rows, in simulation and in the filter
+    m = builtin_model("two_state_alpha_stable", theta_box=[[-3, 5], [-3, 3]])
+    noise = m.obs_noise(rng.stream(0, "s"), 8)
+    states = np.zeros((2, 8), dtype=np.int64)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        m.obs_sampler(np.array([[1.0, 0.0], [sigma, 0.0]]), states, noise)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        sampling.simulate(m, [sigma, 0.0], 5, seed=1)
+    data = sampling.simulate(m, [1.0, 0.0], 5, seed=1, with_hidden=False)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        smc.smc_abc_likelihood(m, [sigma, 0.0], data, PerturbationSpec(0.5),
+                               50, seed=2)
 
 
 @pytest.mark.parametrize("name,hyper", [

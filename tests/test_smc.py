@@ -476,25 +476,51 @@ def test_golden_fit_draws_each_step_at_most_twice(tables):
     assert table._kept and set(table._kept).isdisjoint(table._saved)
     assert table.kept_bytes == sum(u.nbytes + noise.nbytes
                                    for u, noise in table._kept.values())
+    assert not any(a.flags.writeable for pair in table._kept.values()
+                   for a in pair)
     assert _fit_bits(fit) == _fit_bits(_fit())
 
 
-def test_one_pass_tables_keep_no_arrays(tables, monkeypatch):
-    # a grid fit is one call; the public functions' tables die with the
-    # call, even one that passes over the steps once per chunk
+def test_one_pass_tables_keep_no_arrays(tables):
+    # a grid fit, a single call and a one-chunk batch each pass over the
+    # steps once
     calls = []
     model = _noise_calls(_FIT_MODEL, calls)
     _fit(model, method="grid")
     assert len(calls) == _FIT_DATA.n
-    monkeypatch.setattr(smc, "_CHUNK_ELEMENTS", 2 * 300)   # chunks of 2 rows
     smc.smc_abc_likelihood_batch(model, [[0.6], [0.8], [-0.8]], _FIT_DATA,
                                  PerturbationSpec(1.0), 300, seed=5)
     smc.smc_abc_likelihood(model, [0.8], _FIT_DATA, PerturbationSpec(1.0),
                            300, seed=5)
-    assert len(calls) == 4 * _FIT_DATA.n
+    assert len(calls) == 3 * _FIT_DATA.n
     assert len(tables) == 3
     for table in tables:
         assert not table._kept and table.kept_bytes == 0
+
+
+def test_multi_chunk_batch_keeps_at_most_the_budget(tables, monkeypatch):
+    # each chunk of a public batch is one more pass over the steps: the
+    # second keeps its draws within the budget, and later chunks replay them
+    monkeypatch.setattr(smc, "_CHUNK_ELEMENTS", 300)    # one row a chunk
+    thetas = [[0.6], [0.8], [0.7], [0.9]]
+    pert = PerturbationSpec(1.0)
+    want = [_bits(smc.smc_abc_likelihood(_FIT_MODEL, th, _FIT_DATA, pert,
+                                         300, seed=5)) for th in thetas]
+    step = 2 * 300 * 8          # one step's uniforms and noise
+    for budget in (0, 10 * step + step // 2, smc._REPLAY_BYTES):
+        monkeypatch.setattr(smc, "_REPLAY_BYTES", budget)
+        calls = []
+        got = smc.smc_abc_likelihood_batch(
+            _noise_calls(_FIT_MODEL, calls), thetas, _FIT_DATA, pert, 300,
+            seed=5)
+        assert [_bits(e) for e in got] == want
+        assert not any(e.collapsed for e in got)
+        table = tables[-1]
+        assert table.kept_bytes <= budget
+        assert table.kept_bytes == min(budget // step, _FIT_DATA.n) * step
+        # the first two passes draw; the last two draw only past the budget
+        assert len(calls) == 2 * _FIT_DATA.n + 2 * (
+            _FIT_DATA.n - table.kept_bytes // step)
 
 
 def test_replay_budget_is_kept_and_moves_no_bit(tables, monkeypatch):
