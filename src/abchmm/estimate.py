@@ -39,7 +39,8 @@ whose initial simplex (its first d + 1 evaluations) all failed ends there:
 a simplex of equal infinite values has nowhere to go, and scipy's
 convergence test cannot pass on it, so the restart would wander to
 ``maxiter``.  Once one vertex is finite, scipy never builds an all-failed
-simplex again, so every other restart runs as before.
+simplex again, so every other restart runs as before.  Only a ``nelder_mead``
+fit loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
 
 from . import oracle, rng as rngmod, smc as smcmod
 from .errors import EstimationFailedError
@@ -235,6 +235,8 @@ def maximize(batch_objective, box, method: str = "grid_then_golden", *,
                     if rec.best_theta is not None:
                         current = rec.best_theta.copy()
     elif method == "nelder_mead":
+        # imported here, so that only a Nelder-Mead fit loads scipy.optimize
+        import scipy.optimize
         rs = rngmod.stream(seed, "nelder-mead-starts")
         for start in _lhs_starts(box, restarts, rs):
             evals, failures = len(rec.trace), rec.n_failures
@@ -395,7 +397,8 @@ def result_to_dict(result: EstimateResult) -> dict:
         "settings": {k: (v if isinstance(v, (int, float, str, bool, type(None)))
                          else str(v))
                      for k, v in result.settings.items()},
-        "trace": [{"theta": list(th), "value": _json_value(v), "se": se}
+        "trace": [{"theta": list(th), "value": _json_value(v),
+                   "se": _json_value(se)}
                   for th, v, se in result.trace],
     }
 

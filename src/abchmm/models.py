@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import kernels, stable
 from .errors import ConfigError
@@ -62,8 +61,9 @@ class ParameterVector:
                 f"{box.shape[0]} rows")
         if np.any(box[:, 0] >= box[:, 1]):
             raise ValueError("every box row must satisfy lo < hi")
-        if np.any(values < box[:, 0]) or np.any(values > box[:, 1]):
-            bad = int(np.argmax((values < box[:, 0]) | (values > box[:, 1])))
+        inside = (box[:, 0] <= values) & (values <= box[:, 1])  # False for NaN
+        if not inside.all():
+            bad = int(np.argmin(inside))
             raise ValueError(
                 f"parameter coordinate {bad} = {values[bad]} outside box "
                 f"[{box[bad, 0]}, {box[bad, 1]}]")
@@ -431,6 +431,9 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         return (_norm_pdf(z) / s).T
 
     def emission_interval_prob(theta, lo, hi):
+        # imported on the first call, not at import or construction: a
+        # particle fit builds this model but never needs scipy
+        from scipy.special import ndtr
         mu, s = mu_s(theta)
         zh = (hi[None, :] - mu[:, None]) / s
         zl = (lo[None, :] - mu[:, None]) / s
@@ -562,8 +565,8 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
 
     def obs_sampler(theta, states, noise):
         sigma, delta = theta.T[:, :, None]
-        if np.any(sigma <= 0.0):
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not np.all((sigma > 0.0) & (sigma < np.inf)):    # False for NaN
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         # sigma * (x + 0.0) + value + delta, in that order, has the bytes
         # of the one-theta sampler's (sigma * x + 0.0) + value + delta, as
         # sigma > 0

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import ModelSpec, PerturbationSpec, check_theta, is_law
 from .sampling import Trajectory, check_finite_obs
@@ -626,6 +625,8 @@ def brute_force_loglik(model: ModelSpec, theta, data,
     the forward recursion's scaling machinery, so it serves as an independent
     oracle for it.
     """
+    # imported here: this reference oracle is the module's only user of scipy
+    from scipy.special import logsumexp
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
     n, k = ys.shape[0], model.n_states

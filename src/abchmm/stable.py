@@ -69,8 +69,11 @@ def sample(alpha: float, beta: float, sigma, delta, size,
     the standard draws are made once and shared, so ``sigma`` (G, 1) with
     ``size`` N gives (G, N) with row g scaled by ``sigma[g]``.
     """
-    if np.any(np.asarray(sigma) <= 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    scale = np.asarray(sigma)
+    if not np.all((scale > 0.0) & (scale < np.inf)):    # False for NaN
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not np.all(np.isfinite(delta)):
+        raise ValueError(f"delta must be finite, got {delta}")
     x = standard(alpha, beta, size, rng)
     if alpha == 1.0:
         return sigma * x + delta + beta * (2.0 / np.pi) * sigma * np.log(sigma)

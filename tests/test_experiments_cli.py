@@ -401,6 +401,23 @@ def test_cli_estimate_out_file(tmp_path, capsys):
     assert abs(payload["theta_hat"][0] - 1.0) < 0.2
 
 
+def test_cli_estimate_json_is_strict(tmp_path, capsys):
+    # a collapsed evaluation's value and se are both written as strings
+    data = tmp_path / "series.csv"
+    assert run_cli(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+                    "--n", "60", "--seed", "4", "--out", str(data)]) == 0
+    out = tmp_path / "fit.json"
+    rc = run_cli(["estimate", "--model", "finite_gaussian", "--data", str(data),
+                  "--epsilon", "0.3", "--objective", "smc", "--n-particles",
+                  "500", "--seed", "2", "--out", str(out), "--json"])
+    assert rc == 0
+    for text in (capsys.readouterr().out.splitlines()[-1], out.read_text()):
+        trace = _strict_json(text)["trace"]
+        assert trace[0] == {"theta": [-3.0], "value": "-inf", "se": "inf"}
+        assert all(isinstance(e["se"], float) for e in trace
+                   if e["value"] != "-inf")
+
+
 def test_cli_fisher_json(capsys):
     rc = run_cli(["fisher", "--model", "finite_gaussian", "--theta", "0.8",
                   "--n", "40", "--replicates", "200", "--seed", "1",
@@ -409,6 +426,52 @@ def test_cli_fisher_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["epsilon"] == 0.3
     assert len(payload["matrix"]) == 1
+
+
+_COLD_START = """
+import json, sys
+from abchmm import (PerturbationSpec, abc_mle, builtin_model, cli, simulate,
+                    smc_abc_likelihood)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+stages = {}
+model, pert = builtin_model("finite_gaussian"), PerturbationSpec(0.3)
+data = simulate(model, [0.8], 40, seed=1, with_hidden=False)
+smc_abc_likelihood(model, [0.8], data, pert, 200, seed=2)
+stable = builtin_model("two_state_alpha_stable")
+smc_abc_likelihood(stable, [1.0, 0.0],
+                   simulate(stable, [1.0, 0.0], 20, seed=1, with_hidden=False),
+                   pert, 200, seed=2)
+abc_mle(model, data, pert, objective="smc", method="grid_then_golden",
+        grid_points=5, n_particles=200, seed=3)
+cli.main(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+          "--n", "20", "--seed", "4", "--out", sys.argv[1]])
+stages["particle"] = loaded()
+abc_mle(model, data, pert, objective="oracle", method="grid", grid_points=5)
+stages["oracle"] = loaded()
+abc_mle(model, data, pert, objective="oracle", method="nelder_mead",
+        restarts=1)
+stages["nelder_mead"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_only_closed_forms_and_nelder_mead_load_scipy(tmp_path, child_env):
+    # the particle path is forward simulation alone: importing the package,
+    # simulating, particle likelihoods, a particle fit and the simulate
+    # command load no scipy module; an exact emission loads scipy.special
+    # on its first call, and only Nelder-Mead loads scipy.optimize
+    r = subprocess.run([sys.executable, "-c", _COLD_START,
+                        str(tmp_path / "series.csv")],
+                       capture_output=True, text=True, env=child_env)
+    assert r.returncode == 0, r.stderr
+    stages = json.loads(r.stdout.splitlines()[-1])
+    assert stages["particle"] == []
+    assert "scipy.special" in stages["oracle"]
+    assert "scipy.optimize" not in stages["oracle"]
+    assert "scipy.optimize" in stages["nelder_mead"]
 
 
 def test_cli_experiment_env_thread_independence(tmp_path, child_env):

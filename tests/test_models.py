@@ -18,6 +18,8 @@ def test_parameter_vector_validation():
     ParameterVector([0.5], [[0.0, 1.0]])
     with pytest.raises(ValueError, match="outside box"):
         ParameterVector([1.5], [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="coordinate 1 = nan outside box"):
+        ParameterVector([0.5, math.nan], [[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="lo < hi"):
         ParameterVector([0.5], [[1.0, 0.0]])
 
@@ -256,19 +258,22 @@ def test_two_state_alpha_stable():
                                m.initial_dist(np.array([1.0, 0.0])), atol=1e-12)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
 def test_two_state_alpha_stable_needs_a_positive_sigma(sigma):
     # a box may reach sigma <= 0; the transform refuses it, in a batch with
-    # good rows, in simulation and in the filter
+    # good rows, in simulation and in the filter.  A NaN or infinite sigma
+    # reaches only a direct call of the transform: the box, which is finite,
+    # refuses it first everywhere else
     m = builtin_model("two_state_alpha_stable", theta_box=[[-3, 5], [-3, 3]])
     noise = m.obs_noise(rng.stream(0, "s"), 8)
     states = np.zeros((2, 8), dtype=np.int64)
-    with pytest.raises(ValueError, match="sigma must be positive"):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
         m.obs_sampler(np.array([[1.0, 0.0], [sigma, 0.0]]), states, noise)
-    with pytest.raises(ValueError, match="sigma must be positive"):
+    refused = "sigma must be positive" if sigma <= 0.0 else "outside box"
+    with pytest.raises(ValueError, match=refused):
         sampling.simulate(m, [sigma, 0.0], 5, seed=1)
     data = sampling.simulate(m, [1.0, 0.0], 5, seed=1, with_hidden=False)
-    with pytest.raises(ValueError, match="sigma must be positive"):
+    with pytest.raises(ValueError, match=refused):
         smc.smc_abc_likelihood(m, [sigma, 0.0], data, PerturbationSpec(0.5),
                                50, seed=2)
 

@@ -88,6 +88,12 @@ def test_parameter_validation():
         stable.sample(1.5, 1.5, 1.0, 0.0, 4, g)
     with pytest.raises(ValueError):
         stable.sample(1.5, 0.0, -1.0, 0.0, 4, g)
+    # NaN and infinite scales and locations are named, not drawn from
+    for sigma, delta, named in [(math.nan, 0.0, "sigma"), (math.inf, 0.0, "sigma"),
+                                (np.array([[1.0], [math.nan]]), 0.0, "sigma"),
+                                (1.0, math.nan, "delta"), (1.0, -math.inf, "delta")]:
+        with pytest.raises(ValueError, match=f"{named} must be .*finite"):
+            stable.sample(1.8, 0.0, sigma, delta, 3, g)
 
 
 def test_reproducible():
