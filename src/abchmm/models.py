@@ -25,6 +25,7 @@ the convolved density.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -129,16 +130,22 @@ class ModelSpec:
     """A finite-state hidden Markov model with optional tractable emissions.
 
     Emission callables are vectorized over observations: given ``theta`` and a
-    1-D array of ``n`` observation values they return an ``(n, K)`` array with
-    one column per latent state.  Jacobian callables return ``(d, n, K)``.
-    The results may be in any memory order.  The built-ins compute
-    state-major, on (K, n) and (d, K, n) arrays, and return their
-    transposed views, the layout the score kernel reads fastest; a C-ordered
-    result costs it one copy.  All of them are optional; samplers alone
-    support simulation and particle-based likelihood work.  Scores
-    differentiate a missing emission Jacobian, ``transition_matrix`` and
-    ``initial_dist`` by central differences, which are exactly zero for a
-    law that ``theta`` leaves fixed.
+    1-D array of ``n`` observation values, ``emission_density``,
+    ``emission_interval_prob`` and ``emission_smooth_density`` return an
+    ``(n, K)`` array of weights with one column per latent state.  Each
+    ``*_jac`` callable takes the same arguments and returns the pair
+    ``(weights, jacobian)``: those (n, K) weights and their parameter
+    Jacobian ``(d, n, K)``, computed together.  The score kernel makes one
+    ``*_jac`` call per block of observations; the forward recursions call
+    the weights alone.  The results may be in any memory order.  The
+    built-ins compute state-major, on (K, n) and (d, K, n) arrays, and
+    return their transposed views, the layout the score kernel reads
+    fastest; a C-ordered result costs it one copy.  All of them are
+    optional; samplers alone support simulation and particle-based
+    likelihood work.  Scores take a model without a ``*_jac`` callable
+    through central differences of its weights, and differentiate
+    ``transition_matrix`` and ``initial_dist`` the same way, which gives
+    exact zeros for a law that ``theta`` leaves fixed.
 
     ``initial_dist`` is the law of the latent state *before* the first
     observation: the first observed state has law ``initial_dist @ P``.
@@ -360,11 +367,47 @@ def _initial_from_hyper(hyper: dict, transition: Array) -> Array:
     return init
 
 
+# Arguments past which a result is known exactly: the true value is beyond
+# double precision, so any correct ndtr rounds to 1.0 at and above
+# _NDTR_ONE and to 0.0 at and below _NDTR_ZERO, and exp(-z^2 / 2)
+# underflows to 0.0 for |z| >= 39, an exponent of _EXP_ZERO or less.  Such
+# entries take the constant instead of a full ndtr or exp's slow underflow
+# path.
+_NDTR_ONE, _NDTR_ZERO = 9.0, -40.0
+_EXP_ZERO = -0.5 * 39.0 ** 2
+
+
+def _ndtr(x: Array, out: Array) -> Array:
+    """scipy's ``ndtr(x)``, written into ``out`` (which may be ``x``).
+    Only entries strictly between _NDTR_ZERO and _NDTR_ONE are evaluated;
+    a block without a saturated entry costs one min/max check more."""
+    # imported on the first call, not at import or construction: a
+    # particle fit builds finite_gaussian but never needs scipy
+    from scipy.special import ndtr
+    if _NDTR_ZERO < x.min(initial=math.inf) \
+            and x.max(initial=-math.inf) < _NDTR_ONE:     # False for NaN
+        return ndtr(x, out=out)
+    one = x >= _NDTR_ONE
+    live = np.flatnonzero(~(one | (x <= _NDTR_ZERO)))
+    vals = ndtr(x.take(live))
+    np.copyto(out, one)
+    out.put(live, vals)
+    return out
+
+
 def _norm_pdf(z: Array, out: Array | None = None) -> Array:
-    """Standard normal density at ``z``, written into ``out`` when given."""
+    """Standard normal density at ``z``, written into ``out`` when given.
+    An entry of |z| >= 39 takes 0.0, the value exp underflows to there; a
+    block without one costs one min check more."""
     out = np.multiply(-0.5, z, out=out)
     out *= z
-    np.exp(out, out=out)
+    if out.min(initial=0.0) <= _EXP_ZERO:       # False for NaN
+        live = np.flatnonzero(~(out <= _EXP_ZERO))
+        vals = np.exp(out.take(live))
+        out.fill(0.0)
+        out.put(live, vals)
+    else:
+        np.exp(out, out=out)
     out /= math.sqrt(2.0 * math.pi)
     return out
 
@@ -386,9 +429,14 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         raise ConfigError("hyper key 'mu_coeff' must have one entry per state")
     if mode == "scale" and mu_fixed.shape != (k,):
         raise ConfigError("hyper key 'mu' must have one entry per state")
+    for key, value in (("mu_coeff", coeff), ("mu", mu_fixed)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"hyper key '{key}' must hold finite numbers, "
+                              f"got {value.tolist()}")
     sigma_fixed = float(hyper["sigma"])
-    if sigma_fixed <= 0:
-        raise ConfigError("hyper key 'sigma' must be positive")
+    if not 0.0 < sigma_fixed < math.inf:        # False for NaN
+        raise ConfigError(f"hyper key 'sigma' must be positive and finite, "
+                          f"got {sigma_fixed}")
     initial = _initial_from_hyper(hyper, transition)
 
     if mode == "mean":
@@ -425,54 +473,60 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
     # arrays, so each elementwise op runs over the n observations of one
     # state, and return the transposed (n, K) and (d, n, K) views.
 
-    def emission_density(theta, ys):
-        mu, s = mu_s(theta)
-        z = (ys[None, :] - mu[:, None]) / s
-        return (_norm_pdf(z) / s).T
-
-    def emission_interval_prob(theta, lo, hi):
-        # imported on the first call, not at import or construction: a
-        # particle fit builds this model but never needs scipy
-        from scipy.special import ndtr
-        mu, s = mu_s(theta)
-        zh = (hi[None, :] - mu[:, None]) / s
-        zl = (lo[None, :] - mu[:, None]) / s
-        # above the mean, Phi(zh) - Phi(zl) cancels to 0; there the equal
-        # difference of upper tails, Phi(-zl) - Phi(-zh), keeps its digits
-        upper = zl > 0.0
-        return (ndtr(np.where(upper, -zl, zh))
-                - ndtr(np.where(upper, -zh, zl))).T
-
-    def emission_smooth_density(theta, ys, sd):
-        mu, s = mu_s(theta)
-        s_eff = math.sqrt(s * s + sd * sd)
-        z = (ys[None, :] - mu[:, None]) / s_eff
-        return (_norm_pdf(z) / s_eff).T
-
     # Parameter Jacobians.  With f the N(mu, s^2) density and z = (y - mu)/s:
     #   df/dmu = f z / s,     df/ds = f (z^2 - 1) / s
     # and for the interval probability I = Phi(zh) - Phi(zl):
     #   dI/dmu = -(pdf(zh) - pdf(zl)) / s,  dI/ds = -(pdf(zh) zh - pdf(zl) zl)/s.
+    # One body per channel serves the weights alone and, with jac=True, the
+    # pair (weights, Jacobian) from the same z-scores and densities.
 
-    def emission_density_jac(theta, ys):
+    def density(theta, ys, sd=None, jac=False):
+        """The emission density at ``ys``, convolved with N(0, sd^2) when
+        ``sd`` is given (the sd becomes s_eff = sqrt(s^2 + sd^2), and ds_eff
+        /ds = s / s_eff)."""
         mu, s = mu_s(theta)
-        z = (ys[None, :] - mu[:, None]) / s
-        f = _norm_pdf(z) / s
-        rows = []
+        s_eff = s if sd is None else math.sqrt(s * s + sd * sd)
+        z = (ys[None, :] - mu[:, None]) / s_eff
+        f = _norm_pdf(z)
+        f /= s_eff
+        if not jac:
+            return f.T
+        out = np.empty((d, *z.shape))
         if mode in ("mean", "mean_scale"):
-            rows.append(f * z / s * coeff[:, None])
+            np.multiply(f, z, out=out[0])
+            out[0] /= s_eff
+            out[0] *= coeff[:, None]
         if mode in ("scale", "mean_scale"):
-            rows.append(f * (z * z - 1.0) / s)
-        return np.stack(rows).transpose(0, 2, 1)
+            np.multiply(z, z, out=out[-1])
+            out[-1] -= 1.0
+            out[-1] *= f
+            out[-1] /= s_eff
+            if sd is not None:
+                out[-1] *= s / s_eff
+        return f.T, out.transpose(0, 2, 1)
 
-    def emission_interval_prob_jac(theta, lo, hi):
-        # written by in-place ops into one (d, K, n) array, in the order of
-        # the formulas above: pdf(zh) goes into the first row and pdf(zl)
-        # into zh once zh is spent, so zh and zl are the only temporaries
+    def interval(theta, lo, hi, jac=False):
         mu, s = mu_s(theta)
         zh = (hi[None, :] - mu[:, None]) / s
         zl = (lo[None, :] - mu[:, None]) / s
-        out = np.empty((d, *zh.shape))
+        # above the mean, Phi(zh) - Phi(zl) cancels to 0; there the equal
+        # difference of upper tails, Phi(-zl) - Phi(-zh), keeps its digits.
+        # Both are |Phi(t zh) - Phi(t zl)| with t = -1 where zl > 0 and 1
+        # elsewhere, bit for bit: scaling by t is exact.  t lives in the
+        # Jacobian's last row until the Jacobian is written, and t zh in zh
+        # when the Jacobian does not need zh
+        out = np.empty((d if jac else 1, *zh.shape))
+        t = np.multiply(zl > 0.0, -2.0, out=out[-1])
+        t += 1.0
+        w = np.multiply(zh, t, out=None if jac else zh)
+        _ndtr(w, out=w)
+        w -= _ndtr(np.multiply(zl, t, out=t), out=t)
+        np.abs(w, out=w)
+        if not jac:
+            return w.T
+        # written by in-place ops into one (d, K, n) array, in the order of
+        # the formulas above: pdf(zh) goes into the first row and pdf(zl)
+        # into zh once zh is spent
         ph = _norm_pdf(zh, out=out[0])
         if mode in ("scale", "mean_scale"):
             np.multiply(ph, zh, out=out[-1])
@@ -487,19 +541,7 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
             np.negative(out[0], out=out[0])
             out[0] /= s
             out[0] *= coeff[:, None]
-        return out.transpose(0, 2, 1)
-
-    def emission_smooth_density_jac(theta, ys, sd):
-        mu, s = mu_s(theta)
-        s_eff = math.sqrt(s * s + sd * sd)
-        z = (ys[None, :] - mu[:, None]) / s_eff
-        f = _norm_pdf(z) / s_eff
-        rows = []
-        if mode in ("mean", "mean_scale"):
-            rows.append(f * z / s_eff * coeff[:, None])
-        if mode in ("scale", "mean_scale"):
-            rows.append(f * (z * z - 1.0) / s_eff * (s / s_eff))
-        return np.stack(rows).transpose(0, 2, 1)
+        return w.T, out.transpose(0, 2, 1)
 
     box = np.asarray(default_box if theta_box is None else theta_box, dtype=float)
     return ModelSpec(
@@ -513,12 +555,12 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
         obs_noise=obs_noise,
-        emission_density=emission_density,
-        emission_interval_prob=emission_interval_prob,
-        emission_smooth_density=emission_smooth_density,
-        emission_density_jac=emission_density_jac,
-        emission_interval_prob_jac=emission_interval_prob_jac,
-        emission_smooth_density_jac=emission_smooth_density_jac,
+        emission_density=functools.partial(density, sd=None),
+        emission_interval_prob=interval,
+        emission_smooth_density=density,
+        emission_density_jac=functools.partial(density, sd=None, jac=True),
+        emission_interval_prob_jac=functools.partial(interval, jac=True),
+        emission_smooth_density_jac=functools.partial(density, jac=True),
     )
 
 
@@ -555,7 +597,12 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
 def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
     hyper = _merge_hyper("two_state_alpha_stable", _TWO_STATE_STABLE_DEFAULTS, hyper)
     alpha = float(hyper["alpha"])
+    if not 0.0 < alpha <= 2.0:                  # False for NaN
+        raise ConfigError(f"hyper key 'alpha' must lie in (0, 2], got {alpha}")
     values = np.asarray(hyper["state_values"], dtype=float)
+    if values.shape != (2,) or not np.all(np.isfinite(values)):
+        raise ConfigError(f"hyper key 'state_values' must be two finite "
+                          f"numbers, got {values.tolist()}")
     transition = check_transition(np.asarray(hyper["transition"], dtype=float))
     initial = _initial_from_hyper(hyper, transition)
 

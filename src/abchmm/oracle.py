@@ -80,24 +80,27 @@ def as_obs_1d(data) -> Array:
 
 
 def _emission_fns(model: ModelSpec, pert: PerturbationSpec | None):
-    """The model's ``(theta, ys) -> (n, K)`` emission weight and Jacobian
-    callables for ``pert``; None where the model lacks the closed form."""
+    """The model's ``(theta, ys) -> (n, K)`` emission weight callable for
+    ``pert`` and its ``(theta, ys) -> (weights, (d, n, K) Jacobian)`` pair;
+    None where the model lacks the closed form."""
     if pert is None or pert.is_exact:
         return model.emission_density, model.emission_density_jac
     if model.obs_dim != 1:
         return None, None
     eps = pert.epsilon
     if pert.kernel == "uniform":
-        pair = (model.emission_interval_prob, model.emission_interval_prob_jac)
+        fns = (model.emission_interval_prob, model.emission_interval_prob_jac)
 
         def weight(f):
             return lambda theta, ys: f(theta, ys - eps, ys + eps)
-    else:
-        pair = (model.emission_smooth_density, model.emission_smooth_density_jac)
+        return tuple(None if f is None else weight(f) for f in fns)
+    f, f_jac = model.emission_smooth_density, model.emission_smooth_density_jac
 
-        def weight(f):
-            return lambda theta, ys: eps * f(theta, ys, eps)
-    return tuple(None if f is None else weight(f) for f in pair)
+    def pair(theta, ys):
+        w, jac = f_jac(theta, ys, eps)
+        return eps * w, eps * jac
+    return (None if f is None else lambda theta, ys: eps * f(theta, ys, eps),
+            None if f_jac is None else pair)
 
 
 def has_closed_form(model: ModelSpec, pert: PerturbationSpec | None = None) -> bool:
@@ -478,9 +481,10 @@ def _laws_and_jac(model: ModelSpec, theta: Array):
 def _emissions_and_jac(model, theta, obs, pert):
     """Emission weights (n, K, R) of a batch of series ``obs`` (R, n) and
     their Jacobian (n, d, K, R), time-major for :func:`_forward_segment`:
-    analytic when the model registers one, central differences otherwise.
+    one call of the model's ``*_jac`` pair per block when it registers one,
+    the weights and their central differences otherwise.
 
-    The model's callables return (d, m, K) and (m, K) arrays in any memory
+    The model's callables return (m, K) and (d, m, K) arrays in any memory
     order.  They run on blocks of whole steps, about ``_BLOCK_ENTRIES``
     observations each (one step at least), and each block is read through
     its state-major transpose into the outputs, so neither their results
@@ -491,21 +495,21 @@ def _emissions_and_jac(model, theta, obs, pert):
     """
     r, n = obs.shape
     d, k = theta.shape[0], model.n_states
-    jac = _emission_fns(model, pert)[1]
-    if jac is None:
-        def jac(th, ys):
-            return _central_diff(
-                lambda t: emission_matrix(model, t, ys, pert), th)
+    pair = _emission_fns(model, pert)[1]
+    if pair is None:
+        def pair(th, ys):
+            return (emission_matrix(model, th, ys, pert), _central_diff(
+                lambda t: emission_matrix(model, t, ys, pert), th))
     e = np.empty((n, k, r))
     de = np.empty((n, d, k, r))
     block = max(1, _BLOCK_ENTRIES // max(r, 1))
     for s in range(0, n, block):
         b = min(block, n - s)
-        ys = obs[:, s:s + b].T.reshape(-1)
-        de[s:s + b] = jac(theta, ys).transpose(0, 2, 1) \
+        w, jac = pair(theta, obs[:, s:s + b].T.reshape(-1))
+        de[s:s + b] = jac.transpose(0, 2, 1) \
             .reshape(d, k, b, r).transpose(2, 0, 1, 3)
-        e[s:s + b] = emission_matrix(model, theta, ys, pert).T \
-            .reshape(k, b, r).transpose(1, 0, 2)
+        e[s:s + b] = w.T.reshape(k, b, r).transpose(1, 0, 2)
+        del w, jac      # no block outlives its copy into the outputs
     return e, de
 
 

@@ -226,9 +226,9 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`.
 
     A missing sidecar is tolerated: metadata comes back as unknown (None
-    fields) with a warning.  A file that does not parse, or is not UTF-8
-    text, raises a ``ValueError`` that names it, and the line where one
-    applies.
+    fields) with a warning.  A file that does not parse, is not UTF-8
+    text, or (the sidecar) holds JSON other than an object, raises a
+    ``ValueError`` that names it, and the line where one applies.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf8") as fh:
@@ -260,6 +260,9 @@ def load_trajectory(path) -> Trajectory:
                 meta = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{sidecar}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(
+                f"{sidecar}: trajectory metadata must be a JSON object")
     else:
         warnings.warn(f"no metadata sidecar next to {path}; "
                       "meta reconstructed as unknown")

@@ -375,6 +375,18 @@ def test_cli_bad_data_path_exits_2(tmp_path, capsys, content, where):
     assert err.startswith("error: ") and str(named) in err and where in err
 
 
+def test_cli_estimate_names_a_sidecar_that_is_not_an_object(tmp_path, capsys):
+    data = tmp_path / "s.csv"
+    data.write_text("t,y_1\r\n0,0.5\r\n1,0.25\r\n", newline="")
+    data.with_suffix(".json").write_text("[1, 2]")
+    rc = run_cli(["estimate", "--model", "finite_gaussian", "--data",
+                  str(data), "--epsilon", "0.5", "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 's.json'}: trajectory metadata must be a JSON "
+        "object\n")
+
+
 def test_cli_out_into_missing_dir_exits_2(tmp_path, capsys):
     missing = tmp_path / "no" / "such"
     assert run_cli(["simulate", "--model", "finite_gaussian", "--theta",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from abchmm import oracle, rng, sampling, smc
+from abchmm import models, oracle, rng, sampling, smc
 from abchmm.errors import ConfigError
 from abchmm.models import (ModelSpec, ParameterVector, PerturbationSpec,
                            builtin_model, check_transition, draw_noise,
@@ -151,16 +151,16 @@ def _fd_jac(fn, theta, h=1e-6):
 def test_emission_jacobians_vs_fd(gauss2):
     theta = np.array([0.6, 0.9])
     ys = np.array([-1.1, 0.2, 1.4])
-    jac = gauss2.emission_density_jac(theta, ys)
+    _, jac = gauss2.emission_density_jac(theta, ys)
     fd = _fd_jac(lambda t: gauss2.emission_density(t, ys), theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
     lo, hi = ys - 0.3, ys + 0.3
-    jac = gauss2.emission_interval_prob_jac(theta, lo, hi)
+    _, jac = gauss2.emission_interval_prob_jac(theta, lo, hi)
     fd = _fd_jac(lambda t: gauss2.emission_interval_prob(t, lo, hi), theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
-    jac = gauss2.emission_smooth_density_jac(theta, ys, 0.25)
+    _, jac = gauss2.emission_smooth_density_jac(theta, ys, 0.25)
     fd = _fd_jac(lambda t: gauss2.emission_smooth_density(t, ys, 0.25), theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
@@ -190,8 +190,96 @@ def test_interval_prob_jacobian_bytes_match_formulas(mode):
         rows.append(-(ph - pl) / s * coeff[None, :])
     if mode != "mean":
         rows.append(-(ph * zh - pl * zl) / s)
-    assert np.array_equal(model.emission_interval_prob_jac(theta, lo, hi),
+    assert np.array_equal(model.emission_interval_prob_jac(theta, lo, hi)[1],
                           np.stack(rows))
+
+
+def test_saturation_constants_are_what_ndtr_and_exp_give():
+    # a dense scan past each threshold, out to the largest doubles: ndtr is
+    # exactly 1.0 at and above 9 and exactly 0.0 at and below -40, and the
+    # density exactly 0.0 for |z| >= 39, so taking the constant there
+    # changes no bit
+    from scipy.special import ndtr
+    past = np.concatenate([np.linspace(0.0, 1e3, 400_001),
+                           np.geomspace(1e3, 1e300, 2000), [np.inf]])
+    assert np.all(ndtr(9.0 + past) == 1.0)
+    assert np.all(ndtr(-40.0 - past) == 0.0)
+    z = np.append(39.0 + past[past < 1e150], np.inf)   # z * z stays finite
+    assert np.all(models._norm_pdf(z) == 0.0)
+    assert np.all(models._norm_pdf(-z) == 0.0)
+    # just inside the density's threshold the value is still subnormal
+    assert models._norm_pdf(np.array([-38.5, 38.5])).min() > 0.0
+
+
+def _old_norm_pdf(z):
+    """The density as written before saturation: every entry through exp."""
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _old_weights_and_jac(mode, channel, coeff, theta, ys, eps):
+    """The emission weights (K, n) and Jacobian (d, K, n) by the formulas
+    each callable had before the pair: ndtr of two ``np.where`` selections
+    and an unsaturated density."""
+    from scipy.special import ndtr
+    mu = np.array([-1.0, 0.0, 2.0]) if mode == "scale" else coeff * theta[0]
+    s = 1.0 if mode == "mean" else theta[-1]
+    mu = mu[:, None]
+    rows = []
+    if channel == "emission_interval_prob":
+        zh = (ys + eps - mu) / s
+        zl = (ys - eps - mu) / s
+        upper = zl > 0.0
+        w = ndtr(np.where(upper, -zl, zh)) - ndtr(np.where(upper, -zh, zl))
+        ph, pl = _old_norm_pdf(zh), _old_norm_pdf(zl)
+        if mode != "scale":
+            rows.append(-(ph - pl) / s * coeff[:, None])
+        if mode != "mean":
+            rows.append(-(ph * zh - pl * zl) / s)
+        return w, np.stack(rows)
+    s_eff = s if channel == "emission_density" else math.sqrt(s * s + eps * eps)
+    z = (ys - mu) / s_eff
+    f = _old_norm_pdf(z) / s_eff
+    if mode != "scale":
+        rows.append(f * z / s_eff * coeff[:, None])
+    if mode != "mean":
+        ds = f * (z * z - 1.0) / s_eff
+        rows.append(ds if channel == "emission_density" else ds * (s / s_eff))
+    return f, np.stack(rows)
+
+
+@pytest.mark.parametrize("channel", ["emission_density",
+                                     "emission_interval_prob",
+                                     "emission_smooth_density"])
+@pytest.mark.parametrize("mode", ["mean", "scale", "mean_scale"])
+def test_weights_and_jacobian_pair_bytes_match_old_formulas(mode, channel):
+    # |z| from 0 to 1e3, on both sides of every mean: past 9, -40 and 39
+    # the saturated constants stand in for ndtr and exp, and the upper-tail
+    # flip is |ndtr(t zh) - ndtr(t zl)|; the weights-only callable, the
+    # pair's weights and the old formulas agree bit for bit, and so do the
+    # pair's Jacobian and the old one
+    coeff = np.array([-1.3, 0.2, 0.7])
+    model = builtin_model("finite_gaussian", hyper={
+        "param": mode, "n_states": 3, "mu_coeff": coeff.tolist(),
+        "mu": [-1.0, 0.0, 2.0],
+        "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]})
+    theta = np.array({"mean": [0.6], "scale": [0.9],
+                      "mean_scale": [0.6, 0.9]}[mode])
+    gen = np.random.default_rng(17)
+    mag = np.concatenate([np.geomspace(1e-3, 1e3, 3000),
+                          gen.uniform(0.0, 60.0, 3000),
+                          np.linspace(8.0, 10.0, 500),
+                          np.linspace(36.0, 42.0, 500)])
+    ys = gen.permutation(np.concatenate([mag, -mag]))
+    for eps in (0.3, 4.0, 100.0):
+        args = {"emission_density": (ys,),
+                "emission_interval_prob": (ys - eps, ys + eps),
+                "emission_smooth_density": (ys, eps)}[channel]
+        weights = getattr(model, channel)(theta, *args)
+        pair_w, pair_j = getattr(model, channel + "_jac")(theta, *args)
+        old_w, old_j = _old_weights_and_jac(mode, channel, coeff, theta, ys,
+                                            eps)
+        assert weights.tobytes() == pair_w.tobytes() == old_w.T.tobytes()
+        assert pair_j.tobytes() == old_j.transpose(0, 2, 1).tobytes()
 
 
 def test_perturbed_density_is_interval_prob(gauss2):
@@ -329,6 +417,33 @@ def test_unknown_hyper_key_named():
         builtin_model("finite_gaussian", hyper={"sigmaa": 2.0})
 
 
+@pytest.mark.parametrize("name, hyper, key", [
+    ("finite_gaussian", {"sigma": math.nan}, "sigma"),
+    ("finite_gaussian", {"sigma": math.inf}, "sigma"),
+    ("finite_gaussian", {"sigma": -1.0}, "sigma"),
+    ("finite_gaussian", {"mu_coeff": [math.nan, 1.0]}, "mu_coeff"),
+    ("finite_gaussian", {"param": "mean_scale", "mu_coeff": [-1.0, math.inf]},
+     "mu_coeff"),
+    ("finite_gaussian", {"param": "scale", "mu": [math.nan, 1.0]}, "mu"),
+    ("finite_gaussian", {"param": "scale", "mu": [-math.inf, 1.0]}, "mu"),
+    ("two_state_alpha_stable", {"state_values": [math.nan, 1.0]},
+     "state_values"),
+    ("two_state_alpha_stable", {"state_values": [-1.0, math.inf]},
+     "state_values"),
+    ("two_state_alpha_stable", {"state_values": [-1.0, 0.0, 1.0]},
+     "state_values"),
+    ("two_state_alpha_stable", {"alpha": 2.5}, "alpha"),
+    ("two_state_alpha_stable", {"alpha": 0.0}, "alpha"),
+    ("two_state_alpha_stable", {"alpha": math.nan}, "alpha"),
+])
+def test_bad_hyper_value_named_at_construction(name, hyper, key):
+    # a NaN or infinite hyperparameter is refused when the model is built;
+    # it would otherwise come back as NaN observations or a NaN (or, for
+    # the stable model's particle likelihood, a plausible) log-likelihood
+    with pytest.raises(ConfigError, match=f"hyper key '{key}'"):
+        builtin_model(name, hyper=hyper)
+
+
 def test_unknown_model_named():
     with pytest.raises(ConfigError, match="no_such"):
         builtin_model("no_such")
@@ -427,6 +542,8 @@ def test_emission_callable_bytes_are_pinned(mode):
             "emission_smooth_density": (ys, 0.25)}
     for name, digest in _EMISSION_PINS[mode].items():
         got = getattr(model, name)(theta, *args[name.removesuffix("_jac")])
+        if name.endswith("_jac"):       # the pin is the pair's Jacobian
+            got = got[1]
         want = (len(theta), 61, 3) if name.endswith("_jac") else (61, 3)
         assert got.shape == want, name
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest, name

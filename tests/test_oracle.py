@@ -825,9 +825,14 @@ _EMISSION_CALLABLES = (
 
 def _c_ordered(model):
     """``model`` with every emission callable returning a C-ordered copy of
-    the built-in's result."""
+    the built-in's result, or of each array of a ``*_jac`` pair."""
     def wrap(f):
-        return lambda *args: np.ascontiguousarray(f(*args))
+        def c_ordered(*args):
+            got = f(*args)
+            if isinstance(got, tuple):
+                return tuple(np.ascontiguousarray(a) for a in got)
+            return np.ascontiguousarray(got)
+        return c_ordered
 
     return dataclasses.replace(model, **{
         name: wrap(getattr(model, name)) for name in _EMISSION_CALLABLES

@@ -103,6 +103,19 @@ def test_missing_sidecar_warns(model, tmp_path):
     assert back.meta["seed"] is None and back.meta["model"] is None
 
 
+@pytest.mark.parametrize("meta", ["[1, 2]", "3", '"seed"', "null"])
+def test_sidecar_that_is_not_an_object_is_named(model, tmp_path, meta):
+    # valid JSON that is not an object is no metadata: a ValueError naming
+    # the sidecar, not an AttributeError from deep inside
+    path = sampling.save_trajectory(
+        sampling.simulate(model, [0.5], 8, seed=9), tmp_path / "t.csv")
+    (tmp_path / "t.json").write_text(meta)
+    with pytest.raises(ValueError) as info:
+        sampling.load_trajectory(path)
+    assert str(info.value) == (f"{tmp_path / 't.json'}: trajectory metadata "
+                               "must be a JSON object")
+
+
 def test_raw_array_trajectory():
     t = sampling.Trajectory(observations=np.arange(6.0).reshape(3, 2))
     assert t.observations.shape == (3, 2)
