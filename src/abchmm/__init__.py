@@ -22,7 +22,7 @@ from .models import (ModelSpec, ParameterVector, PerturbationSpec,
                      builtin_model, load_model_config, stationary_dist)
 from .oracle import (brute_force_loglik, exact_smc_target, filter_tv_forgetting,
                      forward_filter, forward_loglik, forward_loglik_grid,
-                     forward_score, iid_abc_log_likelihood)
+                     forward_score)
 from .rng import derive_seed, stream
 from .sampling import (Trajectory, apply_summary, load_trajectory, noisify,
                        save_trajectory, simulate)
@@ -43,7 +43,7 @@ __all__ = [
     "load_model_config", "stationary_dist",
     "brute_force_loglik", "exact_smc_target", "filter_tv_forgetting",
     "forward_filter", "forward_loglik", "forward_loglik_grid",
-    "forward_score", "iid_abc_log_likelihood",
+    "forward_score",
     "derive_seed", "stream",
     "Trajectory", "apply_summary", "load_trajectory", "noisify",
     "save_trajectory", "simulate",

@@ -164,7 +164,9 @@ class ModelSpec:
     row reads the same noise, so the particle filter runs a whole batch of
     candidate parameters on one set of draws (common random numbers), and a
     particle fit draws each step's noise once or twice and replays it.  The
-    noise is read-only: a transform that writes into it raises.
+    states and the noise are read-only: a transform that writes into either
+    raises.  Nor may it keep them: the filter draws each step's states into
+    one buffer.
     Simulation calls the transform with G=1.
 
     Construction (``dataclasses.replace`` too) raises a ``ValueError``
@@ -277,20 +279,24 @@ def stationary_dist(p: Array) -> Array:
     return pi / pi.sum()
 
 
-def sample_categorical_rows(probs: Array, u: Array) -> Array:
+def sample_categorical_rows(probs: Array, u: Array,
+                            out: Array | None = None) -> Array:
     """Categorical draws from every row of ``probs`` (R, K) by inversion of
-    the uniforms ``u`` (size,), which every row shares: the result (R, size).
+    the uniforms ``u`` (size,), which every row shares: the result (R, size),
+    written into ``out`` (an int64 (R, size) array) when given.
 
     Entry (r, i) is the number of entries of row r's cumulative sum below
     ``u[i]``, capped at K - 1.
     """
     cum = np.cumsum(probs, axis=1)
+    if out is None:
+        out = np.empty((cum.shape[0], u.size), dtype=np.int64)
     if cum.shape[1] == 1:
-        return np.zeros((cum.shape[0], u.size), dtype=np.int64)
+        out.fill(0)
+        return out
     # the cumulative sum is nondecreasing, so counting the first K - 1
     # entries below u is the full count capped at K - 1
-    idx = np.less(cum[:, 0, None], u,
-                  out=np.empty((cum.shape[0], u.size), dtype=np.int64))
+    idx = np.less(cum[:, 0, None], u, out=out)
     for j in range(1, cum.shape[1] - 1):
         idx += cum[:, j, None] < u
     return idx
@@ -310,9 +316,12 @@ def draw_noise(model: ModelSpec, rng: np.random.Generator, size: int) -> Array:
 
 def sample_observations(model: ModelSpec, theta: Array, states: Array,
                         noise: Array) -> Array:
-    """``model.obs_sampler(theta, states, noise)`` with its result's shape
-    checked against the batched contract: (G, N, obs_dim)."""
-    y = model.obs_sampler(theta, states, noise)
+    """``model.obs_sampler(theta, states, noise)``, on a read-only view of
+    ``states``, with its result's shape checked against the batched
+    contract: (G, N, obs_dim)."""
+    seen = states.view()
+    seen.flags.writeable = False
+    y = model.obs_sampler(theta, seen, noise)
     want = states.shape + (model.obs_dim,)
     if np.shape(y) != want:
         raise ValueError(
@@ -419,6 +428,10 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         raise ConfigError(
             f"unknown hyper value for 'param': {mode!r} "
             f"(known: {_GAUSS_PARAM_MODES})")
+    try:
+        check_count("hyper key 'n_states'", hyper["n_states"], 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     k = int(hyper["n_states"])
     transition = check_transition(np.asarray(hyper["transition"], dtype=float))
     if transition.shape[0] != k:
@@ -450,8 +463,7 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         default_box = [[-3.0, 3.0], [0.05, 5.0]]
 
     def mu_s(theta):
-        """Per-state means and the emission sd at ``theta`` (d,); or, with
-        ``theta`` (d, G, 1), means (G, K) and sds (G, 1)."""
+        """Per-state means and the emission sd at ``theta`` (d,)."""
         if mode == "mean":
             return coeff * theta[0], sigma_fixed
         if mode == "scale":
@@ -462,11 +474,15 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         return rng.standard_normal(size)
 
     def obs_sampler(theta, states, noise):
-        mu, s = mu_s(theta.T[:, :, None])
-        g = states.shape[0]
-        # row r's means sit at r * k of the flat table
-        mu = np.broadcast_to(mu, (g, k)).ravel()
-        y = mu[states + k * np.arange(g)[:, None]] + s * noise
+        # each particle's mean: coeff[states] * theta is (coeff *
+        # theta)[states] bit for bit, the same products gathered first.
+        # Indexing, not take: take copies an index array that is read-only
+        if mode == "scale":
+            y = mu_fixed[states]
+        else:
+            y = coeff[states]
+            y *= theta[:, :1]
+        y += (sigma_fixed if mode == "mean" else theta[:, -1:]) * noise
         return y[:, :, None]
 
     # The emission callables compute state-major, on (K, n) and (d, K, n)

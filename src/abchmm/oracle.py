@@ -658,33 +658,6 @@ def brute_force_loglik(model: ModelSpec, theta, data,
 
 
 # ---------------------------------------------------------------------------
-# two-point i.i.d. model, closed form
-
-
-def iid_abc_log_likelihood(theta, data, epsilon: float) -> float:
-    """Exact ABC log-likelihood for the two-point i.i.d. model.
-
-    Per observation: P(ball around y is hit) = 1/2 * 1{|theta - y| <= eps}
-    + 1/2 * 1{|theta + y| <= eps}; -inf as soon as one observation's ball
-    misses both support points.
-    """
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float)).reshape(-1)
-    return float(iid_abc_log_likelihood_grid(thetas[:1], data, epsilon)[0])
-
-
-def iid_abc_log_likelihood_grid(thetas, data, epsilon: float) -> Array:
-    """Vectorized :func:`iid_abc_log_likelihood` over a grid of scalars."""
-    ys = as_obs_1d(data)
-    th = np.asarray(thetas, dtype=float).reshape(-1, 1)
-    prob = 0.5 * (np.abs(th - ys[None, :]) <= epsilon) \
-        + 0.5 * (np.abs(th + ys[None, :]) <= epsilon)
-    with np.errstate(divide="ignore"):
-        return np.where(np.all(prob > 0.0, axis=1),
-                        np.sum(np.log(np.maximum(prob, 1e-300)), axis=1),
-                        -np.inf)
-
-
-# ---------------------------------------------------------------------------
 # filter forgetting
 
 

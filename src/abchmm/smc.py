@@ -35,7 +35,13 @@ Weeds worth knowing about:
   weights square to themselves), and the next predictive law is each
   state's accepted count over the total.  Every count is an integer below
   2**53, so these sums are exact, and the values are those of the same
-  sums over 0.0/1.0 floats, bit for bit.  The ESS keeps its float sum.
+  sums over 0.0/1.0 floats, bit for bit.  The ESS ``(sum w)**2 / sum
+  w**2`` is the accepted count itself, exact; the gaussian kernel's is the
+  reciprocal of the sum of the squared normalised weights.
+* Each filter call (one chunk of a batch, see below) draws every step's
+  states into one (rows, N) buffer, which ``obs_sampler`` reads through a
+  read-only view, and counts the uniform kernel's accepted particles per
+  state in one boolean buffer.
 * A step where every weight vanishes collapses the estimate: ``log_value``
   is -inf, ``collapsed_at`` records the 0-based step, and the remaining
   entries of ``step_acceptance`` / ``ess_trace`` stay 0.
@@ -54,7 +60,7 @@ Weeds worth knowing about:
 * The filter's running sums per row (log value, variance proxy) are taken
   after the loop over steps, in step order: ``math.log`` of each step's
   factor and a sequential cumulative sum, the same bits as summing step
-  by step.  The ESS is the reciprocal of a sum kept per step.
+  by step.
 
 Batching over candidate parameters.  Neither stream depends on theta: the
 state draw inverts each particle's predictive CDF at a uniform from
@@ -265,14 +271,18 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
 
     # per row and step: the mean weight, the mean squared weight (0/1
     # weights square to themselves, so the uniform kernel's is the mean),
-    # and the sum of the squared normalised weights, the ESS's reciprocal
+    # and the ESS: the uniform kernel's accepted count, or the sum of the
+    # squared normalised weights, the ESS's reciprocal, for the gaussian's
     step_acceptance = np.zeros((g_all, n))
     second = step_acceptance if uniform else np.zeros((g_all, n))
     ess_trace = np.zeros((g_all, n))
     collapsed_at = [None] * g_all
 
     live = np.arange(g_all)
-    # per-step scratch for the pseudo-observations' distance to the data
+    # per-chunk buffers for each step's state draw, the uniform kernel's
+    # per-state counts and the pseudo-observations' distance to the data
+    state_buf = np.empty((g_all, n_particles), dtype=np.int64)
+    mask_buf = np.empty((g_all, n_particles), dtype=bool)
     scratch = np.empty(g_all * n_particles * model.obs_dim)
     offsets = np.arange(g_all)[:, None] * n_states
 
@@ -280,7 +290,7 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
         m = live.size
         pred = (q[:, None, :] @ p)[:, 0]
         u, noise = streams.draws(model, k, n, n_particles)
-        states = sample_categorical_rows(pred, u)
+        states = sample_categorical_rows(pred, u, out=state_buf[:m])
         diff = np.subtract(
             sample_observations(model, thetas, states, noise), obs[k],
             out=scratch[:m * n_particles * model.obs_dim].reshape(
@@ -305,21 +315,21 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
             if m == 0:
                 break
 
-        # the normalised weights are w / (N * step_val); a 0/1 weight's
-        # square is the square of that denominator's reciprocal or 0
-        scale = n_particles * step_val
         if uniform:
-            ess_trace[live, k] = (w * ((1.0 / scale) ** 2)[:, None]).sum(
-                axis=1)
+            # (sum w)^2 / sum w^2 with 0/1 weights: the accepted count
+            ess_trace[live, k] = total
             # accepted counts per state; the last state takes the rest
             q = np.empty((m, n_states))
             q[:, -1] = total
             for j in range(n_states - 1):
-                q[:, j] = (w & (states == j)).sum(axis=1)
+                mask = np.equal(states, j, out=mask_buf[:m])
+                q[:, j] = np.logical_and(w, mask, out=mask).sum(axis=1)
                 q[:, -1] -= q[:, j]
             q /= total[:, None]
         else:
             second[live, k] = (w * w).sum(axis=1) / n_particles
+            # the normalised weights are w / (N * step_val)
+            scale = n_particles * step_val
             ess_trace[live, k] = ((w / scale[:, None]) ** 2).sum(axis=1)
             # each state's share of the weight
             states += offsets[:m]        # flat (row, state) bins
@@ -327,9 +337,10 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
                             minlength=m * n_states).reshape(m, n_states) \
                 / total[:, None]
 
-    reached = np.arange(n) < np.array(
-        [n if c is None else c for c in collapsed_at])[:, None]
-    np.divide(1.0, ess_trace, out=ess_trace, where=reached)
+    if not uniform:
+        reached = np.arange(n) < np.array(
+            [n if c is None else c for c in collapsed_at])[:, None]
+        np.divide(1.0, ess_trace, out=ess_trace, where=reached)
     out = []
     for g in range(g_all):
         if collapsed_at[g] is None:

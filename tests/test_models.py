@@ -412,6 +412,15 @@ def test_categorical_shared_uniforms_match_per_row_draws():
     assert np.all(shared[3] == 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_categorical_draws_into_the_given_buffer(k):
+    probs = rng.stream(4, "p").dirichlet(np.ones(k), size=5)
+    u = rng.stream(4, "u").random(300)
+    buf = np.full((5, 300), -7, dtype=np.int64)
+    assert sample_categorical_rows(probs, u, out=buf) is buf
+    np.testing.assert_array_equal(buf, sample_categorical_rows(probs, u))
+
+
 def test_unknown_hyper_key_named():
     with pytest.raises(ConfigError, match="'sigmaa'"):
         builtin_model("finite_gaussian", hyper={"sigmaa": 2.0})
@@ -435,6 +444,12 @@ def test_unknown_hyper_key_named():
     ("two_state_alpha_stable", {"alpha": 2.5}, "alpha"),
     ("two_state_alpha_stable", {"alpha": 0.0}, "alpha"),
     ("two_state_alpha_stable", {"alpha": math.nan}, "alpha"),
+    # a state count that is not an int: 2.5 and "2" would build a 2-state
+    # model, True would fail on the transition's shape
+    ("finite_gaussian", {"n_states": 2.5}, "n_states"),
+    ("finite_gaussian", {"n_states": "2"}, "n_states"),
+    ("finite_gaussian", {"n_states": True}, "n_states"),
+    ("finite_gaussian", {"n_states": 0}, "n_states"),
 ])
 def test_bad_hyper_value_named_at_construction(name, hyper, key):
     # a NaN or infinite hyperparameter is refused when the model is built;

@@ -322,12 +322,14 @@ def test_batch_equals_single_runs(data):
 # collapse step, and the sha256 of every row's log_value, step_acceptance
 # and ess_trace.  Recorded before the per-fit step-stream table and the flat
 # gather of the means; a change here moves every particle estimate, so it
-# must be stated, not re-recorded.
+# must be stated, not re-recorded.  The four uniform-kernel digests were
+# re-recorded once, when the uniform ESS became the exact accepted count;
+# _VALUE_PINS below shows that nothing else moved.
 _PIN_CASES = {
     "mean": (
         "finite_gaussian", {"param": "mean"}, [[-2.5], [0.8], [1.4]],
         PerturbationSpec(0.3), [None, 5, 5],
-        "4e0508da7c9cdc59c1ff3fa6f4c7f97c8b3958df1e19df5432494ee1d5acccb1"),
+        "6996c79d8ec6f66452f656f7383698069b0ce774a498c5bb83e005ded34805ad"),
     "scale": (
         "finite_gaussian", {"param": "scale"}, [[0.3], [1.0], [2.5]],
         PerturbationSpec(0.3, "gaussian"), [None, None, None],
@@ -336,17 +338,17 @@ _PIN_CASES = {
         "finite_gaussian", {"param": "mean_scale"},
         [[0.7, 1.1], [-0.4, 0.5], [2.0, 3.0]],
         PerturbationSpec(0.5, "uniform", "l2"), [None, 1, None],
-        "6d072d371239d51f95bc233be5f0e1ac28c3a338d1aec8351bf175a10498ebef"),
+        "d48d6d3a059d013a422eb7b33b91d5b19cba1ce2d700009b66c358f760491c88"),
     # recorded on the float-weight filter, before the uniform kernel ran
     # on acceptance counts
     "stable": (
         "two_state_alpha_stable", None, [[1.0, 0.0], [0.6, 1.5], [2.5, -1.0]],
         PerturbationSpec(0.8), [None, 19, None],
-        "e5770892ae8876b244220b19a2601892497091387fdbdc618f474376dc8f84fd"),
+        "b5b6d50863df0841cb86b3fd2b3e7d4f8ab9345c6ca0dddceb9fd047ad9cf09b"),
     "iid_pm": (
         "iid_pm_theta", None, [[1.0], [0.1], [2.5]], PerturbationSpec(1.2),
         [None, None, 0],
-        "4b1a7d08199a61a545ccca7ff168e92bac50f733c423ab10b58e5d655d682737"),
+        "c5483ac43630f92cf79aff24499828cbee619578711937ce1b145802378e4ac6"),
 }
 
 
@@ -370,6 +372,46 @@ def test_batch_bytes_are_pinned(label):
     *_, collapsed_at, digest = _PIN_CASES[label]
     assert [est.collapsed_at for est in ests] == collapsed_at
     assert h.hexdigest() == digest
+
+
+# The sha256 of every row's log_value, se_proxy and step_acceptance per
+# _PIN_CASES entry: the values a fit reads.  Recorded on the filter whose
+# uniform ESS was a float sum, so a change to the ESS alone leaves them.
+_VALUE_PINS = {
+    "iid_pm": "c76e5fe7e8f16a0c0b2e3b3c1398818263a1a4e6dd2c22092d860c0ad6afe35d",
+    "mean": "c63c19c513136e00ad40bdca21fc238034a6fb2ff19caa9bf58f9b0004658a25",
+    "mean_scale":
+        "b043e39189f5f80286bd6602e67181e9336bed6c08992015d45d548ec5a776e6",
+    "scale": "bdd91dd1c3e27548e3954124642ce573f7b81cf4fc48ca2e04841a1f1dcc0cbf",
+    "stable": "a79c38751921a68b2ce746e969f40d072d3711368130a1b1ab96250ceedf85f6",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_PIN_CASES))
+def test_fit_values_are_pinned(label):
+    model, thetas, data, pert = _pin_inputs(label)
+    h = hashlib.sha256()
+    for est in smc.smc_abc_likelihood_batch(model, thetas, data, pert, 500,
+                                            seed=12):
+        for a in (np.array([est.log_value, est.se_proxy]),
+                  est.step_acceptance):
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == _VALUE_PINS[label]
+
+
+@pytest.mark.parametrize("label", ["mean", "mean_scale", "stable", "iid_pm"])
+def test_uniform_ess_is_the_accepted_count(label):
+    # 0/1 weights: (sum w)^2 / sum w^2 is the accepted count, exactly; a
+    # step past a collapse keeps 0
+    model, thetas, data, pert = _pin_inputs(label)
+    ests = smc.smc_abc_likelihood_batch(model, thetas, data, pert, 500,
+                                        seed=12)
+    assert any(est.collapsed for est in ests)
+    for est in ests:
+        assert np.array_equal(est.ess_trace,
+                              np.rint(est.step_acceptance * 500))
+        if est.collapsed:
+            assert not est.ess_trace[est.collapsed_at:].any()
 
 
 @pytest.mark.parametrize("label", ["stable", "iid_pm"])
@@ -540,6 +582,21 @@ def test_replay_budget_is_kept_and_moves_no_bit(tables, monkeypatch):
 def test_transform_that_writes_into_its_noise_raises():
     def obs_sampler(theta, states, noise):
         noise *= 2.0            # would corrupt every later replay
+        return _FIT_MODEL.obs_sampler(theta, states, noise)
+
+    model = dataclasses.replace(_FIT_MODEL, obs_sampler=obs_sampler)
+    with pytest.raises(ValueError, match="read-only"):
+        _fit(model)
+    with pytest.raises(ValueError, match="read-only"):
+        smc.smc_abc_likelihood(model, [0.8], _FIT_DATA,
+                               PerturbationSpec(0.3), 300, seed=5)
+    with pytest.raises(ValueError, match="read-only"):
+        sampling.simulate(model, [0.8], 10, seed=1)
+
+
+def test_transform_that_writes_into_its_states_raises():
+    def obs_sampler(theta, states, noise):
+        states[:, 0] = 0        # would move the filter's per-state counts
         return _FIT_MODEL.obs_sampler(theta, states, noise)
 
     model = dataclasses.replace(_FIT_MODEL, obs_sampler=obs_sampler)
