@@ -27,7 +27,6 @@ from .rng import derive_seed, stream
 from .sampling import (Trajectory, apply_summary, load_trajectory, noisify,
                        save_trajectory, simulate)
 from .smc import LikelihoodEstimate, smc_abc_likelihood, smc_abc_likelihood_batch
-from .stable import sample as alpha_stable_sample
 
 __version__ = "0.1.0"
 
@@ -48,6 +47,5 @@ __all__ = [
     "Trajectory", "apply_summary", "load_trajectory", "noisify",
     "save_trajectory", "simulate",
     "LikelihoodEstimate", "smc_abc_likelihood", "smc_abc_likelihood_batch",
-    "alpha_stable_sample",
     "__version__",
 ]

@@ -29,7 +29,7 @@ def _add_model_args(sub):
     sub.add_argument("--theta-box", help="JSON list of [lo, hi] rows")
     sub.add_argument("--model-config",
                      help="JSON file or text with keys model/hyper/theta_box "
-                          "(overrides the flags above)")
+                          "(instead of the flags above)")
 
 
 def _parse_json(text: str, flag: str):
@@ -39,8 +39,17 @@ def _parse_json(text: str, flag: str):
         raise ConfigError(f"{flag} is not valid JSON: {exc}") from exc
 
 
+def _refuse_with(args, flag: str, dests) -> None:
+    """A ``ConfigError`` naming each flag of ``dests`` given beside ``flag``."""
+    given = ["--" + d.replace("_", "-") for d in dests
+             if getattr(args, d) is not None]
+    if given:
+        raise ConfigError(f"{flag} cannot be combined with {', '.join(given)}")
+
+
 def _model_from_args(args):
     if args.model_config:
+        _refuse_with(args, "--model-config", ("model", "hyper", "theta_box"))
         return load_model_config(args.model_config)
     if not args.model:
         raise ConfigError("either --model or --model-config is required")
@@ -109,11 +118,11 @@ def _cmd_likelihood(args) -> int:
             payload = {"estimator": "oracle", "log_ball_probability": value}
     else:
         if pert is None:
-            raise ConfigError("--epsilon is required for the particle estimator")
+            raise ConfigError("--epsilon is required for the smc estimator")
         res = smcmod.smc_abc_likelihood(
             model, theta, data, pert, args.n_particles, args.seed)
         payload = {
-            "estimator": "particle",
+            "estimator": "smc",
             "log_ball_probability": res.log_value,
             "se_proxy": res.se_proxy,
             "n_particles": res.n_particles,
@@ -212,6 +221,7 @@ def _cmd_fisher(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.config:
+        _refuse_with(args, "--config", ("preset", "seed", "set"))
         config = experiments.load_experiment_config(args.config)
     else:
         if not args.preset or args.seed is None:
@@ -260,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--data", required=True)
     _add_pert_args(p)
-    p.add_argument("--estimator", default="particle",
-                   choices=("particle", "oracle"))
+    p.add_argument("--estimator", default="smc", choices=("smc", "oracle"))
     p.add_argument("--n-particles", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -10,17 +10,13 @@ simulation.
 
 A :class:`PerturbationSpec` describes the observation-space perturbation used
 by the ABC constructions: a kernel (``uniform`` ball indicator or ``gaussian``
-smooth weight), a tolerance ``epsilon`` and a ball norm.  Perturbed emissions
-are not built here: :func:`abchmm.oracle.emission_matrix` turns the closed
-forms a 1-D model registers into each state's kernel weight, the quantity
-the particle estimator averages,
+smooth weight), a tolerance ``epsilon`` and a ball norm.  A 1-D model's
+closed forms give each state's kernel weight at the data ``y``, the quantity
+the particle estimator averages, and :func:`abchmm.oracle.emission_matrix`
+takes them as they come:
 
-    uniform  kernel: P(|Y - y| <= eps | x) = F(y + eps | x) - F(y - eps | x)
-    gaussian kernel: eps * (emission density convolved with N(0, eps^2))(y)
-
-with ``F`` the per-state emission CDF.  ``emission_interval_prob`` supplies
-the first (point-mass emissions have one too), ``emission_smooth_density``
-the convolved density.
+    emission_ball_prob:     P(|Y - y| <= eps | x)
+    emission_smooth_weight: eps * (emission density convolved with N(0, eps^2))(y)
 """
 
 from __future__ import annotations
@@ -129,10 +125,10 @@ class PerturbationSpec:
 class ModelSpec:
     """A finite-state hidden Markov model with optional tractable emissions.
 
-    Emission callables are vectorized over observations: given ``theta`` and a
-    1-D array of ``n`` observation values, ``emission_density``,
-    ``emission_interval_prob`` and ``emission_smooth_density`` return an
-    ``(n, K)`` array of weights with one column per latent state.  Each
+    Emission callables are vectorized over observations: given ``theta``, a
+    1-D array ``ys`` of ``n`` observations and, for the two kernel weights
+    of the module docstring, ``eps`` by keyword, each returns an ``(n, K)``
+    array of weights with one column per latent state.  Each
     ``*_jac`` callable takes the same arguments and returns the pair
     ``(weights, jacobian)``: those (n, K) weights and their parameter
     Jacobian ``(d, n, K)``, computed together.  The score kernel makes one
@@ -143,9 +139,9 @@ class ModelSpec:
     fastest; a C-ordered result costs it one copy.  All of them are
     optional; samplers alone support simulation and particle-based
     likelihood work.  Scores take a model without a ``*_jac`` callable
-    through central differences of its weights, and differentiate
-    ``transition_matrix`` and ``initial_dist`` the same way, which gives
-    exact zeros for a law that ``theta`` leaves fixed.
+    through finite differences of its weights, one-sided at a box edge, and
+    of ``transition_matrix`` and ``initial_dist``, exact zeros for a law
+    that ``theta`` leaves fixed.
 
     ``initial_dist`` is the law of the latent state *before* the first
     observation: the first observed state has law ``initial_dist @ P``.
@@ -188,11 +184,11 @@ class ModelSpec:
     obs_sampler: Callable[[Array, Array, Array], Array]
     obs_noise: Callable[[np.random.Generator, int], Array]
     emission_density: Callable | None = None
-    emission_interval_prob: Callable | None = None
-    emission_smooth_density: Callable | None = None
+    emission_ball_prob: Callable | None = None
+    emission_smooth_weight: Callable | None = None
     emission_density_jac: Callable | None = None
-    emission_interval_prob_jac: Callable | None = None
-    emission_smooth_density_jac: Callable | None = None
+    emission_ball_prob_jac: Callable | None = None
+    emission_smooth_weight_jac: Callable | None = None
 
     def __post_init__(self):
         k = self.n_states
@@ -491,22 +487,22 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
 
     # Parameter Jacobians.  With f the N(mu, s^2) density and z = (y - mu)/s:
     #   df/dmu = f z / s,     df/ds = f (z^2 - 1) / s
-    # and for the interval probability I = Phi(zh) - Phi(zl):
+    # and for the ball probability I = Phi(zh) - Phi(zl), zh, zl at y ± eps:
     #   dI/dmu = -(pdf(zh) - pdf(zl)) / s,  dI/ds = -(pdf(zh) zh - pdf(zl) zl)/s.
     # One body per channel serves the weights alone and, with jac=True, the
     # pair (weights, Jacobian) from the same z-scores and densities.
 
-    def density(theta, ys, sd=None, jac=False):
-        """The emission density at ``ys``, convolved with N(0, sd^2) when
-        ``sd`` is given (the sd becomes s_eff = sqrt(s^2 + sd^2), and ds_eff
-        /ds = s / s_eff)."""
+    def density(theta, ys, eps=None, jac=False):
+        """The emission density at ``ys``; with ``eps``, the smooth kernel
+        weight, eps times the density convolved with N(0, eps^2) (the sd
+        becomes s_eff = sqrt(s^2 + eps^2), and ds_eff/ds = s / s_eff)."""
         mu, s = mu_s(theta)
-        s_eff = s if sd is None else math.sqrt(s * s + sd * sd)
+        s_eff = s if eps is None else math.sqrt(s * s + eps * eps)
         z = (ys[None, :] - mu[:, None]) / s_eff
         f = _norm_pdf(z)
         f /= s_eff
         if not jac:
-            return f.T
+            return f.T if eps is None else np.multiply(f, eps, out=f).T
         out = np.empty((d, *z.shape))
         if mode in ("mean", "mean_scale"):
             np.multiply(f, z, out=out[0])
@@ -517,14 +513,17 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
             out[-1] -= 1.0
             out[-1] *= f
             out[-1] /= s_eff
-            if sd is not None:
+            if eps is not None:
                 out[-1] *= s / s_eff
+        if eps is not None:
+            f *= eps
+            out *= eps
         return f.T, out.transpose(0, 2, 1)
 
-    def interval(theta, lo, hi, jac=False):
+    def ball(theta, ys, eps, jac=False):
         mu, s = mu_s(theta)
-        zh = (hi[None, :] - mu[:, None]) / s
-        zl = (lo[None, :] - mu[:, None]) / s
+        zh = ((ys + eps)[None, :] - mu[:, None]) / s
+        zl = ((ys - eps)[None, :] - mu[:, None]) / s
         # above the mean, Phi(zh) - Phi(zl) cancels to 0; there the equal
         # difference of upper tails, Phi(-zl) - Phi(-zh), keeps its digits.
         # Both are |Phi(t zh) - Phi(t zl)| with t = -1 where zl > 0 and 1
@@ -571,12 +570,12 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
         obs_noise=obs_noise,
-        emission_density=functools.partial(density, sd=None),
-        emission_interval_prob=interval,
-        emission_smooth_density=density,
-        emission_density_jac=functools.partial(density, sd=None, jac=True),
-        emission_interval_prob_jac=functools.partial(interval, jac=True),
-        emission_smooth_density_jac=functools.partial(density, jac=True),
+        emission_density=functools.partial(density, eps=None),
+        emission_ball_prob=ball,
+        emission_smooth_weight=density,
+        emission_density_jac=functools.partial(density, eps=None, jac=True),
+        emission_ball_prob_jac=functools.partial(ball, jac=True),
+        emission_smooth_weight_jac=functools.partial(density, jac=True),
     )
 
 
@@ -589,10 +588,10 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         values = np.concatenate([-theta[:, :1], theta[:, :1]], axis=1)
         return np.take_along_axis(values, states, axis=1)[:, :, None]
 
-    def emission_interval_prob(theta, lo, hi):
+    def emission_ball_prob(theta, ys, eps):
+        # the particle kernel's own comparison, |yhat - y| <= eps
         values = np.array([-theta[0], theta[0]])[:, None]
-        return ((lo[None, :] <= values) & (values <= hi[None, :])) \
-            .astype(float).T
+        return (np.abs(values - ys[None, :]) <= eps).astype(float).T
 
     box = np.asarray([[0.0, 3.0]] if theta_box is None else theta_box, dtype=float)
     return ModelSpec(
@@ -606,7 +605,7 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
         obs_noise=lambda rng, size: np.empty((size, 0)),     # no noise
-        emission_interval_prob=emission_interval_prob,
+        emission_ball_prob=emission_ball_prob,
     )
 
 
@@ -673,9 +672,9 @@ def builtin_model(name: str, hyper: dict | None = None,
         ``mean_scale`` (both).
     ``iid_pm_theta``
         i.i.d. observations equal to -theta or +theta with probability 1/2
-        each; no emission density (point masses), but a closed-form
-        interval probability, so the oracle evaluates its ABC likelihood
-        under the uniform kernel.
+        each; no emission density (point masses), but a closed-form ball
+        probability, so the oracle evaluates its ABC likelihood under the
+        uniform kernel.
     ``two_state_alpha_stable``
         Two-state regime-switching chain with symmetric alpha-stable
         emissions centred at the state value plus a location parameter;

@@ -46,6 +46,7 @@ differences of ``forward_loglik`` therefore remain an independent check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,26 +82,16 @@ def as_obs_1d(data) -> Array:
 
 def _emission_fns(model: ModelSpec, pert: PerturbationSpec | None):
     """The model's ``(theta, ys) -> (n, K)`` emission weight callable for
-    ``pert`` and its ``(theta, ys) -> (weights, (d, n, K) Jacobian)`` pair;
-    None where the model lacks the closed form."""
+    ``pert`` and its ``(theta, ys) -> (weights, (d, n, K) Jacobian)`` pair,
+    with ``eps`` bound; None where the model lacks the closed form."""
     if pert is None or pert.is_exact:
         return model.emission_density, model.emission_density_jac
     if model.obs_dim != 1:
         return None, None
-    eps = pert.epsilon
-    if pert.kernel == "uniform":
-        fns = (model.emission_interval_prob, model.emission_interval_prob_jac)
-
-        def weight(f):
-            return lambda theta, ys: f(theta, ys - eps, ys + eps)
-        return tuple(None if f is None else weight(f) for f in fns)
-    f, f_jac = model.emission_smooth_density, model.emission_smooth_density_jac
-
-    def pair(theta, ys):
-        w, jac = f_jac(theta, ys, eps)
-        return eps * w, eps * jac
-    return (None if f is None else lambda theta, ys: eps * f(theta, ys, eps),
-            None if f_jac is None else pair)
+    name = "emission_ball_prob" if pert.kernel == "uniform" \
+        else "emission_smooth_weight"
+    return tuple(None if f is None else functools.partial(f, eps=pert.epsilon)
+                 for f in (getattr(model, name), getattr(model, name + "_jac")))
 
 
 def has_closed_form(model: ModelSpec, pert: PerturbationSpec | None = None) -> bool:
@@ -113,10 +104,10 @@ def emission_matrix(model: ModelSpec, theta, ys: Array,
     """Per-step emission weights, one column per state: shape (n, K).
 
     Without a perturbation these are emission densities.  Under ``pert``
-    they are the kernel weights the particle filter averages:
-    ``emission_interval_prob(theta, y - eps, y + eps)`` for the uniform
-    kernel and ``eps * emission_smooth_density(theta, y, eps)`` for the
-    gaussian kernel.
+    they are the kernel weights the particle filter averages, as the model
+    returns them: ``emission_ball_prob(theta, ys, eps=eps)`` for the
+    uniform kernel and ``emission_smooth_weight(theta, ys, eps=eps)`` for
+    the gaussian kernel.
     """
     theta = check_theta(model, theta)
     fn = _emission_fns(model, pert)[0]
@@ -456,16 +447,19 @@ def exact_smc_target(model: ModelSpec, theta, data,
 # scores
 
 
-def _central_diff(fn, theta: Array) -> Array:
-    """Central-difference Jacobian of ``fn`` at ``theta``, shape (d, ...)."""
+def _central_diff(fn, theta: Array, box: Array) -> Array:
+    """Central-difference Jacobian of ``fn`` at ``theta``, shape (d, ...),
+    each step cut short at the edge of ``box`` (d, 2): one-sided there."""
     rows = []
     for j in range(theta.shape[0]):
         h = 1e-6 * max(1.0, abs(theta[j]))
+        hi = min(h, box[j, 1] - theta[j])
+        lo = min(h, theta[j] - box[j, 0])
         up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
+        up[j] += hi
+        dn[j] -= lo
         rows.append((np.asarray(fn(up), float)
-                     - np.asarray(fn(dn), float)) / (2.0 * h))
+                     - np.asarray(fn(dn), float)) / (hi + lo))
     return np.stack(rows)
 
 
@@ -474,8 +468,8 @@ def _laws_and_jac(model: ModelSpec, theta: Array):
     and their central-difference Jacobians, exact zeros where they do not
     move with theta."""
     p, init = _transition_and_init(model, theta)
-    return (p, _central_diff(model.transition_matrix, theta),
-            init, _central_diff(model.initial_dist, theta))
+    return (p, _central_diff(model.transition_matrix, theta, model.theta_box),
+            init, _central_diff(model.initial_dist, theta, model.theta_box))
 
 
 def _emissions_and_jac(model, theta, obs, pert):
@@ -495,11 +489,11 @@ def _emissions_and_jac(model, theta, obs, pert):
     """
     r, n = obs.shape
     d, k = theta.shape[0], model.n_states
-    pair = _emission_fns(model, pert)[1]
+    fn, pair = _emission_fns(model, pert)
     if pair is None:
         def pair(th, ys):
             return (emission_matrix(model, th, ys, pert), _central_diff(
-                lambda t: emission_matrix(model, t, ys, pert), th))
+                lambda t: fn(t, ys), th, model.theta_box))
     e = np.empty((n, k, r))
     de = np.empty((n, d, k, r))
     block = max(1, _BLOCK_ENTRIES // max(r, 1))
@@ -620,9 +614,11 @@ def _chain_then_branches(chain: Array, branch: Array, rows: int) -> Array:
 # independent brute-force route
 
 
+_PATH_CHUNK = 1 << 16          # paths per logsumexp block of brute force
+
+
 def brute_force_loglik(model: ModelSpec, theta, data,
-                       pert: PerturbationSpec | None = None,
-                       chunk: int = 1 << 16) -> float:
+                       pert: PerturbationSpec | None = None) -> float:
     """Log-likelihood by explicit enumeration of every hidden path.
 
     Exponential in n -- guarded to K^n <= ~3.2e6 -- and deliberately free of
@@ -644,10 +640,7 @@ def brute_force_loglik(model: ModelSpec, theta, data,
     t_idx = np.arange(n)
     chunks = []
     paths_iter = itertools.product(range(k), repeat=n)
-    while True:
-        block = list(itertools.islice(paths_iter, chunk))
-        if not block:
-            break
+    while block := list(itertools.islice(paths_iter, _PATH_CHUNK)):
         paths = np.asarray(block, dtype=np.int64)                 # (B, n)
         lp = log_first[paths[:, 0]] \
             + log_p[paths[:, :-1], paths[:, 1:]].sum(axis=1) \

@@ -290,7 +290,7 @@ def test_cli_names_grid_points_below_one(points):
 
 @pytest.mark.parametrize("value", ["0", "-2"])
 @pytest.mark.parametrize("command", [
-    ["likelihood", "--estimator", "particle"],
+    ["likelihood", "--estimator", "smc"],
     ["likelihood", "--estimator", "oracle"],
     ["estimate", "--objective", "smc"],
     ["estimate", "--objective", "oracle"],

@@ -298,6 +298,7 @@ def test_cli_likelihood_oracle_vs_particle(tmp_path, capsys):
                   "4000", "--seed", "1", "--json"])
     assert rc == 0
     particle = json.loads(capsys.readouterr().out)
+    assert particle["estimator"] == "smc"
     assert abs(particle["log_ball_probability"] - oracle_val) < 1.0
     assert particle["collapsed_at"] is None
 
@@ -513,6 +514,21 @@ def test_cli_experiment_config_file(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_experiment_refuses_config_with_preset_flags(tmp_path, capsys):
+    # --config names the whole run, so a --preset, --seed or --set beside
+    # it would be ignored: the pair is a configuration error, and nothing runs
+    config = '{"preset": "two_point", "seed": 3, "n": 40}'
+    assert run_cli(["experiment", "--preset", "info_loss", "--seed", "3",
+                    "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --config cannot be combined with --preset, --seed\n")
+    assert run_cli(["experiment", "--config", config, "--set", "n=50",
+                    "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --config cannot be combined with --set\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_experiment_bad_param_exits_2(tmp_path, capsys):
     rc = run_cli(["experiment", "--preset", "bias_curve", "--seed", "5",
                   "--set", "epsilons=0.3", "--out", str(tmp_path)])
@@ -545,3 +561,22 @@ def test_cli_model_config_file(tmp_path, capsys):
                   "--data", str(data), "--estimator", "oracle"])
     assert rc == 0
     assert "log_likelihood" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--model", "iid_pm_theta"], "--model"),
+    (["--hyper", '{"sigma": 2.0}'], "--hyper"),
+    (["--model", "finite_gaussian", "--theta-box", "[[-1, 1]]"],
+     "--model, --theta-box"),
+])
+def test_cli_refuses_model_config_with_model_flags(tmp_path, capsys, flags,
+                                                   named):
+    # --model-config names the whole model, so a model flag beside it would
+    # be ignored: the pair is a configuration error, raised before the data
+    # are read
+    rc = run_cli(["likelihood", "--model-config", '{"model": "finite_gaussian"}',
+                  *flags, "--theta", "0.5", "--data", str(tmp_path / "no.csv"),
+                  "--estimator", "oracle"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --model-config cannot be combined with {named}\n")

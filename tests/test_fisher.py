@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from abchmm import fisher, oracle, rng, sampling
 from abchmm.kernels import KERNELS
-from abchmm.models import PerturbationSpec, builtin_model
+from abchmm.models import PerturbationSpec, builtin_model, check_theta
 
 
 def _one_state(mode="mean"):
@@ -58,6 +58,27 @@ def test_zero_tolerance_equals_exact(gauss2):
                                   pert=PerturbationSpec(epsilon=0.0))
     np.testing.assert_array_equal(exact.matrix, zero.matrix)
     assert zero.epsilon == 0.0 and exact.epsilon is None
+
+
+def test_fisher_at_the_box_edge_without_a_jacobian():
+    # theta = 3.0 is the top of the mean box: the finite differences that
+    # stand in for a missing Jacobian step inward there, and agree with the
+    # built-in Jacobian to a one-sided difference's first-order error
+    model = builtin_model("finite_gaussian")
+
+    def density(theta, ys):
+        # raises at a theta outside the box, as a custom model's may
+        return model.emission_density(check_theta(model, theta), ys)
+
+    no_jac = dataclasses.replace(model, emission_density=density,
+                                 emission_density_jac=None)
+    for theta in (3.0, -3.0):
+        want = fisher.estimate_fisher(model, [theta], n=50, n_replicates=40,
+                                      seed=6)
+        got = fisher.estimate_fisher(no_jac, [theta], n=50, n_replicates=40,
+                                     seed=6)
+        assert np.all(np.isfinite(got.matrix))
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-4)
 
 
 def test_estimate_symmetric_psd(gauss2):

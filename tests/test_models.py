@@ -113,8 +113,7 @@ def test_interval_prob_matches_density_quadrature(gauss2):
     theta = np.array([0.8, 1.3])
     eps = 0.4
     for y in (-1.2, 0.0, 0.7):
-        probs = gauss2.emission_interval_prob(theta, np.array([y - eps]),
-                                              np.array([y + eps]))[0]
+        probs = gauss2.emission_ball_prob(theta, np.array([y]), eps=eps)[0]
         for k in range(gauss2.n_states):
             num, _ = quad(
                 lambda u, k=k: gauss2.emission_density(theta, np.array([u]))[0, k],
@@ -123,10 +122,11 @@ def test_interval_prob_matches_density_quadrature(gauss2):
 
 
 def test_smooth_density_matches_convolution(gauss2):
+    # eps times the density convolved with N(0, eps^2)
     theta = np.array([0.8, 1.3])
     sd = 0.35
     for y in (-0.9, 0.4):
-        vals = gauss2.emission_smooth_density(theta, np.array([y]), sd)[0]
+        vals = gauss2.emission_smooth_weight(theta, np.array([y]), eps=sd)[0] / sd
         for k in range(gauss2.n_states):
             num, _ = quad(
                 lambda u, k=k: gauss2.emission_density(theta, np.array([u]))[0, k]
@@ -155,13 +155,13 @@ def test_emission_jacobians_vs_fd(gauss2):
     fd = _fd_jac(lambda t: gauss2.emission_density(t, ys), theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
-    lo, hi = ys - 0.3, ys + 0.3
-    _, jac = gauss2.emission_interval_prob_jac(theta, lo, hi)
-    fd = _fd_jac(lambda t: gauss2.emission_interval_prob(t, lo, hi), theta)
+    _, jac = gauss2.emission_ball_prob_jac(theta, ys, eps=0.3)
+    fd = _fd_jac(lambda t: gauss2.emission_ball_prob(t, ys, eps=0.3), theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
-    _, jac = gauss2.emission_smooth_density_jac(theta, ys, 0.25)
-    fd = _fd_jac(lambda t: gauss2.emission_smooth_density(t, ys, 0.25), theta)
+    _, jac = gauss2.emission_smooth_weight_jac(theta, ys, eps=0.25)
+    fd = _fd_jac(lambda t: gauss2.emission_smooth_weight(t, ys, eps=0.25),
+                 theta)
     np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -190,7 +190,7 @@ def test_interval_prob_jacobian_bytes_match_formulas(mode):
         rows.append(-(ph - pl) / s * coeff[None, :])
     if mode != "mean":
         rows.append(-(ph * zh - pl * zl) / s)
-    assert np.array_equal(model.emission_interval_prob_jac(theta, lo, hi)[1],
+    assert np.array_equal(model.emission_ball_prob_jac(theta, ys, eps=0.3)[1],
                           np.stack(rows))
 
 
@@ -219,13 +219,14 @@ def _old_norm_pdf(z):
 def _old_weights_and_jac(mode, channel, coeff, theta, ys, eps):
     """The emission weights (K, n) and Jacobian (d, K, n) by the formulas
     each callable had before the pair: ndtr of two ``np.where`` selections
-    and an unsaturated density."""
+    and an unsaturated density, the smooth channel's scaled by eps
+    afterwards."""
     from scipy.special import ndtr
     mu = np.array([-1.0, 0.0, 2.0]) if mode == "scale" else coeff * theta[0]
     s = 1.0 if mode == "mean" else theta[-1]
     mu = mu[:, None]
     rows = []
-    if channel == "emission_interval_prob":
+    if channel == "emission_ball_prob":
         zh = (ys + eps - mu) / s
         zl = (ys - eps - mu) / s
         upper = zl > 0.0
@@ -244,12 +245,17 @@ def _old_weights_and_jac(mode, channel, coeff, theta, ys, eps):
     if mode != "mean":
         ds = f * (z * z - 1.0) / s_eff
         rows.append(ds if channel == "emission_density" else ds * (s / s_eff))
-    return f, np.stack(rows)
+    if channel == "emission_density":
+        return f, np.stack(rows)
+    return eps * f, eps * np.stack(rows)
 
 
-@pytest.mark.parametrize("channel", ["emission_density",
-                                     "emission_interval_prob",
-                                     "emission_smooth_density"])
+# the ids keep the names the two perturbed channels had before they took
+# (ys, eps), so each case keeps its id
+@pytest.mark.parametrize("channel", ["emission_density", "emission_ball_prob",
+                                     "emission_smooth_weight"],
+                         ids=["emission_density", "emission_interval_prob",
+                              "emission_smooth_density"])
 @pytest.mark.parametrize("mode", ["mean", "scale", "mean_scale"])
 def test_weights_and_jacobian_pair_bytes_match_old_formulas(mode, channel):
     # |z| from 0 to 1e3, on both sides of every mean: past 9, -40 and 39
@@ -271,11 +277,9 @@ def test_weights_and_jacobian_pair_bytes_match_old_formulas(mode, channel):
                           np.linspace(36.0, 42.0, 500)])
     ys = gen.permutation(np.concatenate([mag, -mag]))
     for eps in (0.3, 4.0, 100.0):
-        args = {"emission_density": (ys,),
-                "emission_interval_prob": (ys - eps, ys + eps),
-                "emission_smooth_density": (ys, eps)}[channel]
-        weights = getattr(model, channel)(theta, *args)
-        pair_w, pair_j = getattr(model, channel + "_jac")(theta, *args)
+        kw = {} if channel == "emission_density" else {"eps": eps}
+        weights = getattr(model, channel)(theta, ys, **kw)
+        pair_w, pair_j = getattr(model, channel + "_jac")(theta, ys, **kw)
         old_w, old_j = _old_weights_and_jac(mode, channel, coeff, theta, ys,
                                             eps)
         assert weights.tobytes() == pair_w.tobytes() == old_w.T.tobytes()
@@ -288,7 +292,7 @@ def test_perturbed_density_is_interval_prob(gauss2):
     pert = PerturbationSpec(epsilon=0.5)
     theta = np.array([0.3, 1.1])
     ys = np.array([-0.4, 0.9])
-    expect = gauss2.emission_interval_prob(theta, ys - 0.5, ys + 0.5)
+    expect = gauss2.emission_ball_prob(theta, ys, eps=0.5)
     np.testing.assert_array_equal(
         oracle.emission_matrix(gauss2, theta, ys, pert), expect)
 
@@ -299,7 +303,7 @@ def test_gaussian_kernel_perturbed_model_variance(gauss2):
     pert = PerturbationSpec(epsilon=0.4, kernel="gaussian")
     theta = np.array([0.0, 1.0])
     ys = np.linspace(-3, 3, 7)
-    expect = 0.4 * gauss2.emission_smooth_density(theta, ys, 0.4)
+    expect = gauss2.emission_smooth_weight(theta, ys, eps=0.4)
     np.testing.assert_array_equal(
         oracle.emission_matrix(gauss2, theta, ys, pert), expect)
     widened = np.exp(-0.5 * ys ** 2 / 1.16) / math.sqrt(2 * math.pi * 1.16)
@@ -495,50 +499,52 @@ def test_load_model_config_long_inline_json(tmp_path):
 # sha256 of each built-in emission callable's result, weights and
 # Jacobians, on one fixed input per mode: three states, mu_coeff off ±1 and
 # observations far into both tails.  Recorded before the callables computed
-# state-major.  A change here moves every oracle result, so it must be
-# stated, not re-recorded.
+# state-major; the ball pins at eps 0.3 are those of the interval (ys - 0.3,
+# ys + 0.3), and the smooth-weight pins those of 0.25 times the smooth
+# density at sd 0.25.  A change here moves every oracle result, so it must
+# be stated, not re-recorded.
 _EMISSION_PINS = {
     "mean": {
         "emission_density":
             "a552c9e502e6178b96e941a6995315e740914155ede5d5544bfa723a210cf54f",
-        "emission_interval_prob":
+        "emission_ball_prob":
             "ad109abcf7b3f305cd0b97082d2620a6ffcb390777ecbd23b1528895bd37a497",
-        "emission_smooth_density":
-            "9303f2820d721caf37e9d87dd9a9a3a0a5098f159393de51633c9a867a005810",
+        "emission_smooth_weight":
+            "990247a24c538f36711c157e8f747625339d3b7d1a7adad1245df145a8f6d1e5",
         "emission_density_jac":
             "ec5992fe2a9a265084db59fd472203781034428b23cf8f551c73f1ef52bb225b",
-        "emission_interval_prob_jac":
+        "emission_ball_prob_jac":
             "badbf2745d517f0aaf301f2115e19f0a1652bcd548040d4631ca14103df16d80",
-        "emission_smooth_density_jac":
-            "bd5f6df96aa879ad0f67961e2eb50525eb66aec6813bcbeeebc65b4b3792b7cf",
+        "emission_smooth_weight_jac":
+            "d85e68087a0a088a657f18dd178b7947722be0a9ad8c11f241d8e07c66e465b5",
     },
     "scale": {
         "emission_density":
             "61920fdca3bbc7eba6a8d8cd8aeacfac1c23c8e4021ef1ea41c01db9c1d3c461",
-        "emission_interval_prob":
+        "emission_ball_prob":
             "51a5bb7989c6d281a7c1db3f106da64a57f8bbefa82ea343d02dd2e60da4ac33",
-        "emission_smooth_density":
-            "d3866a992d484d7cd6161b54cc61455701b4c5b2fcca8fdad4e4156c957ecb1d",
+        "emission_smooth_weight":
+            "5526e510bea240bd5c83d309e2a6ee81ccc0f37610d5002cbed26b53b3f2ed10",
         "emission_density_jac":
             "a61032387a508ec4029035d23bd5887d69aca09404652f8508d85dad6ba99471",
-        "emission_interval_prob_jac":
+        "emission_ball_prob_jac":
             "e5c31690d8d121553e8114e710237dc346ea8104e1a1276b10f20a8c89a4cd62",
-        "emission_smooth_density_jac":
-            "c608ac62ea0f7ce386f98a90d2c530bffc278a7e79dc165a08208d5820c2a57b",
+        "emission_smooth_weight_jac":
+            "710de3e82c5eb88dc54d48ffe057101af57ddf3694297b8fcc00617138ed0dd5",
     },
     "mean_scale": {
         "emission_density":
             "f4f99fe09516017b5f639433e50b31a480157b271ac112619be134dbba2584f0",
-        "emission_interval_prob":
+        "emission_ball_prob":
             "97fe9e9c9f5b3f9dc1ab39594f32b2307ec020991d5fabd5b46401ae90509cd0",
-        "emission_smooth_density":
-            "faa6e69d9643a92b4e3372fcc637ca4c25564e38846162ec2c9dadfafdde2385",
+        "emission_smooth_weight":
+            "ef326035e2aa37a05f1365ddc9ed29d6555bd64ce8588330ca8d14a741e4ac13",
         "emission_density_jac":
             "cba19a6ce5cc90d27774c7e73d220556a901ae0d7754ab5d0cc961add58318fd",
-        "emission_interval_prob_jac":
+        "emission_ball_prob_jac":
             "5e9313ddc21fab66e7515921ac0f13c35c3620e5aa81a08fbeb9dc1133f19bc3",
-        "emission_smooth_density_jac":
-            "087d639cb5bc5a5de0507d176079578e8de4a110de2953b1d2cad00c324c3720",
+        "emission_smooth_weight_jac":
+            "792ab2540766350490833e781c2857dbfb5755e86603cdafecd738efa9a8a8d5",
     },
 }
 
@@ -552,11 +558,10 @@ def test_emission_callable_bytes_are_pinned(mode):
     theta = np.array({"mean": [0.6], "scale": [0.9],
                       "mean_scale": [0.6, 0.9]}[mode])
     ys = np.random.default_rng(11).normal(0.0, 4.0, size=61)
-    lo, hi = ys - 0.3, ys + 0.3
-    args = {"emission_density": (ys,), "emission_interval_prob": (lo, hi),
-            "emission_smooth_density": (ys, 0.25)}
+    kw = {"emission_density": {}, "emission_ball_prob": {"eps": 0.3},
+          "emission_smooth_weight": {"eps": 0.25}}
     for name, digest in _EMISSION_PINS[mode].items():
-        got = getattr(model, name)(theta, *args[name.removesuffix("_jac")])
+        got = getattr(model, name)(theta, ys, **kw[name.removesuffix("_jac")])
         if name.endswith("_jac"):       # the pin is the pair's Jacobian
             got = got[1]
         want = (len(theta), 61, 3) if name.endswith("_jac") else (61, 3)
@@ -566,8 +571,8 @@ def test_emission_callable_bytes_are_pinned(mode):
 
 def test_iid_pm_theta_ball_indicator_bytes_are_pinned():
     ys = np.linspace(-2.0, 2.0, 21)
-    got = builtin_model("iid_pm_theta").emission_interval_prob(
-        np.array([1.2]), ys - 0.5, ys + 0.5)
+    got = builtin_model("iid_pm_theta").emission_ball_prob(
+        np.array([1.2]), ys, eps=0.5)
     assert got.shape == (21, 2) and got.sum() == 10.0
     assert hashlib.sha256(got.tobytes()).hexdigest() == \
         "35652924c60d72a71514d3185ff64553920a8908540bb48c10e36bbcfad22b04"

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from abchmm import oracle, rng, sampling, smc
+from abchmm import kernels, oracle, rng, sampling, smc
 from abchmm.kernels import KERNELS
-from abchmm.models import PerturbationSpec, builtin_model
+from abchmm.models import PerturbationSpec, builtin_model, check_theta
 
 
 @pytest.fixture(scope="module")
@@ -265,17 +265,30 @@ def test_generic_oracle_matches_two_point_closed_form():
         model, PerturbationSpec(epsilon=1.5, kernel="gaussian"))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the oracle tests y - eps <= theta <= y + eps with rounded ends; the "
-    "particle kernel tests |theta - y| <= eps, and they disagree where the "
-    "two tie to the last bit"))
 def test_point_mass_ball_tie_matches_particle_kernel():
+    # the rounded 1.0 + 0.3 equals 1.3, so a test against the ends y - eps
+    # and y + eps would accept what |1.3 - 1.0| <= 0.3 rejects
     model = builtin_model("iid_pm_theta")
     theta = np.linspace(0.0, 3.0, 301)[130]          # 1.3; |1.3 - 1| > 0.3
     pert = PerturbationSpec(epsilon=0.3)
     particle = smc.smc_abc_likelihood(model, [theta], [1.0], pert, 16, seed=0)
     assert particle.log_value == -math.inf
     assert oracle.exact_smc_target(model, [theta], [1.0], pert) == -math.inf
+
+
+def test_point_mass_ball_prob_is_the_particle_kernel():
+    # every theta of a fine grid, data on both sides: the ball probability
+    # of each state is the particle kernel's indicator on that state's
+    # pseudo-observation
+    model = builtin_model("iid_pm_theta")
+    thetas = np.linspace(0.0, 3.0, 301)[:, None]
+    states = np.tile([0, 1], (thetas.shape[0], 1))
+    values = model.obs_sampler(thetas, states, np.empty((2, 0)))   # (G, 2, 1)
+    for y in (1.0, -1.0):
+        kernel = kernels.within_ball(values - y, 0.3)               # (G, 2)
+        ball = np.array([model.emission_ball_prob(th, np.array([y]), eps=0.3)[0]
+                         for th in thetas])
+        np.testing.assert_array_equal(ball, kernel.astype(float))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -673,8 +686,8 @@ def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
                             kernel=draw.draw(st.sampled_from(KERNELS)))
     boundaries = draw.draw(st.one_of(st.none(), st.lists(
         st.integers(0, n), min_size=1, max_size=4)), label="boundaries")
-    dp = oracle._central_diff(model.transition_matrix, theta)
-    dinit = oracle._central_diff(model.initial_dist, theta)
+    dp = oracle._central_diff(model.transition_matrix, theta, model.theta_box)
+    dinit = oracle._central_diff(model.initial_dist, theta, model.theta_box)
 
     def reference(steps):
         # the kernel's time-major (n, K, R) and (n, d, K, R), back to
@@ -829,18 +842,93 @@ def test_score_with_theta_dependent_transition_matches_fd():
 
 
 
+def _without_jacobians(model):
+    """``model`` without its ``*_jac`` callables, whose weights and laws
+    raise at a theta outside ``theta_box``, as a custom model's may."""
+    def inside_box_only(f):
+        def checked(theta, *args, **kwargs):
+            check_theta(model, theta)
+            return f(theta, *args, **kwargs)
+        return checked
+
+    names = ("emission_density", "emission_ball_prob", "emission_smooth_weight",
+             "transition_matrix", "initial_dist")
+    return dataclasses.replace(
+        model, emission_density_jac=None, emission_ball_prob_jac=None,
+        emission_smooth_weight_jac=None,
+        **{name: inside_box_only(getattr(model, name)) for name in names
+           if getattr(model, name) is not None})
+
+
+@pytest.mark.parametrize("mode, box, corners", [
+    ("mean", None, [[-3.0], [3.0]]),
+    ("scale", None, [[0.05], [5.0]]),
+    ("mean_scale", None, [[-3.0, 0.05], [3.0, 5.0], [-3.0, 5.0]]),
+    ("mean", [[0.5, 0.5000001]], [[0.5], [0.5000001]]),
+], ids=["mean", "scale", "mean_scale", "box-narrower-than-a-step"])
+def test_score_at_the_box_edges_steps_inward(mode, box, corners):
+    # without a *_jac pair the weights are differentiated by finite
+    # differences; at an edge of theta_box the step goes inward (no further
+    # than the box reaches), so the score is finite and matches the one
+    # from the built-in Jacobian, to the first-order error of a one-sided
+    # difference
+    model = builtin_model("finite_gaussian", hyper={"param": mode},
+                          theta_box=box)
+    no_jac = _without_jacobians(model)
+    for i, theta in enumerate(corners):
+        ys = sampling.simulate(model, theta, 50, seed=3 + i, with_hidden=False)
+        for pert in (None, PerturbationSpec(epsilon=0.3),
+                     PerturbationSpec(epsilon=0.3, kernel="gaussian")):
+            want = oracle.forward_score(model, theta, ys, pert)
+            got = oracle.forward_score(no_jac, theta, ys, pert)
+            assert np.all(np.isfinite(got)), (theta, pert)
+            np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-6)
+
+
+def test_point_mass_score_at_the_box_edges():
+    # iid_pm_theta has no Jacobian: its ball indicator is differentiated
+    # inward at theta = 0 and 3, where it is flat, so the score is 0; a
+    # series the edge cannot produce has a NaN score, not an error
+    model = _without_jacobians(builtin_model("iid_pm_theta"))
+    pert = PerturbationSpec(epsilon=0.5)
+    assert oracle.forward_score(model, [0.0], [0.2, -0.3], pert)[0] == 0.0
+    assert oracle.forward_score(model, [3.0], [2.8, -3.1], pert)[0] == 0.0
+    assert np.isnan(oracle.forward_score(model, [0.0], [1.0, -1.0], pert)[0])
+
+
+def test_theta_dependent_laws_at_the_box_edge_step_inward():
+    # dP and dinit by one-sided differences at theta = -3 and 3, the ends
+    # of the box: the score matches a one-sided difference of the
+    # log-likelihood
+    def transition(th):
+        return np.array([[0.5 + 0.1 * th[0], 0.5 - 0.1 * th[0]],
+                         [0.3 - 0.05 * th[0], 0.7 + 0.05 * th[0]]])
+
+    model = _without_jacobians(dataclasses.replace(
+        builtin_model("finite_gaussian"), transition_matrix=transition,
+        initial_dist=lambda th: np.array([0.6 + 0.1 * th[0],
+                                          0.4 - 0.1 * th[0]])))
+    ys = sampling.simulate(model, [3.0], 200, seed=12, with_hidden=False)
+    h = 1e-5
+    for theta, step in ((3.0, -h), (-3.0, h)):
+        score = oracle.forward_score(model, [theta], ys)
+        fd = (oracle.forward_loglik(model, [theta + step], ys)
+              - oracle.forward_loglik(model, [theta], ys)) / step
+        assert score[0] == pytest.approx(fd, rel=1e-4, abs=1e-5)
+
+
 _EMISSION_CALLABLES = (
-    "emission_density", "emission_interval_prob", "emission_smooth_density",
-    "emission_density_jac", "emission_interval_prob_jac",
-    "emission_smooth_density_jac")
+    "emission_density", "emission_ball_prob", "emission_smooth_weight",
+    "emission_density_jac", "emission_ball_prob_jac",
+    "emission_smooth_weight_jac")
 
 
 def _c_ordered(model):
     """``model`` with every emission callable returning a C-ordered copy of
     the built-in's result, or of each array of a ``*_jac`` pair."""
     def wrap(f):
-        def c_ordered(*args):
-            got = f(*args)
+        def c_ordered(*args, **kwargs):
+            got = f(*args, **kwargs)
             if isinstance(got, tuple):
                 return tuple(np.ascontiguousarray(a) for a in got)
             return np.ascontiguousarray(got)
