@@ -35,9 +35,8 @@ def draw_obs(theta, states, noise):
 
 model = ModelSpec(
     name="stable_regimes_scale_only",
-    param_dim=1, obs_dim=1, n_states=2,
+    obs_dim=1,
     theta_box=np.array([[0.3, 3.0]]),
-    hyper={"alpha": ALPHA},
     transition_matrix=lambda theta: P,
     initial_dist=lambda theta: stationary_dist(P),
     obs_sampler=draw_obs,

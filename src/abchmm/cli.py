@@ -69,11 +69,8 @@ def _add_pert_args(sub, required: bool = False):
 def _pert_from_args(args) -> PerturbationSpec | None:
     if args.epsilon is None:
         return None
-    try:
-        return PerturbationSpec(epsilon=args.epsilon, kernel=args.kernel,
-                                norm=args.norm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PerturbationSpec(epsilon=args.epsilon, kernel=args.kernel,
+                            norm=args.norm)
 
 
 def _parse_theta(text: str):
@@ -162,22 +159,19 @@ def _cmd_estimate(args) -> int:
         opts["grid_points"] = args.grid_points
     common = dict(objective=objective, method=args.optimizer,
                   seed=args.seed, **opts)
-    try:
-        if args.method == "abc":
-            if pert is None:
-                raise ConfigError("--epsilon is required for --method abc")
-            result = est.abc_mle(model, data, pert,
-                                 n_particles=args.n_particles, **common)
-        elif args.method == "noisy_abc":
-            if pert is None:
-                raise ConfigError("--epsilon is required for --method noisy_abc")
-            result = est.noisy_abc_mle(model, data, pert,
-                                       n_particles=args.n_particles, **common)
-        else:
-            result = est.exact_mle(model, data, method=args.optimizer,
-                                   seed=args.seed, **opts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.method == "abc":
+        if pert is None:
+            raise ConfigError("--epsilon is required for --method abc")
+        result = est.abc_mle(model, data, pert,
+                             n_particles=args.n_particles, **common)
+    elif args.method == "noisy_abc":
+        if pert is None:
+            raise ConfigError("--epsilon is required for --method noisy_abc")
+        result = est.noisy_abc_mle(model, data, pert,
+                                   n_particles=args.n_particles, **common)
+    else:
+        result = est.exact_mle(model, data, method=args.optimizer,
+                               seed=args.seed, **opts)
     if args.out:
         est.save_estimate(result, args.out)
     if args.json:

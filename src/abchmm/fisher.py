@@ -189,7 +189,7 @@ def _conditional_score_diffs(model: ModelSpec, theta: Array,
 
 def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
                n_replicates: int = 4000, seed: int = 0,
-               kernel: str = "uniform", norm: str = "linf") -> LossPoint:
+               kernel: str = "uniform") -> LossPoint:
     """Coupled estimate of ``I - I_eps`` at a single tolerance.
 
     The loss is the mean outer product of the conditional score difference
@@ -204,7 +204,7 @@ def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
         raise ValueError("tolerance must be positive")
     length = 2 * window + 1
     centre = window
-    pert = PerturbationSpec(epsilon=float(epsilon), kernel=kernel, norm=norm)
+    pert = PerturbationSpec(epsilon=float(epsilon), kernel=kernel)
     scores = _conditional_score_diffs(
         model, theta, pert, n_replicates, length,
         boundaries=(centre, centre + 1), seed=seed)
@@ -217,8 +217,8 @@ def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
 
 def missing_information_check(model: ModelSpec, theta, epsilon: float, *,
                               n: int = 8, n_replicates: int = 20000,
-                              seed: int = 0, kernel: str = "uniform",
-                              norm: str = "linf") -> MissingInfoCheck:
+                              seed: int = 0,
+                              kernel: str = "uniform") -> MissingInfoCheck:
     """Two independent estimates of ``I_n - I_n^eps`` on a short horizon.
 
     Route A sums conditional score-difference outer products over every
@@ -235,7 +235,7 @@ def missing_information_check(model: ModelSpec, theta, epsilon: float, *,
         raise ValueError(f"short-horizon check requires n <= 8, got {n}")
     if model.n_states > 3:
         raise ValueError("short-horizon check requires at most 3 states")
-    pert = PerturbationSpec(epsilon=float(epsilon), kernel=kernel, norm=norm)
+    pert = PerturbationSpec(epsilon=float(epsilon), kernel=kernel)
 
     # route A: conditional differences, boundaries 0..n
     scores = _conditional_score_diffs(

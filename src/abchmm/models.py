@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -165,24 +165,24 @@ class ModelSpec:
     one buffer.
     Simulation calls the transform with G=1.
 
-    Construction (``dataclasses.replace`` too) raises a ``ValueError``
-    naming the model unless ``theta_box`` holds ``param_dim`` finite rows
-    ``[lo, hi]`` with lo < hi, and unless ``transition_matrix`` and
-    ``initial_dist``, evaluated once at the centre of the box, are a K x K
-    stochastic matrix and a law over the K states.  A law that moves with ``theta`` is
-    checked there only; the likelihood paths do not check it again.
+    Construction (``dataclasses.replace`` too) derives ``param_dim``, the
+    number d of ``theta_box`` rows, and ``n_states``, the size K of
+    ``transition_matrix``; ``hyper`` is optional.  It raises a ``ValueError``
+    naming the model unless the box holds d >= 1 finite rows ``[lo, hi]`` with
+    lo < hi, and unless ``transition_matrix`` and ``initial_dist``, evaluated
+    once at the centre of the box, are a K x K stochastic matrix and a law over
+    the K states.  A law that moves with ``theta`` is checked there only; the
+    likelihood paths do not check it again.
     """
 
     name: str
-    param_dim: int
     obs_dim: int
     theta_box: Array
-    n_states: int
-    hyper: dict
     transition_matrix: Callable[[Array], Array]
     initial_dist: Callable[[Array], Array]
     obs_sampler: Callable[[Array, Array, Array], Array]
     obs_noise: Callable[[np.random.Generator, int], Array]
+    hyper: dict = field(default_factory=dict)
     emission_density: Callable | None = None
     emission_ball_prob: Callable | None = None
     emission_smooth_weight: Callable | None = None
@@ -190,28 +190,32 @@ class ModelSpec:
     emission_ball_prob_jac: Callable | None = None
     emission_smooth_weight_jac: Callable | None = None
 
+    param_dim: int = field(init=False)
+    n_states: int = field(init=False)
+
     def __post_init__(self):
-        k = self.n_states
         box = np.asarray(self.theta_box, dtype=float)
-        if box.shape != (self.param_dim, 2) or not np.all(np.isfinite(box)) \
+        if box.shape[1:] != (2,) or box.shape[0] < 1 \
+                or not np.all(np.isfinite(box)) \
                 or not np.all(box[:, 0] < box[:, 1]):
             raise ValueError(
-                f"model {self.name!r}: theta_box must be {self.param_dim} "
-                f"finite [lo, hi] rows with lo < hi, got {box.tolist()}")
+                f"model {self.name!r}: theta_box must be d >= 1 finite "
+                f"[lo, hi] rows with lo < hi, got {box.tolist()}")
         centre = box.mean(axis=1)
         p = np.asarray(self.transition_matrix(centre), dtype=float)
         init = np.asarray(self.initial_dist(centre), dtype=float)
         where = f"model {self.name!r} at the theta_box centre {centre.tolist()}"
-        if p.shape != (k, k):
-            raise ValueError(f"{where}: transition matrix has shape {p.shape}, "
-                             f"expected ({k}, {k})")
         try:
             check_transition(p)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        k = p.shape[0]
         if not is_law(init, k):
             raise ValueError(f"{where}: initial_dist {init.tolist()} is not a "
-                             f"law over the {k} states")
+                             f"law over the {k} states of the transition "
+                             f"matrix, shape {p.shape}")
+        object.__setattr__(self, "param_dim", box.shape[0])
+        object.__setattr__(self, "n_states", k)
 
 
 def check_theta(model: ModelSpec, theta) -> Array:
@@ -331,10 +335,15 @@ def sample_observations(model: ModelSpec, theta: Array, states: Array,
 # built-in models
 
 
-_GAUSS_PARAM_MODES = ("mean", "scale", "mean_scale")
+# each finite_gaussian parameterisation: the hyper keys it reads besides
+# transition, param and initial, and its default theta_box
+_GAUSS_PARAM_MODES = {
+    "mean": (("mu_coeff", "sigma"), [[-3.0, 3.0]]),
+    "scale": (("mu",), [[0.05, 5.0]]),
+    "mean_scale": (("mu_coeff",), [[-3.0, 3.0], [0.05, 5.0]]),
+}
 
 _FINITE_GAUSSIAN_DEFAULTS = {
-    "n_states": 2,
     "transition": ((0.7, 0.3), (0.3, 0.7)),
     "param": "mean",
     "mu_coeff": (-1.0, 1.0),
@@ -352,6 +361,8 @@ _TWO_STATE_STABLE_DEFAULTS = {
 
 
 def _merge_hyper(name: str, defaults: dict, hyper: dict | None) -> dict:
+    if not isinstance(hyper, (dict, type(None))):
+        raise ConfigError(f"hyper of model '{name}' must be an object")
     merged = dict(defaults)
     for key, value in (hyper or {}).items():
         if key not in defaults:
@@ -360,6 +371,20 @@ def _merge_hyper(name: str, defaults: dict, hyper: dict | None) -> dict:
                 f"(known: {sorted(defaults)})")
         merged[key] = value
     return merged
+
+
+def _theta_box(name: str, theta_box, default) -> Array:
+    """``theta_box`` (``default`` when None) as a float array: a ConfigError
+    unless numeric, a ValueError unless it has ``default``'s row count."""
+    try:
+        box = np.asarray(default if theta_box is None else theta_box, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("theta_box must be numeric [[lo, hi], ...] "
+                          f"rows, got {theta_box!r}") from None
+    if box.shape[:1] != (len(default),):
+        raise ValueError(f"model {name!r}: theta_box must have {len(default)} "
+                         f"[lo, hi] rows, one per parameter, got {box.tolist()}")
+    return box
 
 
 def _initial_from_hyper(hyper: dict, transition: Array) -> Array:
@@ -418,27 +443,27 @@ def _norm_pdf(z: Array, out: Array | None = None) -> Array:
 
 
 def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
+    given = hyper or {}
     hyper = _merge_hyper("finite_gaussian", _FINITE_GAUSSIAN_DEFAULTS, hyper)
     mode = hyper["param"]
-    if mode not in _GAUSS_PARAM_MODES:
+    if mode not in tuple(_GAUSS_PARAM_MODES):      # a list is not hashable
         raise ConfigError(
             f"unknown hyper value for 'param': {mode!r} "
-            f"(known: {_GAUSS_PARAM_MODES})")
-    try:
-        check_count("hyper key 'n_states'", hyper["n_states"], 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    k = int(hyper["n_states"])
+            f"(known: {tuple(_GAUSS_PARAM_MODES)})")
+    reads, default_box = _GAUSS_PARAM_MODES[mode]
+    for key in ("mu_coeff", "mu", "sigma"):
+        if key in given and key not in reads:
+            raise ConfigError(f"hyper key '{key}' is not read when 'param' "
+                              f"is {mode!r}: of mu_coeff, mu and sigma, "
+                              f"that mode reads {list(reads)}")
     transition = check_transition(np.asarray(hyper["transition"], dtype=float))
-    if transition.shape[0] != k:
-        raise ConfigError("hyper key 'transition' shape does not match 'n_states'")
+    k = transition.shape[0]
     coeff = np.asarray(hyper["mu_coeff"], dtype=float)
     mu_fixed = np.asarray(hyper["mu"], dtype=float)
-    if mode in ("mean", "mean_scale") and coeff.shape != (k,):
-        raise ConfigError("hyper key 'mu_coeff' must have one entry per state")
-    if mode == "scale" and mu_fixed.shape != (k,):
-        raise ConfigError("hyper key 'mu' must have one entry per state")
     for key, value in (("mu_coeff", coeff), ("mu", mu_fixed)):
+        if key in reads and value.shape != (k,):
+            raise ConfigError(f"hyper key '{key}' must have one entry per "
+                              "state of 'transition'")
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"hyper key '{key}' must hold finite numbers, "
                               f"got {value.tolist()}")
@@ -447,16 +472,8 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
         raise ConfigError(f"hyper key 'sigma' must be positive and finite, "
                           f"got {sigma_fixed}")
     initial = _initial_from_hyper(hyper, transition)
-
-    if mode == "mean":
-        d = 1
-        default_box = [[-3.0, 3.0]]
-    elif mode == "scale":
-        d = 1
-        default_box = [[0.05, 5.0]]
-    else:
-        d = 2
-        default_box = [[-3.0, 3.0], [0.05, 5.0]]
+    box = _theta_box("finite_gaussian", theta_box, default_box)
+    d = box.shape[0]
 
     def mu_s(theta):
         """Per-state means and the emission sd at ``theta`` (d,)."""
@@ -558,13 +575,10 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
             out[0] *= coeff[:, None]
         return w.T, out.transpose(0, 2, 1)
 
-    box = np.asarray(default_box if theta_box is None else theta_box, dtype=float)
     return ModelSpec(
         name="finite_gaussian",
-        param_dim=d,
         obs_dim=1,
         theta_box=box,
-        n_states=k,
         hyper=hyper,
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
@@ -580,7 +594,7 @@ def _finite_gaussian(hyper: dict | None, theta_box) -> ModelSpec:
 
 
 def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
-    hyper = _merge_hyper("iid_pm_theta", {}, hyper)
+    _merge_hyper("iid_pm_theta", {}, hyper)
     transition = np.full((2, 2), 0.5)
     initial = np.array([0.5, 0.5])
 
@@ -593,14 +607,10 @@ def _iid_pm_theta(hyper: dict | None, theta_box) -> ModelSpec:
         values = np.array([-theta[0], theta[0]])[:, None]
         return (np.abs(values - ys[None, :]) <= eps).astype(float).T
 
-    box = np.asarray([[0.0, 3.0]] if theta_box is None else theta_box, dtype=float)
     return ModelSpec(
         name="iid_pm_theta",
-        param_dim=1,
         obs_dim=1,
-        theta_box=box,
-        n_states=2,
-        hyper=hyper,
+        theta_box=_theta_box("iid_pm_theta", theta_box, [[0.0, 3.0]]),
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
         obs_sampler=obs_sampler,
@@ -619,6 +629,9 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
         raise ConfigError(f"hyper key 'state_values' must be two finite "
                           f"numbers, got {values.tolist()}")
     transition = check_transition(np.asarray(hyper["transition"], dtype=float))
+    if transition.shape != (2, 2):
+        raise ConfigError(f"hyper key 'transition' must be 2 x 2, one row "
+                          f"per state value, got shape {transition.shape}")
     initial = _initial_from_hyper(hyper, transition)
 
     def obs_noise(rng, size):
@@ -637,14 +650,11 @@ def _two_state_alpha_stable(hyper: dict | None, theta_box) -> ModelSpec:
         y += delta
         return y[:, :, None]
 
-    box = np.asarray([[0.2, 5.0], [-3.0, 3.0]] if theta_box is None else theta_box,
-                     dtype=float)
     return ModelSpec(
         name="two_state_alpha_stable",
-        param_dim=2,
         obs_dim=1,
-        theta_box=box,
-        n_states=2,
+        theta_box=_theta_box("two_state_alpha_stable", theta_box,
+                             [[0.2, 5.0], [-3.0, 3.0]]),
         hyper=hyper,
         transition_matrix=lambda theta: transition,
         initial_dist=lambda theta: initial,
@@ -665,11 +675,14 @@ def builtin_model(name: str, hyper: dict | None = None,
     """Construct a built-in model by name.
 
     ``finite_gaussian``
-        K-state chain with Gaussian emissions.  The hyper key ``param``
-        selects the parameterization: ``mean`` (theta = emission location
-        factor, per-state means ``mu_coeff * theta``), ``scale`` (theta =
-        emission standard deviation, fixed per-state means ``mu``) or
-        ``mean_scale`` (both).
+        K-state chain with Gaussian emissions, K the size of the hyper key
+        ``transition``.  The hyper key ``param`` selects the
+        parameterization, and with it the keys read besides ``transition``
+        and ``initial``: ``mean`` (theta = emission location factor; reads
+        ``mu_coeff``, the per-state factors, and the sd ``sigma``),
+        ``scale`` (theta = emission sd; reads ``mu``, the fixed per-state
+        means) or ``mean_scale`` (both; reads ``mu_coeff``).  A key given
+        that the mode does not read is a ``ConfigError``.
     ``iid_pm_theta``
         i.i.d. observations equal to -theta or +theta with probability 1/2
         each; no emission density (point masses), but a closed-form ball
@@ -683,12 +696,6 @@ def builtin_model(name: str, hyper: dict | None = None,
     if name not in _BUILTINS:
         raise ConfigError(
             f"unknown model '{name}' (known: {sorted(_BUILTINS)})")
-    if theta_box is not None:
-        try:
-            theta_box = np.asarray(theta_box, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("theta_box must be numeric [[lo, hi], ...] "
-                              f"rows, got {theta_box!r}") from None
     return _BUILTINS[name](hyper, theta_box)
 
 
@@ -731,7 +738,5 @@ def load_model_config(source) -> ModelSpec:
                 f"unknown model-config key '{key}' (known: {sorted(allowed)})")
     if "model" not in config:
         raise ConfigError("model config is missing required key 'model'")
-    hyper = config.get("hyper")
-    if hyper is not None and not isinstance(hyper, dict):
-        raise ConfigError("model-config key 'hyper' must be an object")
-    return builtin_model(config["model"], hyper, config.get("theta_box"))
+    return builtin_model(config["model"], config.get("hyper"),
+                         config.get("theta_box"))

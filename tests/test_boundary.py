@@ -163,8 +163,7 @@ def test_malformed_input_raises_and_returns_no_number(draw):
             builtin_model("finite_gaussian", hyper={"initial": init})
     elif kind == "transition":
         k, p = _bad_transition(draw, gen)
-        hyper = {"n_states": k, "transition": p.tolist(),
-                 "mu_coeff": [1.0] * k}
+        hyper = {"transition": p.tolist(), "mu_coeff": [1.0] * k}
         with pytest.raises(ValueError, match="transition"):
             builtin_model("finite_gaussian", hyper=hyper)
         err = io.StringIO()
@@ -235,6 +234,18 @@ def test_cli_fisher_names_a_bad_count(flag, value, name):
     assert status == 2
     assert err.getvalue().startswith(f"error: {flag} must be an integer")
     assert not err.getvalue().startswith(f"error: {name} ")
+
+
+@pytest.mark.parametrize("hyper", ["[1]", "0"])
+def test_cli_names_a_hyper_that_is_not_an_object(hyper, tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(["simulate", "--model", "finite_gaussian",
+                           "--hyper", hyper, "--theta", "0.7", "--n", "5",
+                           "--seed", "0", "--out", str(tmp_path / "data")])
+    assert status == 2
+    assert err.getvalue().startswith("error: hyper of model 'finite_gaussian'")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_simulate_names_a_bad_count(tmp_path):

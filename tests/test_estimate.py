@@ -152,11 +152,8 @@ def _constant_summary_model():
     base = builtin_model("iid_pm_theta")
     return ModelSpec(
         name="iid_abs_theta",
-        param_dim=1,
         obs_dim=1,
         theta_box=np.array([[0.0, 3.0]]),
-        n_states=2,
-        hyper={},
         transition_matrix=base.transition_matrix,
         initial_dist=base.initial_dist,
         obs_sampler=lambda theta, states, noise: np.full(

@@ -19,9 +19,10 @@ from abchmm.models import PerturbationSpec, builtin_model, check_theta
 
 
 def _one_state(mode="mean"):
-    hyper = {"n_states": 1, "transition": [[1.0]], "param": mode,
-             "mu_coeff": [1.0], "mu": [0.0]}
-    return builtin_model("finite_gaussian", hyper=hyper)
+    # one state of mean theta, or of mean 0 and sd theta in scale mode
+    means = {"mu": [0.0]} if mode == "scale" else {"mu_coeff": [1.0]}
+    return builtin_model("finite_gaussian", hyper={
+        "transition": [[1.0]], "param": mode, **means})
 
 
 @pytest.fixture(scope="module")

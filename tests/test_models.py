@@ -49,8 +49,7 @@ def test_model_laws_checked_at_construction():
             dataclasses.replace(base, **change)
         assert "model 'finite_gaussian'" in str(info.value)
     with pytest.raises(ValueError, match="model 'custom'.*rows must sum"):
-        ModelSpec(name="custom", param_dim=1, obs_dim=1,
-                  theta_box=np.array([[-1.0, 1.0]]), n_states=2, hyper={},
+        ModelSpec(name="custom", obs_dim=1, theta_box=np.array([[-1.0, 1.0]]),
                   transition_matrix=lambda th: bad_rows,
                   initial_dist=lambda th: np.array([0.5, 0.5]),
                   obs_sampler=base.obs_sampler, obs_noise=base.obs_noise)
@@ -64,6 +63,34 @@ def test_model_laws_checked_at_construction():
     dataclasses.replace(base, theta_box=np.array([[-2.0, 4.0]]),
                         transition_matrix=moving)
     assert len(seen) == 1 and seen[0].tolist() == [1.0]
+
+
+def test_model_derives_param_dim_and_n_states():
+    # d is the number of theta_box rows and K the size of the transition
+    # matrix; neither is an argument, and hyper is optional
+    base = builtin_model("finite_gaussian")
+    p3 = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]])
+    fields = dict(name="custom", obs_dim=1, theta_box=np.array([[-1.0, 1.0]]),
+                  transition_matrix=lambda th: p3,
+                  initial_dist=lambda th: np.ones(3) / 3,
+                  obs_sampler=base.obs_sampler, obs_noise=base.obs_noise)
+    custom = ModelSpec(**fields)
+    assert (custom.param_dim, custom.n_states, custom.hyper) == (1, 3, {})
+    for name in ("param_dim", "n_states"):
+        with pytest.raises(TypeError, match=name):
+            ModelSpec(**fields, **{name: 1})
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(base, **{name: 1})
+    # dataclasses.replace derives both again
+    wide = dataclasses.replace(
+        base, theta_box=np.array([[-3.0, 3.0], [0.1, 2.0]]))
+    assert (wide.param_dim, wide.n_states) == (2, 2)
+    three = dataclasses.replace(base, transition_matrix=lambda th: p3,
+                                initial_dist=lambda th: stationary_dist(p3))
+    assert (three.param_dim, three.n_states) == (1, 3)
+    assert (base.param_dim, base.n_states) == (1, 2)
+    with pytest.raises(ValueError, match="model 'custom': theta_box"):
+        ModelSpec(**{**fields, "theta_box": np.empty((0, 2))})
 
 
 def test_stationary_dist():
@@ -107,6 +134,20 @@ def test_gaussian_noise_moments():
 @pytest.fixture(scope="module")
 def gauss2():
     return builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
+
+
+def _gauss_model(mode, coeff, mu, **hyper):
+    """finite_gaussian in ``mode``, given only the means key that mode
+    reads: ``mu`` in scale mode, ``mu_coeff`` in the others."""
+    key, value = ("mu", mu) if mode == "scale" else ("mu_coeff", coeff)
+    return builtin_model("finite_gaussian", hyper={
+        "param": mode, key: list(value), **hyper})
+
+
+# three states, mu_coeff off ±1 and fixed means off ±1 and 0
+_THREE_STATES = dict(
+    coeff=[-1.3, 0.2, 0.7], mu=[-1.0, 0.0, 2.0],
+    transition=[[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]])
 
 
 def test_interval_prob_matches_density_quadrature(gauss2):
@@ -171,8 +212,7 @@ def test_interval_prob_jacobian_bytes_match_formulas(mode):
     # both sides of the mean and far into the tails
     # mu_coeff off ±1, so that the order of its product with 1/s shows
     coeff = np.array([-1.3, 0.7])
-    model = builtin_model("finite_gaussian", hyper={
-        "param": mode, "mu_coeff": coeff.tolist()})
+    model = _gauss_model(mode, coeff, [-1.0, 1.0])
     theta = {"mean": [0.6], "scale": [0.9], "mean_scale": [0.6, 0.9]}[mode]
     mu = np.array([-1.0, 1.0]) if mode == "scale" else coeff * theta[0]
     s = 1.0 if mode == "mean" else theta[-1]
@@ -263,11 +303,8 @@ def test_weights_and_jacobian_pair_bytes_match_old_formulas(mode, channel):
     # flip is |ndtr(t zh) - ndtr(t zl)|; the weights-only callable, the
     # pair's weights and the old formulas agree bit for bit, and so do the
     # pair's Jacobian and the old one
-    coeff = np.array([-1.3, 0.2, 0.7])
-    model = builtin_model("finite_gaussian", hyper={
-        "param": mode, "n_states": 3, "mu_coeff": coeff.tolist(),
-        "mu": [-1.0, 0.0, 2.0],
-        "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]})
+    coeff = np.array(_THREE_STATES["coeff"])
+    model = _gauss_model(mode, **_THREE_STATES)
     theta = np.array({"mean": [0.6], "scale": [0.9],
                       "mean_scale": [0.6, 0.9]}[mode])
     gen = np.random.default_rng(17)
@@ -323,8 +360,7 @@ def test_finite_gaussian_modes():
     both = builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
     assert both.param_dim == 2
     one_state = builtin_model("finite_gaussian",
-                              hyper={"n_states": 1, "transition": [[1.0]],
-                                     "mu_coeff": [1.0], "mu": [0.0]})
+                              hyper={"transition": [[1.0]], "mu_coeff": [1.0]})
     assert one_state.n_states == 1
 
 
@@ -373,7 +409,7 @@ def test_two_state_alpha_stable_needs_a_positive_sigma(sigma):
 @pytest.mark.parametrize("name,hyper", [
     ("finite_gaussian", {"param": "mean"}),
     ("finite_gaussian", {"param": "scale"}),
-    ("finite_gaussian", {"param": "mean_scale", "n_states": 3,
+    ("finite_gaussian", {"param": "mean_scale",
                          "transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1],
                                         [0.3, 0.3, 0.4]],
                          "mu_coeff": [-1.0, 0.0, 1.5]}),
@@ -425,6 +461,19 @@ def test_categorical_draws_into_the_given_buffer(k):
     np.testing.assert_array_equal(buf, sample_categorical_rows(probs, u))
 
 
+@pytest.mark.parametrize("mode, key", [
+    ("mean", "mu"), ("scale", "mu_coeff"), ("scale", "sigma"),
+    ("mean_scale", "mu"), ("mean_scale", "sigma")])
+def test_hyper_key_the_mode_does_not_read_is_refused(mode, key):
+    # the model would silently ignore it, and fits would return plausible
+    # numbers for a model the user did not ask for; a value equal to the
+    # default is refused too, since it was given
+    value = {"mu": [-1.0, 1.0], "mu_coeff": [-1.0, 1.0], "sigma": 1.0}[key]
+    with pytest.raises(ConfigError, match=f"hyper key '{key}' is not read "
+                                          f"when 'param' is '{mode}'"):
+        builtin_model("finite_gaussian", hyper={"param": mode, key: value})
+
+
 def test_unknown_hyper_key_named():
     with pytest.raises(ConfigError, match="'sigmaa'"):
         builtin_model("finite_gaussian", hyper={"sigmaa": 2.0})
@@ -448,12 +497,11 @@ def test_unknown_hyper_key_named():
     ("two_state_alpha_stable", {"alpha": 2.5}, "alpha"),
     ("two_state_alpha_stable", {"alpha": 0.0}, "alpha"),
     ("two_state_alpha_stable", {"alpha": math.nan}, "alpha"),
-    # a state count that is not an int: 2.5 and "2" would build a 2-state
-    # model, True would fail on the transition's shape
-    ("finite_gaussian", {"n_states": 2.5}, "n_states"),
-    ("finite_gaussian", {"n_states": "2"}, "n_states"),
-    ("finite_gaussian", {"n_states": True}, "n_states"),
-    ("finite_gaussian", {"n_states": 0}, "n_states"),
+    # the state count is the size of 'transition', not a key of its own
+    ("finite_gaussian", {"n_states": 2}, "n_states"),
+    # two states, one per state value
+    ("two_state_alpha_stable", {"transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1],
+                                               [0.3, 0.3, 0.4]]}, "transition"),
 ])
 def test_bad_hyper_value_named_at_construction(name, hyper, key):
     # a NaN or infinite hyperparameter is refused when the model is built;
@@ -461,6 +509,16 @@ def test_bad_hyper_value_named_at_construction(name, hyper, key):
     # the stable model's particle likelihood, a plausible) log-likelihood
     with pytest.raises(ConfigError, match=f"hyper key '{key}'"):
         builtin_model(name, hyper=hyper)
+
+
+@pytest.mark.parametrize("hyper", [[1], 0, "sigma"])
+def test_hyper_that_is_not_an_object_is_named(hyper):
+    # a list once raised AttributeError, and 0 built the default model
+    for name in ("finite_gaussian", "iid_pm_theta", "two_state_alpha_stable"):
+        with pytest.raises(ConfigError, match=f"hyper of model '{name}'"):
+            builtin_model(name, hyper=hyper)
+    with pytest.raises(ConfigError, match="must be an object"):
+        load_model_config({"model": "finite_gaussian", "hyper": hyper})
 
 
 def test_unknown_model_named():
@@ -551,10 +609,7 @@ _EMISSION_PINS = {
 
 @pytest.mark.parametrize("mode", ["mean", "scale", "mean_scale"])
 def test_emission_callable_bytes_are_pinned(mode):
-    model = builtin_model("finite_gaussian", hyper={
-        "param": mode, "n_states": 3, "mu_coeff": [-1.3, 0.2, 0.7],
-        "mu": [-1.0, 0.0, 2.0],
-        "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]})
+    model = _gauss_model(mode, **_THREE_STATES)
     theta = np.array({"mean": [0.6], "scale": [0.9],
                       "mean_scale": [0.6, 0.9]}[mode])
     ys = np.random.default_rng(11).normal(0.0, 4.0, size=61)

@@ -298,7 +298,6 @@ def test_native_scale_identities_on_random_models(draw):
     rows = np.array([draw.draw(st.lists(st.floats(0.05, 1.0), min_size=k,
                                         max_size=k)) for _ in range(k)])
     model = builtin_model("finite_gaussian", hyper={
-        "n_states": k,
         "transition": (rows / rows.sum(axis=1, keepdims=True)).tolist(),
         "mu_coeff": draw.draw(st.lists(st.floats(-2.0, 2.0), min_size=k,
                                        max_size=k)),
@@ -669,7 +668,7 @@ def test_score_batch_matches_sensitivity_loop_on_mixed_channels(draw):
                                           label="seed"))
     p = _draw_transition(draw, gen, k, 1)[0]
     model = builtin_model("finite_gaussian", hyper={
-        "n_states": k, "param": "mean_scale", "transition": p.tolist(),
+        "param": "mean_scale", "transition": p.tolist(),
         "initial": gen.dirichlet(np.ones(k)).tolist(),
         "mu_coeff": gen.uniform(-2.0, 2.0, size=k).tolist()})
     theta = np.array([draw.draw(st.floats(-2.0, 2.0), label="mean"),
@@ -756,7 +755,7 @@ def test_score_batch_rows_do_not_depend_on_batch_width(k, draw):
     r, n = gen.integers(1, 301), gen.integers(1, 13)
     p, q = _draw_transition(draw, gen, k, 2)
     model = builtin_model("finite_gaussian", hyper={
-        "n_states": k, "param": "mean_scale", "transition": p.tolist(),
+        "param": "mean_scale", "transition": p.tolist(),
         "initial": gen.dirichlet(np.ones(k)).tolist(),
         "mu_coeff": gen.uniform(-2.0, 2.0, size=k).tolist()})
     if draw.draw(st.booleans(), label="moving_p"):
@@ -952,8 +951,7 @@ def _result_bytes(result):
 @pytest.mark.parametrize("name, hyper, theta", [
     ("finite_gaussian", {"param": "mean"}, [0.7]),
     ("finite_gaussian", {"param": "scale"}, [1.3]),
-    ("finite_gaussian", {"param": "mean_scale", "n_states": 3,
-                         "mu_coeff": [-1.3, 0.2, 0.7],
+    ("finite_gaussian", {"param": "mean_scale", "mu_coeff": [-1.3, 0.2, 0.7],
                          "transition": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3],
                                         [0.3, 0.3, 0.4]]}, [0.7, 1.1]),
     ("iid_pm_theta", None, [1.2]),

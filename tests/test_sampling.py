@@ -173,7 +173,7 @@ def test_simulate_series_matches_per_step_inversion(draw):
     n = draw.draw(st.integers(1, 40), label="n")
     gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
-    hyper = {"n_states": k, "mu_coeff": list(range(k)),
+    hyper = {"mu_coeff": list(range(k)),
              "transition": _law_with_zeros(gen, k, k).tolist(),
              "initial": _law_with_zeros(gen, k).tolist()}
     model = builtin_model("finite_gaussian", hyper=hyper)
@@ -205,7 +205,7 @@ def _sha256(*arrays):
 _PIN_MODELS = {
     "finite_gaussian": ("finite_gaussian", None, [0.8]),
     "three_state_zeros": ("finite_gaussian", {
-        "n_states": 3, "param": "scale", "mu": [-1.0, 0.0, 2.0],
+        "param": "scale", "mu": [-1.0, 0.0, 2.0],
         "transition": [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.6, 0.0, 0.4]]},
         [1.3]),
     "iid_pm_theta": ("iid_pm_theta", None, [1.2]),

@@ -156,8 +156,7 @@ def _gauss_1d_model(fill=None):
         return y
 
     return ModelSpec(
-        name="gauss_1d", param_dim=1, obs_dim=1,
-        theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
+        name="gauss_1d", obs_dim=1, theta_box=np.array([[-3.0, 3.0]]),
         transition_matrix=lambda theta: np.ones((1, 1)),
         initial_dist=lambda theta: np.ones(1),
         obs_sampler=obs_sampler,
@@ -186,8 +185,7 @@ def _gauss_2d_model():
     """One state, 2-D observations theta + N(0, I): the two ball norms
     differ here."""
     return ModelSpec(
-        name="gauss_2d", param_dim=1, obs_dim=2,
-        theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
+        name="gauss_2d", obs_dim=2, theta_box=np.array([[-3.0, 3.0]]),
         transition_matrix=lambda theta: np.ones((1, 1)),
         initial_dist=lambda theta: np.ones(1),
         obs_sampler=lambda theta, states, noise: theta[:, None, :1] + noise,
@@ -211,8 +209,7 @@ def test_old_sampler_shape_rejected():
     # a sampler written for one theta and flat states: the filter names the
     # contract instead of broadcasting its output into the wrong shape
     model = ModelSpec(
-        name="flat", param_dim=1, obs_dim=1,
-        theta_box=np.array([[-3.0, 3.0]]), n_states=1, hyper={},
+        name="flat", obs_dim=1, theta_box=np.array([[-3.0, 3.0]]),
         transition_matrix=lambda theta: np.ones((1, 1)),
         initial_dist=lambda theta: np.ones(1),
         obs_sampler=lambda theta, states, noise: theta[0] + noise,
