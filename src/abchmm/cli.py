@@ -204,7 +204,8 @@ def _cmd_fisher(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"fisher information ({'exact' if pert is None else 'perturbed'}"
+        exact = pert is None or pert.is_exact
+        print(f"fisher information ({'exact' if exact else 'perturbed'}"
               f" model, per observation):")
         for row, se_row in zip(fe.matrix, fe.se):
             print("  " + "  ".join(f"{v:.6g} (se {s:.2g})"

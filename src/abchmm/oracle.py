@@ -2,15 +2,18 @@
 
 The workhorse is the forward log-likelihood, taken as a log-depth product
 reduction: the likelihood is a product of one matrix ``P·diag(e_t)`` per
-step, so adjacent pairs are multiplied in one batched ``@`` per level, and
-exact power-of-two rescaling keeps a series of length 10^6 stable.  It is
-batched over a whole grid of parameter candidates and runs in time blocks
-of bounded memory.  Two recursions still loop over time steps:
-``forward_filter``, which returns every filter and restarts after a dead
-step, and one per-step kernel, private to this module, that carries the
-filter together with its derivatives in theta.  The kernel gives the scores
-of a whole batch of replicate series: :func:`forward_score_batch` in one
-emission channel, and :func:`boundary_scores` on the mixed clean/noisy
+step.  The matrices are held state-major, as (K, K, G, L) planes with the
+step axis last, so each level multiplies adjacent pairs with K broadcast
+multiplies and K - 1 adds over long vectors, and exact power-of-two
+rescaling keeps a series of length 10^6 stable.  It is batched over a whole
+grid of parameter candidates; the time blocks are set by n and K alone and
+the rows run in chunks of bounded memory, so every row of a grid call
+equals its one-row call bit for bit.  Two recursions still loop over time
+steps: ``forward_filter``, which returns every filter and restarts after a
+dead step, and one per-step kernel, private to this module, that carries
+the filter together with its derivatives in theta.  The kernel gives the
+scores of a whole batch of replicate series: :func:`forward_score_batch` in
+one emission channel, and :func:`boundary_scores` on the mixed clean/noisy
 sequences of :mod:`abchmm.fisher`, every boundary in one pass that shares
 the clean prefix.  Without derivatives it gives the log-likelihood under a
 transition matrix with zeros that would let the reduction lose a row to
@@ -64,7 +67,8 @@ Array = np.ndarray
 
 
 def as_obs_1d(data) -> Array:
-    """Extract a 1-D observation series from a Trajectory or array."""
+    """Extract a 1-D observation series from a Trajectory or array; an
+    empty series is a ``ValueError``, as in the particle estimator."""
     if isinstance(data, Trajectory):
         if data.obs_dim != 1:
             raise ValueError("exact computations support 1-D observations only")
@@ -76,6 +80,8 @@ def as_obs_1d(data) -> Array:
         if obs.ndim != 1:
             raise ValueError(
                 f"expected a 1-D observation series, got shape {obs.shape}")
+    if obs.shape[0] < 1:
+        raise ValueError("data must contain at least one observation")
     check_finite_obs(obs)
     return obs
 
@@ -134,27 +140,37 @@ def log_weight_scale(model: ModelSpec, pert: PerturbationSpec | None) -> float:
 
 
 def _rescale(m: Array) -> Array:
-    """Divide each (K, K) matrix of ``m`` (G, L, K, K), in place, by the
-    power of two that puts its largest row sum in [1, 2); return the
-    exponents summed over L (G,).  A power of two divides exactly, so an
-    all-zero matrix stays zero and a product that is exactly one stays
-    exactly one."""
-    # numpy reduces a short last axis slowly: with m.sum(-1).max(-1) here,
-    # bench/run.py oracle_fit took 0.057 s per fit instead of 0.041 s
-    k = m.shape[-1]
-    rows = (m.reshape(-1, k) @ np.ones(k)).reshape(m.shape[:-1])
-    top = rows[..., 0]
-    for i in range(1, k):
-        top = np.maximum(top, rows[..., i])
-    exp = np.frexp(top)[1] - 1
-    np.ldexp(m, -exp[..., None, None], out=m)
-    return exp.sum(axis=1)
+    """Divide each matrix of the state-major planes ``m`` (K, K, G, L), in
+    place, by the power of two that puts its largest row sum in [1, 2);
+    return the exponents summed over L (G,).  The row sums add the states
+    one after another, so each matrix gets the same exponent whatever else
+    the planes hold.  A power of two divides exactly, so an all-zero matrix
+    stays zero and a product that is exactly one stays exactly one."""
+    rows = _state_sum(m.swapaxes(0, 1))
+    top = rows[0]
+    for row in rows[1:]:
+        np.maximum(top, row, out=top)
+    neg = np.frexp(top)[1]
+    np.subtract(1, neg, out=neg)
+    np.ldexp(m, neg, out=m)
+    return -neg.sum(axis=-1)
 
 
-# Most entries the step matrices of one time block hold: a batch of G
-# series runs in blocks of _BLOCK_ENTRIES // (G·K²) steps (at least one),
-# which bounds the reduction's memory for every n and G.  The score kernel's
-# emission weights are evaluated in blocks of as many observations.
+def _plane_product(a: Array, b: Array) -> Array:
+    """Matrix products ``a @ b`` of state-major planes (K, K, ...): K
+    broadcast multiplies, added over the inner state in the order
+    0..K-1."""
+    out = a[:, :1] * b[:1]
+    for i in range(1, a.shape[0]):
+        out += a[:, i:i + 1] * b[i:i + 1]
+    return out
+
+
+# Most entries the step matrices of one time block hold: a series runs in
+# time blocks of _BLOCK_ENTRIES // K² - 1 steps (at least one), and the rows
+# of a batch in chunks of as many as fit one block, which bounds the
+# reduction's memory for every n and G.  The score kernel's emission
+# weights are evaluated in blocks of as many observations.
 _BLOCK_ENTRIES = 1 << 16
 
 # Largest ratio between two entries of one column of P that the reduction
@@ -173,34 +189,50 @@ def _column_ratio(p: Array) -> float:
 def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
     """:func:`_forward_batch` as a product reduction over time blocks.
 
-    Each block's sequence starts with a matrix whose rows all equal the row
-    carried from the previous block (``init`` for the first), then holds
-    one ``P·diag(e_t)`` per step.  Each level multiplies adjacent pairs in
-    one batched ``@``, after multiplying an odd last matrix into its left
-    neighbour, so L steps take ceil(log2(L + 1)) levels and leave one
-    matrix whose rows all hold the carried row.  Every matrix is rescaled
-    by an exact power of two (:func:`_rescale`) before the first level and
-    after each one, and the integer exponents are summed.
+    The step matrices are held state-major, as (K, K, G, L) planes with
+    the step axis last, so every operation is a multiply or an add over
+    long vectors of one entry of many matrices.  Each block's sequence
+    starts with a matrix whose rows all equal the row carried from the
+    previous block (``init`` for the first), then holds one ``P·diag(e_t)``
+    per step.  Each level multiplies adjacent pairs (:func:`_plane_product`),
+    after multiplying an odd last matrix into its left neighbour, so L
+    steps take ceil(log2(L + 1)) levels and leave one matrix whose rows all
+    hold the carried row.  Every matrix is rescaled by an exact power of
+    two (:func:`_rescale`) before the first level and after each one, and
+    the integer exponents are summed.
+
+    The block boundaries depend on n and K alone, and the rows run in
+    chunks within ``_BLOCK_ENTRIES``.  Every operation acts on each row
+    alone, so a row of a G-row call equals its one-row call bit for bit.
+    ``emis`` (G, n, K) may be in any memory order; a state-major one (the
+    transpose of a (K, G, n) array) is read contiguously.
     """
     g, n, k = emis.shape
-    v = np.array(init, dtype=float)
-    shift = np.zeros(g, dtype=np.int64)
-    block = max(1, _BLOCK_ENTRIES // (g * k * k))
-    for s in range(0, n, block):
-        e = emis[:, s:s + block]
-        m = np.empty((g, e.shape[1] + 1, k, k))
-        m[:, 0] = v[:, None, :]
-        np.einsum("gij,gnj->gnij", p, e, out=m[:, 1:])
-        shift += _rescale(m)
-        while m.shape[1] > 1:
-            if m.shape[1] % 2:
-                m[:, -2] = m[:, -2] @ m[:, -1]
-                m = m[:, :-1]
-            m = m[:, 0::2] @ m[:, 1::2]
+    e = np.moveaxis(emis, -1, 0)                          # (K, G, n)
+    pk = np.moveaxis(p, 0, -1)[..., None]                 # (K, K, G, 1)
+    block = max(1, _BLOCK_ENTRIES // (k * k) - 1)
+    chunk = max(1, _BLOCK_ENTRIES // (k * k * (min(block, n) + 1)))
+    out = np.empty(g)
+    for a in range(0, g, chunk):
+        rows = slice(a, a + chunk)
+        v = init[rows].T                                  # (K, rows)
+        shift = np.zeros(v.shape[1], dtype=np.int64)
+        for s in range(0, n, block):
+            w = e[:, rows, s:s + block]
+            m = np.empty((k, k, w.shape[1], w.shape[2] + 1))
+            m[..., 0] = v
+            np.multiply(pk[:, :, rows], w, out=m[..., 1:])
             shift += _rescale(m)
-        v = m[:, 0, 0]
-    with np.errstate(divide="ignore"):
-        return shift * math.log(2.0) + np.log(v.sum(axis=-1))
+            while m.shape[-1] > 1:
+                if m.shape[-1] % 2:
+                    m[..., -2:-1] = _plane_product(m[..., -2:-1], m[..., -1:])
+                    m = m[..., :-1]
+                m = _plane_product(m[..., 0::2], m[..., 1::2])
+                shift += _rescale(m)
+            v = m[0, :, :, 0]
+        with np.errstate(divide="ignore"):
+            out[rows] = shift * math.log(2.0) + np.log(_state_sum(v))
+    return out
 
 
 def _forward_start(init: Array, dinit: Array, shape: tuple):
@@ -355,11 +387,15 @@ def _native_loglik(model: ModelSpec, thetas: Array, ys: Array,
                    pert: PerturbationSpec | None) -> Array:
     """Forward log-likelihood (G,) of each row of a (G, d) grid on the
     ball-probability (kernel-weight) scale."""
-    emis = np.array([emission_matrix(model, th, ys, pert) for th in thetas])
+    # each row's weights go straight into state-major (K, G, n) storage,
+    # the layout _forward_tree reads
+    emis = np.empty((model.n_states, len(thetas), ys.shape[0]))
+    for row, th in zip(np.moveaxis(emis, 1, 0), thetas):
+        row[...] = emission_matrix(model, th, ys, pert).T
     # emission_matrix has checked every row
     ps = np.array([model.transition_matrix(th) for th in thetas], dtype=float)
     inits = np.array([model.initial_dist(th) for th in thetas])
-    return _forward_batch(ps, inits, emis)
+    return _forward_batch(ps, inits, np.moveaxis(emis, 0, -1))
 
 
 def forward_loglik(model: ModelSpec, theta, data,

@@ -221,6 +221,51 @@ def test_malformed_input_raises_and_returns_no_number(draw):
             oracle.forward_loglik_grid(_MODEL, np.empty((0, 2)), ys, pert)
 
 
+_EMPTY_MESSAGE = "data must contain at least one observation"
+
+
+@pytest.mark.parametrize("route", [
+    "forward_loglik", "forward_loglik_grid", "forward_filter",
+    "exact_smc_target", "abc_mle", "exact_mle"])
+def test_empty_series_is_refused_on_the_exact_path(route):
+    # the particle estimator refuses an empty series; the exact path once
+    # gave log-likelihood 0 and a fit at the box corner
+    pert = PerturbationSpec(epsilon=0.3)
+    calls = {
+        "forward_loglik": lambda ys: oracle.forward_loglik(
+            _MODEL, _THETA, ys, pert),
+        "forward_loglik_grid": lambda ys: oracle.forward_loglik_grid(
+            _MODEL, [_THETA], ys, pert),
+        "forward_filter": lambda ys: oracle.forward_filter(_MODEL, _THETA, ys),
+        "exact_smc_target": lambda ys: oracle.exact_smc_target(
+            _MODEL, _THETA, ys, pert),
+        "abc_mle": lambda ys: estimate.abc_mle(_MODEL, ys, pert,
+                                               objective="oracle"),
+        "exact_mle": lambda ys: estimate.exact_mle(_MODEL, ys),
+    }
+    with pytest.raises(ValueError, match=_EMPTY_MESSAGE):
+        calls[route](np.empty(0))
+
+
+@pytest.mark.parametrize("command", [
+    ["likelihood", "--theta", "0.7", "--estimator", "oracle"],
+    ["estimate", "--seed", "0", "--objective", "oracle"],
+    ["estimate", "--seed", "0", "--method", "exact"],
+], ids=lambda c: f"{c[0]}-{c[-1]}")
+def test_cli_refuses_a_header_only_series_on_the_exact_path(tmp_path,
+                                                            command):
+    data = tmp_path / "data.csv"
+    data.write_text("t,y_1,x\n")
+    (tmp_path / "data.json").write_text("{}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        status = cli.main(command + ["--model", "finite_gaussian", "--data",
+                                     str(data), "--epsilon", "0.3"])
+    assert status == 2
+    assert err.getvalue() == f"error: {_EMPTY_MESSAGE}\n"
+
+
 @pytest.mark.parametrize("flag, value, name", [("--replicates", "1",
                                                 "n_replicates"),
                                                ("--n", "0", "n")])

@@ -378,24 +378,39 @@ def test_smc_fit_looks_ahead_with_the_same_bytes():
     assert res.value == value and res.n_failures == failures
 
 
-def test_oracle_objective_probes_one_at_a_time():
+def test_oracle_fit_looks_ahead_with_the_same_bytes():
+    """An exact fit of the oracle_fit kind (finite_gaussian scale, eps 0.05),
+    with an entry budget small enough that the series crosses time blocks:
+    the grid's 21 points in one call, then golden-section calls of at most
+    three rows, fewer than the probes recorded, and the same estimate, trace
+    and failure count as the sequential search."""
     model = builtin_model("finite_gaussian", hyper={"param": "scale"})
     data = sampling.simulate(model, [0.2], 200, seed=3, with_hidden=False)
     pert = PerturbationSpec(epsilon=0.05)
     _, lookahead = est._oracle_objective(model, data, pert)
-    assert not lookahead
+    assert lookahead
     calls = []
     forward = est.oracle.forward_loglik_grid
 
     def counted(model, thetas, *args):
-        calls.append([tuple(t) for t in thetas])
+        calls.append(len(thetas))
         return forward(model, thetas, *args)
 
-    with mock.patch.object(est.oracle, "forward_loglik_grid", counted):
+    with mock.patch.object(est.oracle, "forward_loglik_grid", counted), \
+            mock.patch.object(est.oracle, "_BLOCK_ENTRIES", 256):
         res = est.abc_mle(model, data, pert, objective="oracle", seed=0)
-    # the grid's 21 points in one call, then one call per probe
-    assert len(calls[0]) == 21 and all(len(c) == 1 for c in calls[1:])
-    assert [t for t, _, _ in res.trace[21:]] == [c[0] for c in calls[1:]]
+        looked_ahead = calls[:]
+        calls.clear()
+        with mock.patch.object(est, "_golden_refine",
+                               _reference_golden_refine):
+            want = est.abc_mle(model, data, pert, objective="oracle", seed=0)
+    assert calls[0] == 21 and all(c == 1 for c in calls[1:])
+    golden = len(res.trace) - 21
+    assert looked_ahead[0] == 21 and all(c <= 3 for c in looked_ahead[1:])
+    assert sum(looked_ahead[1:]) >= golden > len(looked_ahead) - 1
+    assert res.theta_hat.values.tobytes() == want.theta_hat.values.tobytes()
+    assert repr((res.value, res.trace, res.n_failures)) \
+        == repr((want.value, want.trace, want.n_failures))
 
 
 @pytest.mark.parametrize("option, value", [

@@ -441,6 +441,19 @@ def test_cli_fisher_json(capsys):
     assert len(payload["matrix"]) == 1
 
 
+def test_cli_fisher_epsilon_zero_is_the_exact_model(capsys):
+    # eps 0 is the exact computation, and its text output says so: the
+    # same lines as the run without --epsilon
+    fisher = ["fisher", "--model", "finite_gaussian", "--theta", "0.8",
+              "--n", "40", "--replicates", "10", "--seed", "1"]
+    outputs = []
+    for extra in ([], ["--epsilon", "0"]):
+        assert run_cli(fisher + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("fisher information (exact model, ")
+    assert outputs[1] == outputs[0]
+
+
 _COLD_START = """
 import json, sys
 from abchmm import (PerturbationSpec, abc_mle, builtin_model, cli, simulate,

@@ -414,6 +414,33 @@ def test_product_reduction_matches_step_loop(draw):
     _assert_same_loglik(got, *_forward_loop(p, init, emis), n)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_grid_rows_equal_their_one_row_calls(draw):
+    # the reduction's time blocks depend on n and K alone, so every row of a
+    # G-row call equals its one-row call bit for bit; a small entry budget
+    # makes the series cross block edges and the rows run in several chunks
+    k = draw.draw(st.integers(1, 4), label="n_states")
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    p = gen.uniform(0.05, 1.0, size=(k, k))
+    model = builtin_model("finite_gaussian", hyper={
+        "param": "scale", "transition": (p / p.sum(axis=1, keepdims=True))
+        .tolist(), "mu": gen.normal(0.0, 2.0, size=k).tolist()})
+    n = draw.draw(st.integers(1, 300), label="n")
+    ys = gen.normal(0.0, 2.0, size=n)
+    thetas = gen.uniform(0.05, 5.0, size=(draw.draw(st.integers(2, 12),
+                                                    label="rows"), 1))
+    pert = draw.draw(st.sampled_from([
+        None, PerturbationSpec(epsilon=0.2),
+        PerturbationSpec(epsilon=0.2, kernel="gaussian")]), label="pert")
+    budget = draw.draw(st.integers(1, 40 * k * k), label="budget")
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", budget):
+        grid = oracle.forward_loglik_grid(model, thetas, ys, pert)
+        rows = [oracle.forward_loglik(model, th, ys, pert) for th in thetas]
+    assert grid.tobytes() == np.array(rows).tobytes()
+
+
 @pytest.mark.parametrize("p, init", [
     (np.eye(3), [0.0, 0.0, 1.0]),                          # identity
     (np.array([[0.5, 0.5, 0.0],                            # absorbing
