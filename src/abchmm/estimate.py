@@ -19,9 +19,12 @@ The particle objective uses common random numbers: one stream key is derived
 from the run seed and reused for every candidate theta, making the objective a
 deterministic surface the optimizer can trust.  A fit keeps one table of the
 filter's step draws for all its evaluations: each step's streams are derived
-once, by the first evaluation that reaches the step, the second evaluation
-keeps the step's uniforms and noise (up to a fixed memory budget), and every
-later evaluation replays them.  Every value equals a fresh
+once, by the first evaluation that reaches the step.  Under
+``grid_then_golden`` and ``nelder_mead``, which evaluate more than once, that
+first evaluation keeps the step's uniforms and noise (up to a fixed memory
+budget) and every later evaluation replays them, so each step is drawn once.
+A ``grid`` fit evaluates once, and keeps arrays only when its grid spans
+several of the filter's chunks (see ``smc``).  Every value equals a fresh
 ``smc.smc_abc_likelihood`` at the fit's stream key, and the rows of one call
 share the filter's draws step by step.  The exact objective runs the
 forward product tree on state-major planes, where every row of a call equals
@@ -299,17 +302,19 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
 
 
 def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
-                   n_particles: int, seed: int):
+                   n_particles: int, seed: int, keep_first: bool = False):
     """Particle objective on common random numbers.
 
     Returns ``(batch, lookahead)``.  Every row of a call equals its one-row
     call bit for bit, and a three-row call costs little more than one row,
     so the golden-section stage looks one step ahead.  All calls share one
-    table of step draws, which replays them from the second call on, so
-    each value equals a fresh ``smc_abc_likelihood`` at the fit's stream
-    key.
+    table of step draws, so each value equals a fresh
+    ``smc_abc_likelihood`` at the fit's stream key.  With ``keep_first``,
+    for an optimizer that calls the objective more than once, the table
+    keeps the first call's draws, so each step is drawn once.
     """
-    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"))
+    streams = smcmod._StepStreams(rngmod.derive_seed(seed, "crn"),
+                                  keep_first)
 
     def batch(thetas):
         ests = smcmod._likelihood_batch(
@@ -328,7 +333,9 @@ def _run(model, data, pert, objective, method, n_particles, seed, opts,
     elif objective == "smc":
         if pert is None:
             raise ValueError("the particle objective needs a perturbation")
-        batch, lookahead = _smc_objective(model, data, pert, n_particles, seed)
+        # only a grid fit calls its objective once
+        batch, lookahead = _smc_objective(model, data, pert, n_particles, seed,
+                                          keep_first=method != "grid")
     else:
         raise ValueError(f"unknown objective {objective!r}; "
                          "expected 'smc' or 'oracle'")

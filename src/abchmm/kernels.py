@@ -55,20 +55,26 @@ def log_ball_volume(eps: float, m: int, norm: str = "linf") -> float:
     raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
 
 
-def within_ball(diff: np.ndarray, eps: float, norm: str = "linf") -> np.ndarray:
+def within_ball(diff: np.ndarray, eps: float, norm: str = "linf",
+                out: np.ndarray | None = None) -> np.ndarray:
     """Indicator of ``||d|| <= eps`` for every point ``d`` on the last axis
     of ``diff`` (..., m); the result has shape (...).  A NaN coordinate puts
-    its point outside the ball."""
+    its point outside the ball.
+
+    With ``out``, a boolean array of the result's shape, the result is
+    written there and ``diff`` serves as scratch: its values are lost.
+    """
     diff = np.atleast_2d(diff)
     if norm == "linf":
         # one coordinate at a time: np.max over a short last axis costs
         # more than the loop; np.maximum propagates NaN
-        dist = np.abs(diff[..., 0])
-        for j in range(1, diff.shape[-1]):
-            np.maximum(dist, np.abs(diff[..., j]), out=dist)
-        return dist <= eps
+        dist = np.abs(diff, out=None if out is None else diff)
+        for j in range(1, dist.shape[-1]):
+            np.maximum(dist[..., 0], dist[..., j], out=dist[..., 0])
+        return np.less_equal(dist[..., 0], eps, out=out)
     if norm == "l2":
-        return np.einsum("...j,...j->...", diff, diff) <= eps * eps
+        return np.less_equal(np.einsum("...j,...j->...", diff, diff),
+                             eps * eps, out=out)
     raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
 
 

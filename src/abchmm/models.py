@@ -159,7 +159,7 @@ class ModelSpec:
     N, obs_dim) holds row g's pseudo-observations at ``theta[g]``.  Every
     row reads the same noise, so the particle filter runs a whole batch of
     candidate parameters on one set of draws (common random numbers), and a
-    particle fit draws each step's noise once or twice and replays it.  The
+    particle fit keeps or replays each step's noise after its first draw.  The
     states and the noise are read-only: a transform that writes into either
     raises.  Nor may it keep them: the filter draws each step's states into
     one buffer.
@@ -279,16 +279,18 @@ def stationary_dist(p: Array) -> Array:
     return pi / pi.sum()
 
 
-def sample_categorical_rows(probs: Array, u: Array,
-                            out: Array | None = None) -> Array:
+def sample_categorical_rows(probs: Array, u: Array, out: Array | None = None,
+                            above: Array | None = None) -> Array:
     """Categorical draws from every row of ``probs`` (R, K) by inversion of
     the uniforms ``u`` (size,), which every row shares: the result (R, size),
     written into ``out`` (an int64 (R, size) array) when given.
 
     Entry (r, i) is the number of entries of row r's cumulative sum below
-    ``u[i]``, capped at K - 1.
+    ``u[i]``, capped at K - 1.  With ``above``, a boolean (K - 1, R, size)
+    array, plane j receives ``u > cum_j`` (the draws above state j) and the
+    result is the sum of the planes: the same integers.
     """
-    cum = np.cumsum(probs, axis=1)
+    cum = probs.cumsum(axis=1)
     if out is None:
         out = np.empty((cum.shape[0], u.size), dtype=np.int64)
     if cum.shape[1] == 1:
@@ -296,10 +298,21 @@ def sample_categorical_rows(probs: Array, u: Array,
         return out
     # the cumulative sum is nondecreasing, so counting the first K - 1
     # entries below u is the full count capped at K - 1
-    idx = np.less(cum[:, 0, None], u, out=out)
-    for j in range(1, cum.shape[1] - 1):
-        idx += cum[:, j, None] < u
-    return idx
+    if above is None:
+        idx = np.less(cum[:, 0, None], u, out=out)
+        for j in range(1, cum.shape[1] - 1):
+            idx += cum[:, j, None] < u
+        return idx
+    # one comparison per row and state: u against a number takes numpy's
+    # scalar loop, and u against a broadcast (R, 1) column is several times
+    # slower per element
+    for plane, col in zip(above, cum[:, :-1].T.tolist()):
+        for row, c in zip(plane, col):
+            np.greater(u, c, out=row)
+    np.copyto(out, above[0])
+    for plane in above[1:]:
+        out += plane
+    return out
 
 
 def draw_noise(model: ModelSpec, rng: np.random.Generator, size: int) -> Array:

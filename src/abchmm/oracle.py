@@ -557,6 +557,8 @@ def _replicate_batch(obs_batch) -> Array:
     if obs_batch.ndim != 2:
         raise ValueError(f"expected replicate 1-D series (R, n), got shape "
                          f"{obs_batch.shape}")
+    if obs_batch.shape[1] < 1:
+        raise ValueError("data must contain at least one observation")
     check_finite_obs(obs_batch.T)
     return obs_batch
 

@@ -29,19 +29,26 @@ Weeds worth knowing about:
 * Every step starts from equal weights, so the per-step factor is a plain
   mean: an all-accept step contributes a factor of exactly 1.0 and an
   everything-accepts run gives ``log_value == 0.0`` exactly.
-* Under the uniform kernel every weight is 0 or 1, so the filter keeps
-  the kernel's booleans and takes its sums as counts: the accepted count
-  gives the step's factor, the second moment equals the factor (0/1
-  weights square to themselves), and the next predictive law is each
-  state's accepted count over the total.  Every count is an integer below
-  2**53, so these sums are exact, and the values are those of the same
-  sums over 0.0/1.0 floats, bit for bit.  The ESS ``(sum w)**2 / sum
-  w**2`` is the accepted count itself, exact; the gaussian kernel's is the
-  reciprocal of the sum of the squared normalised weights.
-* Each filter call (one chunk of a batch, see below) draws every step's
-  states into one (rows, N) buffer, which ``obs_sampler`` reads through a
-  read-only view, and counts the uniform kernel's accepted particles per
-  state in one boolean buffer.
+* Under the uniform kernel every weight is 0 or 1, so the filter works
+  on integer counts: the accepted count gives the step's factor, the
+  second moment equals the factor (0/1 weights square to themselves), and
+  the next predictive law is each state's accepted count over the total.
+  The counts are exact, so the values are those of the same sums over
+  0.0/1.0 floats, bit for bit.  The ESS ``(sum w)**2 / sum w**2`` is the
+  accepted count itself, exact; the gaussian kernel's is the reciprocal of
+  the sum of the squared normalised weights.  Each step's accepted counts
+  are recorded once, and ``step_acceptance`` and ``ess_trace`` are taken
+  from them after the loop.
+* Each filter call (one chunk of a batch, see below) keeps its per-step
+  arrays in buffers made once.  The state draw goes into one (rows, N)
+  buffer, which ``obs_sampler`` reads through a read-only view.  Under the
+  uniform kernel, one boolean (K, rows, N) buffer holds the kernel's
+  weights in plane 0, written in place by ``within_ball``, and in plane
+  j + 1 the draws above state j (``u > cum_j``, which the state draw
+  leaves there) and-ed with the weights.  One sum over that buffer's bytes,
+  in the narrowest unsigned type that holds N, counts every plane per row:
+  the accepted particles, and those above each state, whose differences
+  are the per-state counts.  A row collapses when its count is 0.
 * A step where every weight vanishes collapses the estimate: ``log_value``
   is -inf, ``collapsed_at`` records the 0-based step, and the remaining
   entries of ``step_acceptance`` / ``ess_trace`` stay 0.
@@ -49,14 +56,17 @@ Weeds worth knowing about:
   (``"prop"`` for the uniforms the state draw inverts, ``"obsdraw"`` for
   the pseudo-observations' noise), so estimates are reproducible
   bit-for-bit and independent of scheduling.  The first pass that reaches
-  a step derives its two streams, draws from them, and saves their fresh
-  generator states.  The second pass (another chunk of the batch, or
-  another call of the same particle fit, see ``estimate``) restores those
-  states, which gives the same draws for about a tenth of the cost of a
-  derivation.  The table also keeps the arrays that second pass drew,
-  read-only, up to a fixed budget, and every later pass reads them without
-  drawing at all.  One pass over the steps, as in a single-chunk public
-  call below or a grid fit, keeps no arrays.
+  a step derives its two streams and draws from them.  A particle fit
+  whose optimizer evaluates more than once (see ``estimate``) keeps the
+  arrays of that first pass, read-only, up to a fixed budget, and every
+  later pass reads them without drawing at all: each step is drawn once.
+  Otherwise the first pass saves the streams' fresh generator states, and
+  the second pass (another chunk of the batch) restores them, which
+  gives the same draws for about a tenth of the cost of a derivation, and
+  keeps its arrays for the later passes.  A step past the budget is always
+  drawn again from its saved states.  One pass over the steps, as in a
+  single-chunk public call below or a single-chunk grid fit, keeps no
+  arrays.
 * The filter's running sums per row (log value, variance proxy) are taken
   after the loop over steps, in step order: ``math.log`` of each step's
   factor and a sequential cumulative sum, the same bits as summing step
@@ -130,26 +140,33 @@ class _StepStreams:
     state draw inverts and the ``obs_noise`` draw of size N.
 
     The first pass that reaches step k derives ``rng.stream(seed, "prop",
-    k)`` and ``rng.stream(seed, "obsdraw", k)``, draws from them and saves
-    their fresh generator states.  The second pass restores those states
-    into two reused generators, which then draw exactly what fresh
-    derivations would.  The second pass also keeps the arrays it drew, as
-    rows of one block per kind, with room for as many steps as the data
-    has or ``_REPLAY_BYTES`` holds, and later passes take them as they are;
-    steps past the budget go on restoring states.  The table fills as
+    k)`` and ``rng.stream(seed, "obsdraw", k)`` and draws from them.  The
+    table keeps the arrays of one pass, as rows of one block per kind with
+    room for as many steps as the data has or ``_REPLAY_BYTES`` holds, and
+    later passes take them as they are.  With ``keep_first`` (a fit whose
+    optimizer calls the objective more than once) it keeps the first pass's
+    arrays, so every step is drawn once; without it, the second pass's, so
+    that a single pass keeps nothing.  A step whose arrays are not kept
+    has its fresh generator states saved instead: a later pass restores
+    them into two reused generators, which then draw exactly what fresh
+    derivations would, for about a tenth of the cost.  The table fills as
     passes reach the steps, so a pass that collapses early leaves the later
     steps to the first pass that gets there.  Every array handed out is
     read-only.  A table serves one model and one particle count, for one
     call of the public functions below or for one particle fit.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, keep_first: bool = False):
         self.seed = seed
+        self.keep_first = keep_first
         self._saved = {}        # k -> the fresh generators' states
         self._kept = {}         # k -> (uniforms, noise), rows of _rows
         self.kept_bytes = 0
         self._rows = None       # the (slots, N) uniforms and noise arrays
         self._reused = None     # the generators the states go into
+
+    def _room(self) -> bool:
+        return self._rows is not None and len(self._kept) < len(self._rows[0])
 
     def draws(self, model: ModelSpec, k: int, n_steps: int,
               n_particles: int):
@@ -159,11 +176,16 @@ class _StepStreams:
         if kept is not None:
             return kept
         saved = self._saved.get(k)
+        # this pass keeps what it draws, if there is room
+        keeps = saved is not None or self.keep_first
         if saved is None:
             prop = rngmod.stream(self.seed, "prop", k)
             obs = rngmod.stream(self.seed, "obsdraw", k)
-            self._saved[k] = (prop.bit_generator.state,
-                              obs.bit_generator.state)
+            # saved unless this pass will keep the arrays, which is not
+            # known before the block exists
+            if not (keeps and self._room()):
+                self._saved[k] = (prop.bit_generator.state,
+                                  obs.bit_generator.state)
         else:
             if self._reused is None:
                 # the same kind of bit generator as rng.stream's; their
@@ -175,7 +197,7 @@ class _StepStreams:
         u = prop.random(n_particles)
         u.flags.writeable = False
         noise = draw_noise(model, obs, n_particles)
-        if saved is None:
+        if not keeps:
             return u, noise
         if self._rows is None:
             # two blocks, so that no kept array sits among the filter's
@@ -183,16 +205,16 @@ class _StepStreams:
             slots = min(n_steps, _REPLAY_BYTES // (u.nbytes + noise.nbytes))
             self._rows = (np.empty((slots,) + u.shape),
                           np.empty((slots,) + noise.shape, noise.dtype))
-        i = len(self._kept)
-        if i == len(self._rows[0]):
+        if not self._room():
             return u, noise
+        i = len(self._kept)
         self._rows[0][i] = u
         self._rows[1][i] = noise
         u, noise = self._rows[0][i], self._rows[1][i]
         u.flags.writeable = noise.flags.writeable = False
         self._kept[k] = u, noise
         self.kept_bytes += u.nbytes + noise.nbytes
-        del self._saved[k]
+        self._saved.pop(k, None)
         return u, noise
 
 
@@ -269,63 +291,76 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
     cap = GAUSS_SUP ** model.obs_dim if pert.kernel == "gaussian" else 1.0
     uniform = pert.kernel == "uniform"
 
-    # per row and step: the mean weight, the mean squared weight (0/1
-    # weights square to themselves, so the uniform kernel's is the mean),
-    # and the ESS: the uniform kernel's accepted count, or the sum of the
-    # squared normalised weights, the ESS's reciprocal, for the gaussian's
-    step_acceptance = np.zeros((g_all, n))
-    second = step_acceptance if uniform else np.zeros((g_all, n))
-    ess_trace = np.zeros((g_all, n))
     collapsed_at = [None] * g_all
-
     live = np.arange(g_all)
-    # per-chunk buffers for each step's state draw, the uniform kernel's
-    # per-state counts and the pseudo-observations' distance to the data
+    # per-chunk buffers for each step's state draw and the pseudo-
+    # observations' distance to the data
     state_buf = np.empty((g_all, n_particles), dtype=np.int64)
-    mask_buf = np.empty((g_all, n_particles), dtype=bool)
-    scratch = np.empty(g_all * n_particles * model.obs_dim)
-    offsets = np.arange(g_all)[:, None] * n_states
+    scratch = np.empty((g_all, n_particles, model.obs_dim))
+    if uniform:
+        # per row and step, the accepted count
+        accepted = np.zeros((g_all, n), dtype=np.int64)
+        # plane 0 holds the kernel's 0/1 weights, plane j + 1 the accepted
+        # particles drawn above state j; one sum over their bytes, in the
+        # narrowest unsigned type that holds N, counts all of them
+        bits = np.empty((n_states, g_all, n_particles), dtype=bool)
+        count_type = np.min_scalar_type(n_particles)
+    else:
+        # per row and step: the mean weight, the mean squared weight and
+        # the sum of the squared normalised weights, the ESS's reciprocal
+        step_acceptance = np.zeros((g_all, n))
+        second = np.zeros((g_all, n))
+        ess_trace = np.zeros((g_all, n))
+        offsets = np.arange(g_all)[:, None] * n_states
 
     for k in range(n):
         m = live.size
         pred = (q[:, None, :] @ p)[:, 0]
         u, noise = streams.draws(model, k, n, n_particles)
-        states = sample_categorical_rows(pred, u, out=state_buf[:m])
-        diff = np.subtract(
-            sample_observations(model, thetas, states, noise), obs[k],
-            out=scratch[:m * n_particles * model.obs_dim].reshape(
-                m, n_particles, model.obs_dim))
-        # the uniform kernel's weights stay booleans and its sums counts
-        w = within_ball(diff, eps, pert.norm) if uniform \
-            else smooth_weight(diff, eps)
-        total = w.sum(axis=1)
-
-        # sum / N is what mean does, without its per-call overhead
-        step_val = total / n_particles
-        step_acceptance[live, k] = step_val
-        dead = step_val <= 0.0
-        if dead.any():
+        above = bits[1:, :m] if uniform else None
+        states = sample_categorical_rows(pred, u, out=state_buf[:m],
+                                         above=above)
+        diff = np.subtract(sample_observations(model, thetas, states, noise),
+                           obs[k], out=scratch[:m])
+        if uniform:
+            w = within_ball(diff, eps, pert.norm, out=bits[0, :m])
+            np.logical_and(above, w, out=above)
+            # per row: the accepted count, then the accepted particles
+            # above each state
+            counts = np.add.reduce(bits[:, :m].view(np.uint8), axis=2,
+                                   dtype=count_type)
+            accepted[live, k] = total = counts[0]
+            # one call in the common case, where no row collapses
+            dead = None if total.all() else total == 0
+        else:
+            w = smooth_weight(diff, eps)
+            total = w.sum(axis=1)
+            # sum / N is what mean does, without its per-call overhead
+            step_val = total / n_particles
+            step_acceptance[live, k] = step_val
+            dead = step_val <= 0.0
+            if not dead.any():
+                dead = None
+        if dead is not None:
             for g in live[dead]:
                 collapsed_at[g] = k
             keep = ~dead
             live, thetas, p = live[keep], thetas[keep], p[keep]
-            step_val, states, w, total = (step_val[keep], states[keep],
-                                          w[keep], total[keep])
             m = live.size
             if m == 0:
                 break
+            if uniform:
+                counts, total = counts[:, keep], total[keep]
+            else:
+                step_val, states, w, total = (step_val[keep], states[keep],
+                                              w[keep], total[keep])
 
         if uniform:
-            # (sum w)^2 / sum w^2 with 0/1 weights: the accepted count
-            ess_trace[live, k] = total
-            # accepted counts per state; the last state takes the rest
-            q = np.empty((m, n_states))
-            q[:, -1] = total
-            for j in range(n_states - 1):
-                mask = np.equal(states, j, out=mask_buf[:m])
-                q[:, j] = np.logical_and(w, mask, out=mask).sum(axis=1)
-                q[:, -1] -= q[:, j]
-            q /= total[:, None]
+            # the accepted particles above state j - 1 but not above state
+            # j are in state j
+            per_state = counts.copy()
+            per_state[:-1] -= counts[1:]
+            q = per_state.T / total[:, None]
         else:
             second[live, k] = (w * w).sum(axis=1) / n_particles
             # the normalised weights are w / (N * step_val)
@@ -337,7 +372,13 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
                             minlength=m * n_states).reshape(m, n_states) \
                 / total[:, None]
 
-    if not uniform:
+    if uniform:
+        # 0/1 weights: the mean weight is the accepted share, the mean
+        # squared weight equals it, and the ESS (sum w)**2 / sum w**2 is
+        # the accepted count itself
+        step_acceptance = second = accepted / n_particles
+        ess_trace = accepted.astype(float)
+    else:
         reached = np.arange(n) < np.array(
             [n if c is None else c for c in collapsed_at])[:, None]
         np.divide(1.0, ess_trace, out=ess_trace, where=reached)

@@ -247,6 +247,21 @@ def test_empty_series_is_refused_on_the_exact_path(route):
         calls[route](np.empty(0))
 
 
+@pytest.mark.parametrize("route", ["forward_score_batch", "boundary_scores"])
+def test_empty_replicate_series_are_refused(route):
+    # replicate series with no steps once gave log-likelihood 0 and score 0
+    model = builtin_model("finite_gaussian")
+    pert = PerturbationSpec(epsilon=0.3)
+    calls = {
+        "forward_score_batch": lambda: oracle.forward_score_batch(
+            model, [0.8], np.empty((3, 0))),
+        "boundary_scores": lambda: oracle.boundary_scores(
+            model, [0.8], pert, np.empty((2, 0)), np.empty((2, 0)), [0]),
+    }
+    with pytest.raises(ValueError, match=_EMPTY_MESSAGE):
+        calls[route]()
+
+
 @pytest.mark.parametrize("command", [
     ["likelihood", "--theta", "0.7", "--estimator", "oracle"],
     ["estimate", "--seed", "0", "--objective", "oracle"],

@@ -45,6 +45,19 @@ def test_within_ball_rejects_nan(m, norm):
     assert got[1].all()
 
 
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_within_ball_writes_into_out(m, norm):
+    # with out, diff is scratch: the result is the same as without
+    rs = np.random.default_rng(m)
+    diff = rs.uniform(-1.5, 1.5, size=(3, 41, m))
+    diff[1, ::5, -1] = np.nan
+    want = within_ball(diff, 0.75, norm)
+    out = np.ones((3, 41), dtype=bool)
+    assert within_ball(diff.copy(), 0.75, norm, out=out) is out
+    np.testing.assert_array_equal(out, want)
+
+
 def test_within_ball_one_point():
     # a single (m,) point is one row
     np.testing.assert_array_equal(within_ball(np.array([0.5, -0.2]), 0.5),

@@ -461,6 +461,25 @@ def test_categorical_draws_into_the_given_buffer(k):
     np.testing.assert_array_equal(buf, sample_categorical_rows(probs, u))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_categorical_masks_mark_the_draws_above_each_state(k):
+    # plane j holds u > cum_j; the planes sum to the states, the same
+    # integers as the default path, on ties with the cumulative sum too
+    probs = rng.stream(5, "p").dirichlet(np.ones(k), size=6)
+    probs[0] = np.eye(k)[k - 1]
+    u = rng.stream(5, "u").random(301)
+    cum = np.cumsum(probs, axis=1)
+    u[:k - 1] = cum[1, :-1]
+    above = np.ones((k - 1, 6, 301), dtype=bool)
+    buf = np.full((6, 301), -7, dtype=np.int64)
+    got = sample_categorical_rows(probs, u, out=buf, above=above)
+    assert got is buf
+    for j in range(k - 1):
+        np.testing.assert_array_equal(above[j], u > cum[:, j, None])
+    np.testing.assert_array_equal(above.sum(axis=0), got)
+    np.testing.assert_array_equal(got, sample_categorical_rows(probs, u))
+
+
 @pytest.mark.parametrize("mode, key", [
     ("mean", "mu"), ("scale", "mu_coeff"), ("scale", "sigma"),
     ("mean_scale", "mu"), ("mean_scale", "sigma")])

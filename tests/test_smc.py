@@ -311,6 +311,113 @@ def test_batch_equals_single_runs(data):
 
 
 # ---------------------------------------------------------------------------
+# the uniform-kernel step against a reference copy of the filter it replaced
+
+
+def _reference_uniform_filter(model, theta, obs, pert, n_particles, seed):
+    """One row of the uniform-kernel filter as it ran before the step
+    counted bits: the state draw written as int64 comparison counts, the
+    kernel's booleans summed, and each state's accepted count taken from an
+    ``np.equal`` mask.  Returns (log_value, se_proxy, step_acceptance,
+    ess_trace, collapsed_at)."""
+    theta = np.asarray(theta, dtype=float)[None]
+    p = np.asarray(model.transition_matrix(theta[0]), dtype=float)
+    q = np.asarray(model.initial_dist(theta[0]), dtype=float)
+    n = obs.shape[0]
+    step_acceptance, ess_trace = np.zeros(n), np.zeros(n)
+    collapsed_at = None
+    for k in range(n):
+        u = rng.stream(seed, "prop", k).random(n_particles)
+        noise = np.asarray(model.obs_noise(rng.stream(seed, "obsdraw", k),
+                                           n_particles))
+        cum = np.cumsum(q @ p)
+        states = np.zeros((1, n_particles), dtype=np.int64)
+        for c in cum[:-1]:
+            states += c < u
+        diff = model.obs_sampler(theta, states, noise) - obs[k]
+        if pert.norm == "linf":
+            dist = np.abs(diff[..., 0])
+            for j in range(1, diff.shape[-1]):
+                np.maximum(dist, np.abs(diff[..., j]), out=dist)
+            w = (dist <= pert.epsilon)[0]
+        else:
+            w = (np.einsum("...j,...j->...", diff, diff)
+                 <= pert.epsilon ** 2)[0]
+        total = w.sum()
+        step_acceptance[k] = total / n_particles
+        if total == 0:
+            collapsed_at = k
+            break
+        ess_trace[k] = total
+        q = np.array([np.logical_and(w, np.equal(states[0], j)).sum()
+                      for j in range(len(q))], dtype=float) / total
+    if collapsed_at is not None:
+        return -math.inf, math.inf, step_acceptance, ess_trace, collapsed_at
+    log_value = np.cumsum([math.log(v) for v in step_acceptance])[-1]
+    se_proxy = math.sqrt(np.cumsum(np.maximum(
+        step_acceptance / step_acceptance / step_acceptance - 1.0, 0.0)
+        / n_particles)[-1])
+    return log_value, se_proxy, step_acceptance, ess_trace, None
+
+
+_STEP_MODELS = {
+    1: builtin_model("finite_gaussian", hyper={
+        "transition": [[1.0]], "mu_coeff": [1.0]}),
+    3: builtin_model("finite_gaussian", hyper={
+        "transition": [[0.8, 0.1, 0.1], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]],
+        "mu_coeff": [-1.0, 0.0, 1.0]}),
+    4: builtin_model("finite_gaussian", hyper={
+        "transition": [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1],
+                       [0.1, 0.1, 0.7, 0.1], [0.25, 0.25, 0.25, 0.25]],
+        "mu_coeff": [-1.5, -0.5, 0.5, 1.5]}),
+}
+
+
+def _assert_equals_reference_filter(model, thetas, data, pert, n_particles):
+    ests = smc.smc_abc_likelihood_batch(model, thetas, data, pert,
+                                        n_particles, seed=9)
+    for theta, est in zip(thetas, ests):
+        log_value, se_proxy, acceptance, ess, collapsed_at = \
+            _reference_uniform_filter(model, theta, data.observations, pert,
+                                      n_particles, 9)
+        assert est.collapsed_at == collapsed_at
+        assert np.array([est.log_value, est.se_proxy]).tobytes() == \
+            np.array([log_value, se_proxy]).tobytes()
+        assert est.step_acceptance.tobytes() == acceptance.tobytes()
+        assert est.ess_trace.tobytes() == ess.tobytes()
+    return ests
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("k, n_particles, eps, mixed", [
+    (1, 1001, 0.4, True), (1, 37, 0.7, True), (3, 1001, 0.4, False),
+    (3, 37, 0.7, True), (4, 1001, 0.15, True), (4, 37, 0.7, True)])
+def test_uniform_step_equals_the_reference_filter(k, n_particles, eps, mixed,
+                                                  norm):
+    # N not a multiple of 8; in the mixed cases some rows collapse mid-run
+    # and the others live to the end
+    model = _STEP_MODELS[k]
+    data = sampling.simulate(model, [0.8], 30, seed=3, with_hidden=False)
+    ests = _assert_equals_reference_filter(
+        model, [[0.8], [0.2], [2.5], [-1.9]], data,
+        PerturbationSpec(eps, "uniform", norm), n_particles)
+    collapsed = [est.collapsed_at for est in ests]
+    assert None in collapsed
+    assert any(c is not None and c > 0 for c in collapsed) == mixed
+
+
+def test_uniform_step_counts_past_sixteen_bits():
+    # N > 65,535, and counts past 16 bits: the per-row counts take a wider
+    # type than below it
+    model = _STEP_MODELS[3]
+    data = sampling.simulate(model, [0.8], 6, seed=3, with_hidden=False)
+    ests = _assert_equals_reference_filter(
+        model, [[0.8], [0.5]], data, PerturbationSpec(1.0), (1 << 17) + 3)
+    for est in ests:
+        assert not est.collapsed and est.ess_trace.max() > 1 << 16
+
+
+# ---------------------------------------------------------------------------
 # the step-stream table
 
 
@@ -505,19 +612,28 @@ def _fit_bits(result):
     return repr((result.theta_hat.to_list(), result.value, result.trace))
 
 
-def test_golden_fit_draws_each_step_at_most_twice(tables):
+def _assert_fit_draws_each_step_once(tables, **opts):
     calls = []
-    fit = _fit(_noise_calls(_FIT_MODEL, calls))
+    fit = _fit(_noise_calls(_FIT_MODEL, calls), **opts)
     assert fit.n_evaluations > 2
-    assert len(calls) <= 2 * _FIT_DATA.n
+    assert len(calls) == _FIT_DATA.n
     table, = tables
-    # every step two passes reached is kept; no derivation is repeated
-    assert table._kept and set(table._kept).isdisjoint(table._saved)
+    # the first pass keeps every step it draws, and saves no state
+    assert len(table._kept) == _FIT_DATA.n and not table._saved
     assert table.kept_bytes == sum(u.nbytes + noise.nbytes
                                    for u, noise in table._kept.values())
     assert not any(a.flags.writeable for pair in table._kept.values()
                    for a in pair)
-    assert _fit_bits(fit) == _fit_bits(_fit())
+    assert _fit_bits(fit) == _fit_bits(_fit(**opts))
+
+
+def test_golden_fit_draws_each_step_once(tables):
+    _assert_fit_draws_each_step_once(tables)
+
+
+def test_nelder_mead_fit_draws_each_step_once(tables):
+    _assert_fit_draws_each_step_once(tables, method="nelder_mead",
+                                     restarts=1)
 
 
 def test_one_pass_tables_keep_no_arrays(tables):
