@@ -24,8 +24,8 @@ from .oracle import (brute_force_loglik, exact_smc_target, filter_tv_forgetting,
                      forward_filter, forward_loglik, forward_loglik_grid,
                      forward_score)
 from .rng import derive_seed, stream
-from .sampling import (Trajectory, apply_summary, load_trajectory, noisify,
-                       save_trajectory, simulate)
+from .sampling import (Trajectory, load_trajectory, noisify, save_trajectory,
+                       simulate)
 from .smc import LikelihoodEstimate, smc_abc_likelihood, smc_abc_likelihood_batch
 
 __version__ = "0.1.0"
@@ -44,8 +44,8 @@ __all__ = [
     "forward_filter", "forward_loglik", "forward_loglik_grid",
     "forward_score",
     "derive_seed", "stream",
-    "Trajectory", "apply_summary", "load_trajectory", "noisify",
-    "save_trajectory", "simulate",
+    "Trajectory", "load_trajectory", "noisify", "save_trajectory",
+    "simulate",
     "LikelihoodEstimate", "smc_abc_likelihood", "smc_abc_likelihood_batch",
     "__version__",
 ]

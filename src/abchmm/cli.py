@@ -39,10 +39,15 @@ def _parse_json(text: str, flag: str):
         raise ConfigError(f"{flag} is not valid JSON: {exc}") from exc
 
 
+def _given(args, dests) -> list:
+    """The flags of ``dests`` given on the command line (those not None)."""
+    return ["--" + d.replace("_", "-") for d in dests
+            if getattr(args, d) is not None]
+
+
 def _refuse_with(args, flag: str, dests) -> None:
     """A ``ConfigError`` naming each flag of ``dests`` given beside ``flag``."""
-    given = ["--" + d.replace("_", "-") for d in dests
-             if getattr(args, d) is not None]
+    given = _given(args, dests)
     if given:
         raise ConfigError(f"{flag} cannot be combined with {', '.join(given)}")
 
@@ -58,19 +63,25 @@ def _model_from_args(args):
     return builtin_model(args.model, hyper=hyper, theta_box=box)
 
 
-def _add_pert_args(sub, required: bool = False):
-    sub.add_argument("--epsilon", type=float, required=required,
-                     help="perturbation tolerance")
-    sub.add_argument("--kernel", default="uniform",
-                     choices=("uniform", "gaussian"))
-    sub.add_argument("--norm", default="linf", choices=("linf", "l2"))
+def _add_pert_args(sub):
+    sub.add_argument("--epsilon", type=float, help="perturbation tolerance")
+    sub.add_argument("--kernel", choices=("uniform", "gaussian"),
+                     help="default: uniform")
+    sub.add_argument("--norm", choices=("linf", "l2"), help="default: linf")
 
 
 def _pert_from_args(args) -> PerturbationSpec | None:
+    """The perturbation of ``--epsilon``, or None without it; then
+    ``--kernel`` and ``--norm``, which nothing would read, are refused."""
     if args.epsilon is None:
+        given = _given(args, ("kernel", "norm"))
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be used without "
+                              "--epsilon")
         return None
-    return PerturbationSpec(epsilon=args.epsilon, kernel=args.kernel,
-                            norm=args.norm)
+    return PerturbationSpec(epsilon=args.epsilon,
+                            kernel=args.kernel or "uniform",
+                            norm=args.norm or "linf")
 
 
 def _parse_theta(text: str):
@@ -93,8 +104,6 @@ def _cmd_simulate(args) -> int:
     pert = _pert_from_args(args)
     if pert is not None:
         traj = sampling.noisify(traj, pert, derive_seed(args.seed, "noise"))
-    if args.summary:
-        traj = sampling.apply_summary(traj, args.summary)
     path = sampling.save_trajectory(traj, args.out)
     print(f"wrote {traj.observations.shape[0]} observations to {path}")
     return 0
@@ -137,6 +146,10 @@ def _cmd_likelihood(args) -> int:
 
 def _cmd_estimate(args) -> int:
     check_count("--n-particles", args.n_particles, 1)
+    if args.method == "exact":
+        # the exact likelihood has no perturbation and one objective
+        _refuse_with(args, "--method exact",
+                     ("epsilon", "kernel", "norm", "objective"))
     model = _model_from_args(args)
     if (args.data is None) == (args.theta_star is None):
         raise ConfigError("exactly one of --data or --theta-star is required")
@@ -254,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_pert_args(p)
-    p.add_argument("--summary", choices=sorted(sampling.SUMMARIES))
     p.add_argument("--no-hidden", action="store_true",
                    help="do not record the hidden path")
     p.set_defaults(handler=_cmd_simulate)

@@ -29,10 +29,10 @@ several of the filter's chunks (see ``smc``).  Every value equals a fresh
 share the filter's draws step by step.  The exact objective runs the
 forward product tree on state-major planes, where every row of a call equals
 its one-row call bit for bit too.  Under both objectives a three-row call
-costs well under three one-row calls, so a fit's golden-section stage looks
-one step ahead: each call holds the next probe and both probes that could
-follow it, and only the probes the sequential search makes are recorded, so
-the result is the sequential search's, bit for bit.
+costs well under three one-row calls, so every fit's golden-section stage
+looks one step ahead: each call holds the next probe and both probes that
+could follow it, and only the probes the sequential search makes are
+recorded, so the result is the sequential search's, bit for bit.
 
 Optimizers: ``grid`` (ties resolved to the first/lowest grid point),
 ``grid_then_golden`` (coarse grid, then cyclic per-coordinate golden-section
@@ -279,14 +279,13 @@ def maximize(batch_objective, box, method: str = "grid_then_golden", *,
 
 
 def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
-    """Exact objective on the same scale as the particle estimator.
+    """Exact batch objective, on the same scale as the particle estimator.
 
-    Returns ``(batch, lookahead)``.  Every row of a call equals its one-row
-    call bit for bit (see ``oracle._forward_tree``), and a three-row call,
-    which covers two golden-section steps, costs about 1.7 one-row calls
-    (1.8 against 1.1 ms for a two-state series of 2,000 steps under the
-    uniform kernel, on a shared 2-CPU VM), so the golden-section stage
-    looks one step ahead.
+    Every row of a call equals its one-row call bit for bit (see
+    ``oracle._forward_tree``), and a three-row call, which covers two
+    golden-section steps, costs about 1.7 one-row calls (1.8 against 1.1 ms
+    for a two-state series of 2,000 steps under the uniform kernel, on a
+    shared 2-CPU VM), so a fit's golden-section stage looks ahead on it.
     """
     if not oracle.has_closed_form(model, pert):
         raise ValueError(f"model {model.name!r} has no oracle objective for "
@@ -298,16 +297,16 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
         values = oracle.forward_loglik_grid(model, thetas, data, pert) + shift
         return values, np.zeros(len(values))
 
-    return batch, True
+    return batch
 
 
 def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
                    n_particles: int, seed: int, keep_first: bool = False):
-    """Particle objective on common random numbers.
+    """Particle batch objective on common random numbers.
 
-    Returns ``(batch, lookahead)``.  Every row of a call equals its one-row
-    call bit for bit, and a three-row call costs little more than one row,
-    so the golden-section stage looks one step ahead.  All calls share one
+    Every row of a call equals its one-row call bit for bit, and a three-row
+    call costs little more than one row, so a fit's golden-section stage
+    looks one step ahead on it.  All calls share one
     table of step draws, so each value equals a fresh
     ``smc_abc_likelihood`` at the fit's stream key.  With ``keep_first``,
     for an optimizer that calls the objective more than once, the table
@@ -321,7 +320,7 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
             model, thetas, data, pert, n_particles, streams)
         return [e.log_value for e in ests], [e.se_proxy for e in ests]
 
-    return batch, True
+    return batch
 
 
 def _run(model, data, pert, objective, method, n_particles, seed, opts,
@@ -329,19 +328,21 @@ def _run(model, data, pert, objective, method, n_particles, seed, opts,
     if method is None:
         method = "grid_then_golden" if model.param_dim <= 2 else "nelder_mead"
     if objective == "oracle":
-        batch, lookahead = _oracle_objective(model, data, pert)
+        batch = _oracle_objective(model, data, pert)
     elif objective == "smc":
         if pert is None:
             raise ValueError("the particle objective needs a perturbation")
         # only a grid fit calls its objective once
-        batch, lookahead = _smc_objective(model, data, pert, n_particles, seed,
-                                          keep_first=method != "grid")
+        batch = _smc_objective(model, data, pert, n_particles, seed,
+                               keep_first=method != "grid")
     else:
         raise ValueError(f"unknown objective {objective!r}; "
                          "expected 'smc' or 'oracle'")
+    # every row of both objectives equals its one-row call, so the
+    # golden-section stage may look ahead
     theta, value, trace, failures, settings = maximize(
         batch_objective=batch, box=model.theta_box, method=method,
-        lookahead=lookahead, seed=seed, **opts)
+        lookahead=True, seed=seed, **opts)
     settings.update({"objective": objective, "seed": seed,
                      "n_particles": n_particles if objective == "smc" else None,
                      "estimator": label})

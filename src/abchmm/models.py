@@ -286,9 +286,10 @@ def sample_categorical_rows(probs: Array, u: Array, out: Array | None = None,
     written into ``out`` (an int64 (R, size) array) when given.
 
     Entry (r, i) is the number of entries of row r's cumulative sum below
-    ``u[i]``, capped at K - 1.  With ``above``, a boolean (K - 1, R, size)
-    array, plane j receives ``u > cum_j`` (the draws above state j) and the
-    result is the sum of the planes: the same integers.
+    ``u[i]``, capped at K - 1.  It is found through K - 1 boolean planes:
+    plane j holds ``u > cum_j`` (the draws above state j), and the result
+    is their sum.  ``above``, a boolean (K - 1, R, size) array, receives the
+    planes when given; otherwise they are allocated here.
     """
     cum = probs.cumsum(axis=1)
     if out is None:
@@ -296,16 +297,13 @@ def sample_categorical_rows(probs: Array, u: Array, out: Array | None = None,
     if cum.shape[1] == 1:
         out.fill(0)
         return out
-    # the cumulative sum is nondecreasing, so counting the first K - 1
-    # entries below u is the full count capped at K - 1
     if above is None:
-        idx = np.less(cum[:, 0, None], u, out=out)
-        for j in range(1, cum.shape[1] - 1):
-            idx += cum[:, j, None] < u
-        return idx
-    # one comparison per row and state: u against a number takes numpy's
-    # scalar loop, and u against a broadcast (R, 1) column is several times
-    # slower per element
+        above = np.empty((cum.shape[1] - 1,) + out.shape, dtype=bool)
+    # the cumulative sum is nondecreasing, so counting the first K - 1
+    # entries below u is the full count capped at K - 1.  One comparison
+    # per row and state: u against a number takes numpy's scalar loop, and
+    # u against a broadcast (R, 1) column is several times slower per
+    # element
     for plane, col in zip(above, cum[:, :-1].T.tolist()):
         for row, c in zip(plane, col):
             np.greater(u, c, out=row)

@@ -1,9 +1,12 @@
-"""Trajectory simulation, observation noise, summaries and on-disk format.
+"""Trajectory simulation, observation noise and on-disk format.
 
 Trajectories are stored as a CSV table with header ``t, y_1, ..., y_m`` (plus
 ``x`` when the hidden path is kept) and a JSON sidecar carrying metadata.
 Floats are written with 17 significant digits so a save/load round trip is
 bit-exact for float64.
+
+A per-step summary S(Y_t) is fitted with a model whose ``obs_sampler`` emits
+it; a sidecar that records a ``summary`` other than ``identity`` is refused.
 """
 
 from __future__ import annotations
@@ -20,19 +23,13 @@ from . import rng as rngmod
 from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
     draw_noise, sample_categorical_rows, sample_observations
 
-SUMMARIES = {
-    "identity": lambda y: y,
-    "abs": np.abs,
-}
-
 
 @dataclass
 class Trajectory:
     """Observations (n, m), optional hidden state path (n,), and metadata.
 
     ``meta`` keys: ``seed``, ``model``, ``theta``, ``noise_epsilon``
-    (None until the trajectory is noisified), ``summary`` (None until a
-    summary statistic is applied).
+    (None until the trajectory is noisified).
     """
 
     observations: np.ndarray
@@ -55,7 +52,6 @@ class Trajectory:
         self.meta.setdefault("model", None)
         self.meta.setdefault("theta", None)
         self.meta.setdefault("noise_epsilon", None)
-        self.meta.setdefault("summary", None)
 
     @property
     def n(self) -> int:
@@ -133,7 +129,6 @@ def simulate(model: ModelSpec, theta, n: int, seed: int,
         "model": model.name,
         "theta": [float(v) for v in theta],
         "noise_epsilon": None,
-        "summary": None,
     }
     return Trajectory(observations=obs[0],
                       hidden=states[0] if with_hidden else None,
@@ -154,19 +149,6 @@ def noisify(traj: Trajectory, pert: PerturbationSpec, seed: int) -> Trajectory:
     meta["noise_epsilon"] = float(pert.epsilon)
     meta["noise_seed"] = int(seed)
     return Trajectory(observations=traj.observations + noise,
-                      hidden=traj.hidden, meta=meta)
-
-
-def apply_summary(traj: Trajectory, name: str) -> Trajectory:
-    """Apply a per-observation summary statistic, recording its name."""
-    if name not in SUMMARIES:
-        raise ValueError(f"unknown summary '{name}' (known: {sorted(SUMMARIES)})")
-    if traj.meta.get("summary") is not None:
-        raise ValueError(f"trajectory already summarized with "
-                         f"'{traj.meta['summary']}'")
-    meta = dict(traj.meta)
-    meta["summary"] = name
-    return Trajectory(observations=SUMMARIES[name](traj.observations),
                       hidden=traj.hidden, meta=meta)
 
 
@@ -228,7 +210,8 @@ def load_trajectory(path) -> Trajectory:
     A missing sidecar is tolerated: metadata comes back as unknown (None
     fields) with a warning.  A file that does not parse, is not UTF-8
     text, or (the sidecar) holds JSON other than an object, raises a
-    ``ValueError`` that names it, and the line where one applies.
+    ``ValueError`` that names it, and the line where one applies.  So does
+    a sidecar whose ``summary`` is set and not ``identity``: no fit reads it.
     """
     path = Path(path)
     with open(path, "r", newline="", encoding="utf8") as fh:
@@ -263,6 +246,9 @@ def load_trajectory(path) -> Trajectory:
         if not isinstance(meta, dict):
             raise ValueError(
                 f"{sidecar}: trajectory metadata must be a JSON object")
+        if meta.get("summary") not in (None, "identity"):
+            raise ValueError(f"{sidecar}: summary {meta['summary']!r} is read "
+                             "by no estimator; fit a model that emits it")
     else:
         warnings.warn(f"no metadata sidecar next to {path}; "
                       "meta reconstructed as unknown")

@@ -262,9 +262,11 @@ def test_empty_replicate_series_are_refused(route):
         calls[route]()
 
 
+# --method exact takes no --epsilon, which it would ignore
 @pytest.mark.parametrize("command", [
-    ["likelihood", "--theta", "0.7", "--estimator", "oracle"],
-    ["estimate", "--seed", "0", "--objective", "oracle"],
+    ["likelihood", "--epsilon", "0.3", "--theta", "0.7", "--estimator",
+     "oracle"],
+    ["estimate", "--epsilon", "0.3", "--seed", "0", "--objective", "oracle"],
     ["estimate", "--seed", "0", "--method", "exact"],
 ], ids=lambda c: f"{c[0]}-{c[-1]}")
 def test_cli_refuses_a_header_only_series_on_the_exact_path(tmp_path,
@@ -272,13 +274,101 @@ def test_cli_refuses_a_header_only_series_on_the_exact_path(tmp_path,
     data = tmp_path / "data.csv"
     data.write_text("t,y_1,x\n")
     (tmp_path / "data.json").write_text("{}")
+    status, err = _run_cli(command + ["--model", "finite_gaussian", "--data",
+                                      str(data)])
+    assert status == 2
+    assert err == f"error: {_EMPTY_MESSAGE}\n"
+
+
+def _run_cli(argv):
+    """``cli.main(argv)``'s status and what it wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        status = cli.main(command + ["--model", "finite_gaussian", "--data",
-                                     str(data), "--epsilon", "0.3"])
+        status = cli.main(argv)
+    return status, err.getvalue()
+
+
+_EXACT_FIT = ["estimate", "--model", "finite_gaussian", "--theta-star", "0.8",
+              "--n", "60", "--seed", "4", "--method", "exact"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epsilon", "0.3"],
+    ["--objective", "smc"],
+    ["--epsilon", "0.3", "--objective", "oracle"],
+    ["--kernel", "gaussian", "--norm", "l2"],
+], ids=lambda f: "-".join(f[::2]))
+def test_cli_exact_fit_refuses_the_flags_it_ignores(flags):
+    # the exact MLE once returned the same theta_hat with or without these
+    status, err = _run_cli(_EXACT_FIT)
+    assert (status, err) == (0, "")
+    status, err = _run_cli(_EXACT_FIT + flags)
     assert status == 2
-    assert err.getvalue() == f"error: {_EMPTY_MESSAGE}\n"
+    assert err == ("error: --method exact cannot be combined with "
+                   f"{', '.join(flags[::2])}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "gaussian"], ["--norm", "l2"],
+    ["--kernel", "uniform", "--norm", "linf"],
+], ids=lambda f: "-".join(f[::2]))
+@pytest.mark.parametrize("command", [
+    ["likelihood", "--theta", "0.8", "--estimator", "oracle"],
+    ["simulate", "--theta", "0.8", "--n", "5", "--seed", "0"],
+    ["fisher", "--theta", "0.8", "--n", "5", "--replicates", "2", "--seed",
+     "0"],
+], ids=lambda c: c[0])
+def test_cli_perturbation_flags_need_epsilon(tmp_path, command, flags):
+    # without --epsilon there is no perturbation, and a --kernel or --norm
+    # beside it once went unread; naming a default is refused too
+    data = tmp_path / "data.csv"
+    assert _run_cli(["simulate", "--model", "finite_gaussian", "--theta",
+                     "0.8", "--n", "20", "--seed", "4", "--out",
+                     str(data)]) == (0, "")
+    place = ["--out", str(tmp_path / "out.csv")] \
+        if command[0] == "simulate" else ["--data", str(data)] \
+        if command[0] != "fisher" else []
+    status, err = _run_cli(command + ["--model", "finite_gaussian"] + place)
+    assert (status, err) == (0, "")
+    status, err = _run_cli(command + ["--model", "finite_gaussian"] + place
+                           + flags)
+    assert status == 2
+    assert err == (f"error: {', '.join(flags[::2])} cannot be used without "
+                   "--epsilon\n")
+
+
+@pytest.mark.parametrize("summary", [None, "identity", "abs"])
+@pytest.mark.parametrize("command", [
+    ["likelihood", "--theta", "0.8", "--estimator", "oracle"],
+    ["estimate", "--epsilon", "0.3", "--seed", "0", "--objective", "oracle"],
+], ids=lambda c: c[0])
+def test_cli_refuses_a_summarised_series(tmp_path, command, summary):
+    # no estimator reads a summary of the data: a fit of |y| against raw
+    # pseudo-observations once exited 0 with a plausible theta_hat
+    data = tmp_path / "data.csv"
+    assert _run_cli(["simulate", "--model", "finite_gaussian", "--theta",
+                     "0.8", "--n", "20", "--seed", "4", "--out",
+                     str(data)]) == (0, "")
+    sidecar = tmp_path / "data.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(meta, summary=summary)))
+    status, err = _run_cli(command + ["--model", "finite_gaussian", "--data",
+                                      str(data)])
+    if summary == "abs":
+        assert status == 2
+        assert err.startswith(f"error: {sidecar}: ") and "'abs'" in err
+    else:
+        assert (status, err) == (0, "")
+
+
+def test_cli_simulate_has_no_summary_flag(tmp_path):
+    with pytest.raises(SystemExit) as info, \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+                  "--n", "5", "--seed", "0", "--out", str(tmp_path / "s.csv"),
+                  "--summary", "abs"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("flag, value, name", [("--replicates", "1",

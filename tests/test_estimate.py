@@ -165,7 +165,7 @@ def _constant_summary_model():
 def test_summary_statistic_gives_plateau():
     base = builtin_model("iid_pm_theta")
     data = sampling.simulate(base, [1.0], 50, seed=3, with_hidden=False)
-    summarized = sampling.apply_summary(data, "abs")
+    summarized = sampling.Trajectory(observations=np.abs(data.observations))
     model = _constant_summary_model()
     pert = PerturbationSpec(epsilon=0.6)
     res = est.abc_mle(model, summarized, pert, method="grid",
@@ -367,9 +367,7 @@ def test_smc_fit_looks_ahead_with_the_same_bytes():
                           **opts)
         assert calls == [7, 2, 3, 3, 3, 3]
         calls.clear()
-        batch_fn, lookahead = est._smc_objective(model, data, pert, 2000,
-                                                 seed=11)
-        assert lookahead
+        batch_fn = est._smc_objective(model, data, pert, 2000, seed=11)
         theta, value, trace, failures, _ = est.maximize(
             batch_fn, model.theta_box, seed=11, **opts)
     assert calls == [7] + [1] * 10
@@ -387,8 +385,6 @@ def test_oracle_fit_looks_ahead_with_the_same_bytes():
     model = builtin_model("finite_gaussian", hyper={"param": "scale"})
     data = sampling.simulate(model, [0.2], 200, seed=3, with_hidden=False)
     pert = PerturbationSpec(epsilon=0.05)
-    _, lookahead = est._oracle_objective(model, data, pert)
-    assert lookahead
     calls = []
     forward = est.oracle.forward_loglik_grid
 

@@ -463,8 +463,8 @@ def test_categorical_draws_into_the_given_buffer(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_categorical_masks_mark_the_draws_above_each_state(k):
-    # plane j holds u > cum_j; the planes sum to the states, the same
-    # integers as the default path, on ties with the cumulative sum too
+    # plane j holds u > cum_j; the planes sum to the states, each row's
+    # inversion of u by search, on ties with the cumulative sum too
     probs = rng.stream(5, "p").dirichlet(np.ones(k), size=6)
     probs[0] = np.eye(k)[k - 1]
     u = rng.stream(5, "u").random(301)
@@ -477,7 +477,9 @@ def test_categorical_masks_mark_the_draws_above_each_state(k):
     for j in range(k - 1):
         np.testing.assert_array_equal(above[j], u > cum[:, j, None])
     np.testing.assert_array_equal(above.sum(axis=0), got)
-    np.testing.assert_array_equal(got, sample_categorical_rows(probs, u))
+    for r in range(6):
+        own = np.searchsorted(cum[r], u, side="left")
+        np.testing.assert_array_equal(got[r], np.minimum(own, k - 1))
 
 
 @pytest.mark.parametrize("mode, key", [

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from unittest import mock
 
 import numpy as np
@@ -66,15 +67,24 @@ def test_noisify(model):
         sampling.noisify(noisy, pert, seed=3)
 
 
-def test_apply_summary(model):
+@pytest.mark.parametrize("summary", [None, "identity", "abs"])
+def test_load_refuses_a_summarised_sidecar(model, tmp_path, summary):
+    # a summary is emitted by the model, never applied to the data; a
+    # sidecar that records one other than identity is refused, by name
     t = sampling.simulate(model, [0.5], 30, seed=1)
-    s = sampling.apply_summary(t, "abs")
-    np.testing.assert_allclose(s.observations, np.abs(t.observations))
-    assert s.meta["summary"] == "abs"
-    with pytest.raises(ValueError, match="already"):
-        sampling.apply_summary(s, "abs")
-    with pytest.raises(ValueError, match="identity|abs"):
-        sampling.apply_summary(t, "median")
+    assert "summary" not in t.meta
+    path = sampling.save_trajectory(t, tmp_path / "s.csv")
+    sidecar = path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    meta["summary"] = summary
+    sidecar.write_text(json.dumps(meta))
+    if summary == "abs":
+        with pytest.raises(ValueError, match="'abs'") as info:
+            sampling.load_trajectory(path)
+        assert str(info.value).startswith(f"{sidecar}: ")
+    else:
+        back = sampling.load_trajectory(path)
+        assert back.observations.tobytes() == t.observations.tobytes()
 
 
 def test_csv_round_trip_bit_exact(model, tmp_path):
