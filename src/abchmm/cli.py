@@ -84,6 +84,10 @@ def _pert_from_args(args) -> PerturbationSpec | None:
                             norm=args.norm or "linf")
 
 
+# particles of the particle estimator when --n-particles is not given
+_DEFAULT_PARTICLES = 1000
+
+
 def _parse_theta(text: str):
     try:
         return [float(v) for v in text.split(",")]
@@ -109,8 +113,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_likelihood(args) -> int:
+def _particles(args) -> int:
+    """``--n-particles``, checked, or its default when it is not given."""
+    if args.n_particles is None:
+        return _DEFAULT_PARTICLES
     check_count("--n-particles", args.n_particles, 1)
+    return args.n_particles
+
+
+def _cmd_likelihood(args) -> int:
+    n_particles = _particles(args)
+    if args.estimator == "oracle":
+        # the exact value draws nothing
+        _refuse_with(args, "--estimator oracle", ("n_particles", "seed"))
     model = _model_from_args(args)
     data = sampling.load_trajectory(args.data)
     theta = _parse_theta(args.theta)
@@ -126,7 +141,8 @@ def _cmd_likelihood(args) -> int:
         if pert is None:
             raise ConfigError("--epsilon is required for the smc estimator")
         res = smcmod.smc_abc_likelihood(
-            model, theta, data, pert, args.n_particles, args.seed)
+            model, theta, data, pert, n_particles,
+            0 if args.seed is None else args.seed)
         payload = {
             "estimator": "smc",
             "log_ball_probability": res.log_value,
@@ -145,15 +161,16 @@ def _cmd_likelihood(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    check_count("--n-particles", args.n_particles, 1)
+    n_particles = _particles(args)
     if args.method == "exact":
         # the exact likelihood has no perturbation and one objective
         _refuse_with(args, "--method exact",
-                     ("epsilon", "kernel", "norm", "objective"))
+                     ("epsilon", "kernel", "norm", "objective", "n_particles"))
     model = _model_from_args(args)
     if (args.data is None) == (args.theta_star is None):
         raise ConfigError("exactly one of --data or --theta-star is required")
     if args.data is not None:
+        _refuse_with(args, "--data", ("n",))
         data = sampling.load_trajectory(args.data)
     else:
         if args.n is None:
@@ -163,28 +180,29 @@ def _cmd_estimate(args) -> int:
                                  seed=derive_seed(args.seed, "data"),
                                  with_hidden=False)
     pert = _pert_from_args(args)
-    objective = args.objective
-    if objective is None:
-        objective = "oracle" if has_closed_form(model, pert) else "smc"
     opts = {}
     if args.grid_points is not None:
         check_count("--grid-points", args.grid_points, 1)
         opts["grid_points"] = args.grid_points
-    common = dict(objective=objective, method=args.optimizer,
-                  seed=args.seed, **opts)
-    if args.method == "abc":
-        if pert is None:
-            raise ConfigError("--epsilon is required for --method abc")
-        result = est.abc_mle(model, data, pert,
-                             n_particles=args.n_particles, **common)
-    elif args.method == "noisy_abc":
-        if pert is None:
-            raise ConfigError("--epsilon is required for --method noisy_abc")
-        result = est.noisy_abc_mle(model, data, pert,
-                                   n_particles=args.n_particles, **common)
-    else:
+    if args.method == "exact":
         result = est.exact_mle(model, data, method=args.optimizer,
                                seed=args.seed, **opts)
+    else:
+        if pert is None:
+            raise ConfigError(f"--epsilon is required for --method "
+                              f"{args.method}")
+        objective = args.objective
+        if objective is None:
+            objective = "oracle" if has_closed_form(model, pert) else "smc"
+        if objective == "oracle":
+            # the exact objective draws no particles
+            _refuse_with(args, "--objective oracle" if args.objective else
+                         "the oracle objective (this model's default)",
+                         ("n_particles",))
+        fit = est.abc_mle if args.method == "abc" else est.noisy_abc_mle
+        result = fit(model, data, pert, objective=objective,
+                     method=args.optimizer, seed=args.seed,
+                     n_particles=n_particles, **opts)
     if args.out:
         est.save_estimate(result, args.out)
     if args.json:
@@ -278,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_pert_args(p)
     p.add_argument("--estimator", default="smc", choices=("smc", "oracle"))
-    p.add_argument("--n-particles", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-particles", type=int,
+                   help=f"default: {_DEFAULT_PARTICLES}")
+    p.add_argument("--seed", type=int, help="default: 0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_likelihood)
 
@@ -296,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer",
                    choices=("grid", "grid_then_golden", "nelder_mead"))
     p.add_argument("--grid-points", type=int)
-    p.add_argument("--n-particles", type=int, default=1000)
+    p.add_argument("--n-particles", type=int,
+                   help=f"default: {_DEFAULT_PARTICLES}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write result JSON (+trace CSV) here")
     p.add_argument("--json", action="store_true")

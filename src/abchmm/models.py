@@ -132,13 +132,15 @@ class ModelSpec:
     ``*_jac`` callable takes the same arguments and returns the pair
     ``(weights, jacobian)``: those (n, K) weights and their parameter
     Jacobian ``(d, n, K)``, computed together.  The score kernel makes one
-    ``*_jac`` call per block of observations; the forward recursions call
+    ``*_jac`` call per block of whole steps and runs each block through
+    the recursion before it asks for the next, so it never holds the
+    weights or the Jacobian of a whole batch; the forward recursions call
     the weights alone.  The results may be in any memory order.  The
     built-ins compute state-major, on (K, n) and (d, K, n) arrays, and
     return their transposed views, the layout the score kernel reads
-    fastest; a C-ordered result costs it one copy.  All of them are
-    optional; samplers alone support simulation and particle-based
-    likelihood work.  Scores take a model without a ``*_jac`` callable
+    fastest, in place; a C-ordered result it reads with a stride of K.
+    All of them are optional; samplers alone support simulation and
+    particle-based likelihood work.  Scores take a model without a ``*_jac`` callable
     through finite differences of its weights, one-sided at a box edge, and
     of ``transition_matrix`` and ``initial_dist``, exact zeros for a law
     that ``theta`` leaves fixed.

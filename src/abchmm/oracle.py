@@ -20,15 +20,18 @@ transition matrix with zeros that would let the reduction lose a row to
 underflow.
 
 The kernel runs time-major, with the replicate rows on the last axes: its
-state is (1+d, K, *rows) and its inputs are (n, K, *rows) weights and an
-(n, d, K, *rows) Jacobian, so each step is a few multiply-adds over long
-contiguous row vectors.  Two invariants hold.  Rows do not depend on the
-batch width: every operation acts on each row alone (the prediction through
-P is elementwise multiply-adds over the states in a fixed order, never a
-BLAS product), so a row of a wide batch equals the one-row call bit for
-bit.  And scaling is exact: each step multiplies by a power of two, by
-``ldexp`` when the filter sum is subnormal and the factor itself would
-overflow.
+state is (1+d, K, *rows) and its inputs are (L, K, *rows) weights and an
+(L, d, K, *rows) Jacobian for a run of L steps, so each step is a few
+multiply-adds over long contiguous row vectors.  The score functions feed
+it the weights one block of whole steps at a time, each computed, run
+through and dropped before the next, so memory grows with the batch width
+and never with n: no array holds the weights or the Jacobian of the whole
+batch.  Two invariants hold.  Rows do not depend on the batch width: every
+operation acts on each row alone (the prediction through P is elementwise
+multiply-adds over the states in a fixed order, never a BLAS product), so a
+row of a wide batch equals the one-row call bit for bit.  And scaling is
+exact: each step multiplies by a power of two, by ``ldexp`` when the filter
+sum is subnormal and the factor itself would overflow.
 
 Perturbed quantities: passing a :class:`PerturbationSpec` makes each
 emission weight the kernel weight the particle estimator in :mod:`abchmm.smc`
@@ -169,8 +172,7 @@ def _plane_product(a: Array, b: Array) -> Array:
 # Most entries the step matrices of one time block hold: a series runs in
 # time blocks of _BLOCK_ENTRIES // K² - 1 steps (at least one), and the rows
 # of a batch in chunks of as many as fit one block, which bounds the
-# reduction's memory for every n and G.  The score kernel's emission
-# weights are evaluated in blocks of as many observations.
+# reduction's memory for every n and G.
 _BLOCK_ENTRIES = 1 << 16
 
 # Largest ratio between two entries of one column of P that the reduction
@@ -508,39 +510,48 @@ def _laws_and_jac(model: ModelSpec, theta: Array):
             init, _central_diff(model.initial_dist, theta, model.theta_box))
 
 
-def _emissions_and_jac(model, theta, obs, pert):
-    """Emission weights (n, K, R) of a batch of series ``obs`` (R, n) and
-    their Jacobian (n, d, K, R), time-major for :func:`_forward_segment`:
-    one call of the model's ``*_jac`` pair per block when it registers one,
-    the weights and their central differences otherwise.
+# Most observations the score kernel's emission weights are evaluated on at
+# once: it reads them a block of whole steps at a time (one step at least).
+# Smaller blocks pay more per-call overhead and larger ones fall out of
+# cache; on the info_loss preset 2^13 to 2^14 ran fastest.
+_SCORE_BLOCK = 1 << 14
 
-    The model's callables return (m, K) and (d, m, K) arrays in any memory
-    order.  They run on blocks of whole steps, about ``_BLOCK_ENTRIES``
-    observations each (one step at least), and each block is read through
-    its state-major transpose into the outputs, so neither their results
-    nor their temporaries span the whole batch.  The built-ins compute
-    state-major, so that read runs over contiguous replicate rows; a
-    C-ordered result costs one copy more.  The callables act on each
-    observation alone, so blocking changes no value.
+
+def _emissions_and_jac(model, theta, obs, pert):
+    """Emission weights (m, K, R) of the m steps of the series ``obs`` (R,
+    m) and their Jacobian (m, d, K, R), time-major for
+    :func:`_forward_segment`: one call of the model's ``*_jac`` pair when it
+    registers one, the weights and their central differences otherwise.
+
+    The model's callables return (m·R, K) and (d, m·R, K) arrays in any
+    memory order, and the results are views of them, which the kernel reads
+    in place.  The built-ins compute state-major, so each step of those
+    views holds contiguous replicate rows; a C-ordered result is read with
+    a stride of K.
     """
-    r, n = obs.shape
+    r, m = obs.shape
     d, k = theta.shape[0], model.n_states
     fn, pair = _emission_fns(model, pert)
     if pair is None:
         def pair(th, ys):
             return (emission_matrix(model, th, ys, pert), _central_diff(
                 lambda t: fn(t, ys), th, model.theta_box))
-    e = np.empty((n, k, r))
-    de = np.empty((n, d, k, r))
-    block = max(1, _BLOCK_ENTRIES // max(r, 1))
-    for s in range(0, n, block):
-        b = min(block, n - s)
-        w, jac = pair(theta, obs[:, s:s + b].T.reshape(-1))
-        de[s:s + b] = jac.transpose(0, 2, 1) \
-            .reshape(d, k, b, r).transpose(2, 0, 1, 3)
-        e[s:s + b] = w.T.reshape(k, b, r).transpose(1, 0, 2)
-        del w, jac      # no block outlives its copy into the outputs
-    return e, de
+    w, jac = pair(theta, obs.T.reshape(-1))
+    return (w.T.reshape(k, m, r).transpose(1, 0, 2),
+            jac.transpose(0, 2, 1).reshape(d, k, m, r).transpose(2, 0, 1, 3))
+
+
+def _emission_blocks(model, theta, obs, pert):
+    """The weights and Jacobian of :func:`_emissions_and_jac` on the series
+    ``obs`` (R, n), a block of whole steps at a time: about ``_SCORE_BLOCK``
+    observations each, one step at least.  A block is computed only when
+    the last one is spent, so no array spans the whole batch.  The
+    callables act on each observation alone, so blocking changes no
+    value."""
+    r, n = obs.shape
+    step = max(1, _SCORE_BLOCK // max(r, 1))
+    for s in range(0, n, step):
+        yield _emissions_and_jac(model, theta, obs[:, s:s + step], pert)
 
 
 def forward_score(model: ModelSpec, theta, data,
@@ -576,10 +587,10 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
     theta = check_theta(model, theta)
     obs_batch = _replicate_batch(obs_batch)
     r, n = obs_batch.shape
-    emis, demis = _emissions_and_jac(model, theta, obs_batch, pert)
     p, dp, init, dinit = _laws_and_jac(model, theta)
-    state = _forward_segment(p, dp, _forward_start(init, dinit, (r,)),
-                             emis, demis)
+    state = _forward_start(init, dinit, (r,))
+    for emis, demis in _emission_blocks(model, theta, obs_batch, pert):
+        state = _forward_segment(p, dp, state, emis, demis)
     ll, score = _forward_finish(state)
     return ll - n * log_weight_scale(model, pert), score
 
@@ -595,11 +606,12 @@ def boundary_scores(model: ModelSpec, theta, pert: PerturbationSpec,
     smaller one, so the filter of that clean prefix is shared.  With the
     boundaries sorted, the clean emissions and their Jacobian are evaluated
     once on steps ``[0, b_last)`` and the noisy ones once on
-    ``[b_first, n)``.  A clean chain of R rows runs the sensitivity
-    recursion up to ``b_first``.  At each boundary but the last, a copy of
-    the chain's rows is stacked on as a new branch, which takes the noisy
-    emissions from then on; at the last boundary the chain itself turns
-    noisy and becomes that boundary's branch.  So n kernel steps serve
+    ``[b_first, n)``, a block of whole steps at a time.  A clean chain of R
+    rows runs the sensitivity recursion up to ``b_first``.  At each
+    boundary but the last, a copy of the chain's rows is stacked on as a
+    new branch, which takes the noisy emissions from then on; at the last
+    boundary the chain itself turns noisy and becomes that boundary's
+    branch.  So n kernel steps serve
     every boundary, and each score equals, bit for bit, the one a separate
     kernel run over that boundary's whole mixed sequence gives (boundary n
     is ``forward_score_batch(model, theta, y)``, boundary 0
@@ -613,28 +625,31 @@ def boundary_scores(model: ModelSpec, theta, pert: PerturbationSpec,
         raise ValueError(f"need y and y_eps of one shape, got {y.shape} and "
                          f"{y_eps.shape}, and boundaries in [0, n], got {bs}")
     lo, hi = bs[0], bs[-1]
-    # time-major weights with a unit branch axis before the R replicates,
-    # (L, K, 1, R) and (L, d, K, 1, R), so they broadcast over every branch
-    clean, dclean = (a[..., None, :] for a in _emissions_and_jac(
-        model, theta, y[:, :hi], None))
-    noisy, dnoisy = (a[..., None, :] for a in _emissions_and_jac(
-        model, theta, y_eps[:, lo:], pert))
     p, dp, init, dinit = _laws_and_jac(model, theta)
+
+    def blocks(obs, channel, a, b):
+        # time-major weights of steps [a, b) with a unit branch axis before
+        # the R replicates, (L, K, 1, R) and (L, d, K, 1, R), so they
+        # broadcast over every branch
+        for e, de in _emission_blocks(model, theta, obs[:, a:b], channel):
+            yield e[..., None, :], de[..., None, :]
+
     # rows (1 + branches, R): the chain first, then one branch per boundary
     state = _forward_start(init, dinit, (1, y.shape[0]))
-    state = _forward_segment(p, dp, state, clean[:lo], dclean[:lo])
+    for e, de in blocks(y, None, 0, lo):
+        state = _forward_segment(p, dp, state, e, de)
     for b, nxt in zip(bs, bs[1:]):
         v, shift = state
         state = (np.concatenate([v, v[:, :, :1]], axis=2),
                  np.concatenate([shift, shift[:1]]))
         rows = len(state[1])
-        state = _forward_segment(
-            p, dp, state,
-            _chain_then_branches(clean[b:nxt], noisy[b - lo:nxt - lo], rows),
-            _chain_then_branches(dclean[b:nxt], dnoisy[b - lo:nxt - lo],
-                                 rows))
-    state = _forward_segment(p, dp, state, noisy[hi - lo:],
-                             dnoisy[hi - lo:])
+        for (e, de), (e_eps, de_eps) in zip(blocks(y, None, b, nxt),
+                                            blocks(y_eps, pert, b, nxt)):
+            state = _forward_segment(
+                p, dp, state, _chain_then_branches(e, e_eps, rows),
+                _chain_then_branches(de, de_eps, rows))
+    for e, de in blocks(y_eps, pert, hi, y.shape[1]):
+        state = _forward_segment(p, dp, state, e, de)
     scores = _forward_finish(state)[1]
     return dict(zip([hi] + bs[:-1], scores))
 

@@ -337,6 +337,44 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(likelihood + ["--theta", "0.8", "--n-particles", "0"]) == 2
     assert capsys.readouterr().err == (
         "error: --n-particles must be an integer >= 1, got 0\n")
+    # a flag the chosen path never reads is refused by name: the exact
+    # value and the exact objective draw no particles, and --data leaves
+    # nothing to simulate
+    for flags in (["--n-particles", "500"], ["--seed", "3"],
+                  ["--n-particles", "500", "--seed", "0"]):
+        assert run_cli(likelihood + ["--theta", "0.8", "--estimator",
+                                     "oracle"] + flags) == 2
+        assert capsys.readouterr().err == (
+            "error: --estimator oracle cannot be combined with "
+            f"{', '.join(flags[::2])}\n")
+    fit = ["estimate", "--model", "finite_gaussian", "--data", str(data),
+           "--seed", "2"]
+    for flags, err in [
+        (["--epsilon", "0.5", "--n-particles", "500"],
+         "the oracle objective (this model's default) cannot be combined "
+         "with --n-particles"),
+        (["--epsilon", "0.5", "--objective", "oracle", "--n-particles",
+          "1000"], "--objective oracle cannot be combined with --n-particles"),
+        (["--method", "exact", "--n-particles", "500"],
+         "--method exact cannot be combined with --n-particles"),
+        (["--epsilon", "0.5", "--objective", "smc", "--n", "7"],
+         "--data cannot be combined with --n"),
+    ]:
+        assert run_cli(fit + flags) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+    # the paths that read them still take them, and their defaults
+    assert run_cli(likelihood + ["--theta", "0.8", "--estimator",
+                                 "oracle"]) == 0
+    assert run_cli(fit + ["--epsilon", "0.5", "--objective", "smc",
+                          "--n-particles", "50", "--optimizer", "grid",
+                          "--grid-points", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    outs = []
+    for flags in ([], ["--n-particles", "1000", "--seed", "0"]):
+        assert run_cli(likelihood + ["--theta", "0.8", "--json"] + flags) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["n_particles"] == 1000
 
 
 # the first bytes of a PNG file: 0x89 is no UTF-8 start byte

@@ -8,6 +8,8 @@ so its location information is exactly 1/(s^2 + eps^2).
 
 import dataclasses
 import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,12 +200,9 @@ def _mixed_kernel_scores(model, theta, pert, y, y_eps, b):
         np.where(steps[:, None, None, None], de_pe, de_ex)))[1]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_boundary_scores_match_per_boundary_score_batch(draw):
-    # every boundary's score from the shared-prefix branching equals the
-    # score of one kernel run over its whole mixed sequence, NaN rows
-    # included
+def _draw_mixed_case(draw, max_n: int):
+    """A model, theta, perturbation and clean and noisy series (R, n) for
+    the branching tests; an observation at 1e3 kills some rows."""
     make, ranges, kernels = _BRANCH_MODELS[draw.draw(
         st.sampled_from(sorted(_BRANCH_MODELS)), label="model")]
     model = make()
@@ -214,10 +213,7 @@ def test_boundary_scores_match_per_boundary_score_batch(draw):
                             kernel=draw.draw(st.sampled_from(kernels),
                                              label="kernel"))
     r = draw.draw(st.integers(1, 4), label="replicates")
-    n = draw.draw(st.integers(1, 12), label="n")
-    # unsorted, repeated, adjacent, single and end boundaries all occur
-    boundaries = draw.draw(st.lists(st.integers(0, n), min_size=1,
-                                    max_size=n + 2), label="boundaries")
+    n = draw.draw(st.integers(1, max_n), label="n")
     gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
                                           label="seed"))
     y = gen.normal(0.0, 2.0, size=(r, n))
@@ -227,11 +223,98 @@ def test_boundary_scores_match_per_boundary_score_batch(draw):
         dead = np.array(draw.draw(st.lists(st.booleans(), min_size=r,
                                            max_size=r), label="dead"))
         series[dead, gen.integers(0, n)] = 1e3
+    return model, theta, pert, y, y_eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_boundary_scores_match_per_boundary_score_batch(draw):
+    # every boundary's score from the shared-prefix branching equals the
+    # score of one kernel run over its whole mixed sequence, NaN rows
+    # included
+    model, theta, pert, y, y_eps = _draw_mixed_case(draw, 12)
+    n = y.shape[1]
+    # unsorted, repeated, adjacent, single and end boundaries all occur
+    boundaries = draw.draw(st.lists(st.integers(0, n), min_size=1,
+                                    max_size=n + 2), label="boundaries")
     got = oracle.boundary_scores(model, theta, pert, y, y_eps, boundaries)
     assert sorted(got) == sorted(set(boundaries))
     for b in set(boundaries):
         want = _mixed_kernel_scores(model, theta, pert, y, y_eps, b)
         assert np.array_equal(got[b], want, equal_nan=True), b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_score_blocks_change_no_bit(draw):
+    # the score kernel reads its weights a block of whole steps at a time;
+    # budgets down to one step a block put block edges on and beside the
+    # boundaries, and every score still equals the one-run whole-sequence
+    # reference, NaN rows included
+    model, theta, pert, y, y_eps = _draw_mixed_case(draw, 24)
+    r, n = y.shape
+    budget = draw.draw(st.integers(1, 2 * r * n), label="budget")
+    step = max(1, budget // r)          # steps per block of the clean chain
+    edge = step * draw.draw(st.integers(0, n // step), label="edge")
+    inside = min(n, edge + draw.draw(st.integers(1, max(1, step - 1)),
+                                     label="inside"))
+    boundaries = [edge, inside] + draw.draw(
+        st.lists(st.integers(0, n), max_size=2), label="boundaries")
+    with mock.patch.object(oracle, "_SCORE_BLOCK", budget):
+        got = oracle.boundary_scores(model, theta, pert, y, y_eps, boundaries)
+        ll_eps, score_eps = oracle.forward_score_batch(model, theta, y_eps,
+                                                       pert)
+        ll, score = oracle.forward_score_batch(model, theta, y)
+    for b in set(boundaries):
+        want = _mixed_kernel_scores(model, theta, pert, y, y_eps, b)
+        assert np.array_equal(got[b], want, equal_nan=True), b
+    for series, channel, b, got_ll, got_score in [
+            (y_eps, pert, 0, ll_eps, score_eps), (y, None, n, ll, score)]:
+        want = _mixed_kernel_scores(model, theta, pert, y, y_eps, b)
+        assert np.array_equal(got_score, want, equal_nan=True), b
+        whole_ll = oracle.forward_score_batch(model, theta, series,
+                                              channel)[0]
+        assert got_ll.tobytes() == whole_ll.tobytes()
+
+
+@pytest.mark.parametrize("route", ["forward_score_batch", "boundary_scores"])
+def test_score_memory_does_not_grow_with_the_series(gauss2, route):
+    # the weights and Jacobian are read a block at a time: at fixed R, the
+    # peak above the inputs grows by less than one (n, K, R) weight array
+    # from n = 200 to n = 800
+    r, theta = 256, np.array([1.0, 1.0])
+    pert = PerturbationSpec(epsilon=0.2)
+    peaks = []
+    for n in (200, 800):
+        y = fisher._replicates(gauss2, theta, r, n, 5)
+        y_eps = fisher._coupled_obs(y, pert, 5)
+        if route == "forward_score_batch":
+            def call():
+                oracle.forward_score_batch(gauss2, theta, y_eps, pert)
+        else:
+            def call():
+                oracle.boundary_scores(gauss2, theta, pert, y, y_eps,
+                                       (n // 2, n // 2 + 1))
+        call()                              # warm caches and imports
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    weights = 200 * gauss2.n_states * r * 8
+    assert peaks[1] - peaks[0] < weights, peaks
+
+
+def test_score_functions_take_a_batch_of_no_series(gauss2):
+    # zero replicates make no block budget of their own: empty results
+    theta, pert = np.array([1.0, 1.0]), PerturbationSpec(epsilon=0.2)
+    y = np.zeros((0, 5))
+    ll, score = oracle.forward_score_batch(gauss2, theta, y, pert)
+    assert ll.shape == (0,) and score.shape == (0, 2)
+    got = oracle.boundary_scores(gauss2, theta, pert, y, y, (0, 2, 5))
+    assert sorted(got) == [0, 2, 5]
+    assert all(v.shape == (0, 2) for v in got.values())
 
 
 def test_conditional_score_diffs_share_one_batch(gauss2):
