@@ -132,11 +132,11 @@ def _cmd_likelihood(args) -> int:
     pert = _pert_from_args(args)
     if args.estimator == "oracle":
         if pert is None:
-            value = forward_loglik(model, theta, data, None)
-            payload = {"estimator": "oracle", "log_likelihood": value}
+            key, value = "log_likelihood", forward_loglik(model, theta, data)
         else:
-            value = exact_smc_target(model, theta, data, pert)
-            payload = {"estimator": "oracle", "log_ball_probability": value}
+            key, value = "log_ball_probability", exact_smc_target(
+                model, theta, data, pert)
+        payload = {"estimator": "oracle", key: sampling.json_value(value)}
     else:
         if pert is None:
             raise ConfigError("--epsilon is required for the smc estimator")
@@ -145,15 +145,15 @@ def _cmd_likelihood(args) -> int:
             0 if args.seed is None else args.seed)
         payload = {
             "estimator": "smc",
-            "log_ball_probability": res.log_value,
-            "se_proxy": res.se_proxy,
+            "log_ball_probability": sampling.json_value(res.log_value),
+            "se_proxy": sampling.json_value(res.se_proxy),
             "n_particles": res.n_particles,
             "collapsed_at": res.collapsed_at,
             "min_step_acceptance": (float(np.min(res.step_acceptance))
                                     if res.step_acceptance.size else None),
         }
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -206,7 +206,8 @@ def _cmd_estimate(args) -> int:
     if args.out:
         est.save_estimate(result, args.out)
     if args.json:
-        print(json.dumps(est.result_to_dict(result), sort_keys=True))
+        print(json.dumps(est.result_to_dict(result), sort_keys=True,
+                         allow_nan=False))
     else:
         theta_hat = map(sampling.format_value, result.theta_hat.values)
         print(f"theta_hat: {' '.join(theta_hat)}")
@@ -225,15 +226,16 @@ def _cmd_fisher(args) -> int:
                                    n=args.n, n_replicates=args.replicates,
                                    seed=args.seed, pert=pert)
     payload = {
-        "matrix": [[float(v) for v in row] for row in fe.matrix],
-        "se": [[float(v) for v in row] for row in fe.se],
-        "frobenius": fe.frobenius,
+        "matrix": [list(map(sampling.json_value, r))
+                   for r in fe.matrix.tolist()],
+        "se": [list(map(sampling.json_value, r)) for r in fe.se.tolist()],
+        "frobenius": sampling.json_value(fe.frobenius),
         "epsilon": fe.epsilon,
         "n": fe.n,
         "n_replicates": fe.n_replicates,
     }
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         exact = pert is None or pert.is_exact
         print(f"fisher information ({'exact' if exact else 'perturbed'}"

@@ -61,7 +61,7 @@ import numpy as np
 from . import oracle, rng as rngmod, smc as smcmod
 from .errors import EstimationFailedError
 from .models import ModelSpec, ParameterVector, PerturbationSpec, check_count
-from .sampling import Trajectory, format_value, noisify
+from .sampling import Trajectory, format_value, json_value, noisify
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -394,17 +394,11 @@ def exact_mle(model: ModelSpec, data, *, method: str | None = None,
 # serialization
 
 
-def _json_value(v: float):
-    if math.isfinite(v):
-        return v
-    return "-inf" if v < 0 else "inf"
-
-
 def result_to_dict(result: EstimateResult) -> dict:
     return {
         "theta_hat": result.theta_hat.to_list(),
         "box": [list(map(float, row)) for row in result.theta_hat.box],
-        "value": _json_value(result.value),
+        "value": json_value(result.value),
         "objective": result.objective,
         "method": result.method,
         "n_evaluations": result.n_evaluations,
@@ -412,8 +406,8 @@ def result_to_dict(result: EstimateResult) -> dict:
         "settings": {k: (v if isinstance(v, (int, float, str, bool, type(None)))
                          else str(v))
                      for k, v in result.settings.items()},
-        "trace": [{"theta": list(th), "value": _json_value(v),
-                   "se": _json_value(se)}
+        "trace": [{"theta": list(th), "value": json_value(v),
+                   "se": json_value(se)}
                   for th, v, se in result.trace],
     }
 
@@ -424,7 +418,8 @@ def save_estimate(result: EstimateResult, path) -> Path:
     if path.suffix != ".json":
         path = path.with_suffix(".json")
     with open(path, "w", encoding="utf8") as fh:
-        json.dump(result_to_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(result_to_dict(result), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     d = len(result.theta_hat.values)
     csv_path = path.with_suffix(".csv")

@@ -204,8 +204,7 @@ class ModelSpec:
                 f"model {self.name!r}: theta_box must be d >= 1 finite "
                 f"[lo, hi] rows with lo < hi, got {box.tolist()}")
         centre = box.mean(axis=1)
-        p = np.asarray(self.transition_matrix(centre), dtype=float)
-        init = np.asarray(self.initial_dist(centre), dtype=float)
+        (p,), (init,) = laws(self, centre[None])
         where = f"model {self.name!r} at the theta_box centre {centre.tolist()}"
         try:
             check_transition(p)
@@ -220,23 +219,42 @@ class ModelSpec:
         object.__setattr__(self, "n_states", k)
 
 
-def check_theta(model: ModelSpec, theta) -> Array:
-    """Validate theta against the model's box, returning a float array."""
-    if isinstance(theta, ParameterVector):
-        theta = theta.values
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape[0] != model.param_dim:
+def check_thetas(model: ModelSpec, thetas) -> Array:
+    """Validate a (G, d) batch of parameter rows against the model's box,
+    returning a float array; a ``ValueError`` names the first problem: the
+    shape, the column count or the first entry outside the box."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[0] < 1:
+        raise ValueError("thetas must be a (G, d) array with G >= 1, "
+                         f"got shape {thetas.shape}")
+    if thetas.shape[1] != model.param_dim:
         raise ValueError(
             f"model {model.name!r} expects {model.param_dim} parameters, "
-            f"got {theta.shape[0]}")
+            f"got {thetas.shape[1]}")
     box = model.theta_box
-    inside = (box[:, 0] <= theta) & (theta <= box[:, 1])    # False for NaN
+    inside = (box[:, 0] <= thetas) & (thetas <= box[:, 1])  # False for NaN
     if not inside.all():
-        bad = int(np.argmin(inside))
+        g, j = divmod(int(np.argmin(inside)), model.param_dim)
         raise ValueError(
-            f"theta[{bad}] = {theta[bad]} outside box "
-            f"[{box[bad, 0]}, {box[bad, 1]}] for model {model.name!r}")
-    return theta
+            f"theta[{j}] = {thetas[g, j]} outside box "
+            f"[{box[j, 0]}, {box[j, 1]}] for model {model.name!r}")
+    return thetas
+
+
+def check_theta(model: ModelSpec, theta) -> Array:
+    """Validate one theta, an array or a :class:`ParameterVector`, against
+    the model's box, returning a float array (d,): the one-row case of
+    :func:`check_thetas`."""
+    values = theta.values if isinstance(theta, ParameterVector) else theta
+    return check_thetas(model, np.asarray(values, float).reshape(1, -1))[0]
+
+
+def laws(model: ModelSpec, thetas: Array) -> tuple[Array, Array]:
+    """The latent chain's laws at each row of a checked (G, d) batch: the
+    transition matrices (G, K, K) and the initial laws (G, K)."""
+    p = np.array([model.transition_matrix(th) for th in thetas], dtype=float)
+    init = np.array([model.initial_dist(th) for th in thetas], dtype=float)
+    return p, init
 
 
 def check_count(name: str, value, least: int):

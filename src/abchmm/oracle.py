@@ -48,6 +48,11 @@ log-likelihood of the perturbed model with its normalized densities.
 ``forward_score`` propagates filter derivatives alongside the filter (exact
 sensitivity recursion), never differencing the log-likelihood itself; finite
 differences of ``forward_loglik`` therefore remain an independent check.
+
+Input passes the particle estimator's gates (``check_theta``,
+``check_thetas``, :func:`as_obs_1d`), the laws come from ``models.laws``,
+and weights from any source enter at ``_forward_batch(*laws(model,
+thetas), weights)`` or through ``_emission_blocks``.
 """
 
 from __future__ import annotations
@@ -59,8 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, PerturbationSpec, check_theta, is_law
-from .sampling import Trajectory, check_finite_obs
+from .models import ModelSpec, PerturbationSpec, check_theta, check_thetas, \
+    is_law, laws
+from .sampling import as_observations, check_finite_obs
 
 Array = np.ndarray
 
@@ -70,23 +76,8 @@ Array = np.ndarray
 
 
 def as_obs_1d(data) -> Array:
-    """Extract a 1-D observation series from a Trajectory or array; an
-    empty series is a ``ValueError``, as in the particle estimator."""
-    if isinstance(data, Trajectory):
-        if data.obs_dim != 1:
-            raise ValueError("exact computations support 1-D observations only")
-        obs = data.observations[:, 0].copy()
-    else:
-        obs = np.asarray(data, dtype=float)
-        if obs.ndim == 2 and obs.shape[1] == 1:
-            obs = obs[:, 0]
-        if obs.ndim != 1:
-            raise ValueError(
-                f"expected a 1-D observation series, got shape {obs.shape}")
-    if obs.shape[0] < 1:
-        raise ValueError("data must contain at least one observation")
-    check_finite_obs(obs)
-    return obs
+    """The 1-D case of :func:`abchmm.sampling.as_observations`, as (n,)."""
+    return as_observations(data, 1)[:, 0]
 
 
 def _emission_fns(model: ModelSpec, pert: PerturbationSpec | None):
@@ -379,25 +370,18 @@ def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
         np.moveaxis(emis, 0, -1), np.empty((n, 0, k, g))))[0]
 
 
-def _transition_and_init(model: ModelSpec, theta: Array):
-    p = model.transition_matrix(theta)
-    init = model.initial_dist(theta)
-    return np.asarray(p, dtype=float), np.asarray(init, dtype=float)
-
-
 def _native_loglik(model: ModelSpec, thetas: Array, ys: Array,
                    pert: PerturbationSpec | None) -> Array:
-    """Forward log-likelihood (G,) of each row of a (G, d) grid on the
-    ball-probability (kernel-weight) scale."""
+    """Forward log-likelihood (G,) of each row of a checked (G, d) grid on
+    the ball-probability (kernel-weight) scale.  ``_forward_batch`` takes
+    any (G, n, K) weights beside the laws; here they are the model's
+    closed forms."""
     # each row's weights go straight into state-major (K, G, n) storage,
     # the layout _forward_tree reads
     emis = np.empty((model.n_states, len(thetas), ys.shape[0]))
     for row, th in zip(np.moveaxis(emis, 1, 0), thetas):
         row[...] = emission_matrix(model, th, ys, pert).T
-    # emission_matrix has checked every row
-    ps = np.array([model.transition_matrix(th) for th in thetas], dtype=float)
-    inits = np.array([model.initial_dist(th) for th in thetas])
-    return _forward_batch(ps, inits, np.moveaxis(emis, 0, -1))
+    return _forward_batch(*laws(model, thetas), np.moveaxis(emis, 0, -1))
 
 
 def forward_loglik(model: ModelSpec, theta, data,
@@ -412,9 +396,7 @@ def forward_loglik(model: ModelSpec, theta, data,
 def forward_loglik_grid(model: ModelSpec, thetas, data,
                         pert: PerturbationSpec | None = None) -> Array:
     """Vectorized :func:`forward_loglik` over a (G, d) grid of parameters."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.shape[0] == 0:
-        raise ValueError("thetas must hold at least one parameter row")
+    thetas = check_thetas(model, thetas)
     ys = as_obs_1d(data)
     return _native_loglik(model, thetas, ys, pert) \
         - ys.shape[0] * log_weight_scale(model, pert)
@@ -435,7 +417,7 @@ def forward_filter(model: ModelSpec, theta, data,
     theta = check_theta(model, theta)
     ys = as_obs_1d(data)
     emis = emission_matrix(model, theta, ys, pert)
-    p, alpha = _transition_and_init(model, theta)
+    (p,), (alpha,) = laws(model, theta[None])
     if init is not None:
         alpha = _start_law(init, model.n_states)
     n, k = emis.shape
@@ -505,7 +487,7 @@ def _laws_and_jac(model: ModelSpec, theta: Array):
     """``(P, dP, init, dinit)`` at ``theta``: the laws of the score kernel
     and their central-difference Jacobians, exact zeros where they do not
     move with theta."""
-    p, init = _transition_and_init(model, theta)
+    (p,), (init,) = laws(model, theta[None])
     return (p, _central_diff(model.transition_matrix, theta, model.theta_box),
             init, _central_diff(model.initial_dist, theta, model.theta_box))
 
@@ -687,7 +669,7 @@ def brute_force_loglik(model: ModelSpec, theta, data,
         raise ValueError(f"path enumeration infeasible for K={k}, n={n}")
     with np.errstate(divide="ignore"):
         log_e = np.log(emission_matrix(model, theta, ys, pert))   # (n, K)
-        p, init = _transition_and_init(model, theta)
+        (p,), (init,) = laws(model, theta[None])
         log_p = np.log(p)
         log_first = np.log(init @ p)      # law of the first observed state
     t_idx = np.arange(n)
@@ -730,17 +712,16 @@ def filter_tv_forgetting(model: ModelSpec, theta, data,
     emission weights moves it.
     """
     theta = check_theta(model, theta)
-    ys = as_obs_1d(data)
     if init_a is None:
         init_a = 0
     if init_b is None:
         init_b = model.n_states - 1
-    fa, _ = forward_filter(model, theta, ys, pert=pert, init=init_a)
-    fb, _ = forward_filter(model, theta, ys, pert=pert, init=init_b)
+    fa, _ = forward_filter(model, theta, data, pert=pert, init=init_a)
+    fb, _ = forward_filter(model, theta, data, pert=pert, init=init_b)
     tv = 0.5 * np.abs(fa - fb).sum(axis=1)
-    p = np.asarray(model.transition_matrix(theta), dtype=float)
+    (p,), _ = laws(model, theta[None])
     c_lo, c_hi = float(p.min()), float(p.max())
     rho = 1.0 - (c_lo / c_hi) ** 2 if c_lo > 0 else 1.0
-    k = np.arange(1, ys.shape[0] + 1)
+    k = np.arange(1, len(tv) + 1)
     return FilterForgetting(tv=tv, bound=rho ** k, rho_hat=float(rho),
                             c_lo=c_lo, c_hi=c_hi)

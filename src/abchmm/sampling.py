@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    draw_noise, sample_categorical_rows, sample_observations
+    draw_noise, laws, sample_categorical_rows, sample_observations
 
 
 @dataclass
@@ -72,6 +72,22 @@ def check_finite_obs(obs: np.ndarray) -> np.ndarray:
     return obs
 
 
+def as_observations(data, obs_dim: int) -> np.ndarray:
+    """The series ``data``, a :class:`Trajectory` or an array ((n,) too when
+    ``obs_dim`` is 1), as a finite (n, obs_dim) float array with n >= 1;
+    otherwise a ``ValueError`` that names the problem."""
+    obs = data.observations if isinstance(data, Trajectory) \
+        else np.asarray(data, dtype=float)
+    if obs.ndim == 1 and obs_dim == 1:
+        obs = obs[:, None]
+    if obs.ndim != 2 or obs.shape[1] != obs_dim:
+        raise ValueError(f"expected {obs_dim}-D observations, an (n, "
+                         f"{obs_dim}) series, got data of shape {obs.shape}")
+    if obs.shape[0] < 1:
+        raise ValueError("data must contain at least one observation")
+    return check_finite_obs(obs)
+
+
 # Most entries of one time block's draw table in _simulate_series (at least
 # one step per block), as in the forward recursion's time blocks.
 _BLOCK_ENTRIES = 1 << 16
@@ -91,17 +107,17 @@ def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
     each replicate then follows its own previous state through that table.
     Step t of replicate r inverts the path stream's (t·reps + r)-th uniform.
     """
-    p = np.asarray(model.transition_matrix(theta), dtype=float)
+    (p,), (init,) = laws(model, theta[None])
     k = p.shape[0]
-    laws = np.vstack([p, np.asarray(model.initial_dist(theta), dtype=float) @ p])
+    steps_from = np.vstack([p, init @ p])
     states = np.empty((reps, n), dtype=np.int64)
-    prev = np.full(reps, k)     # row k of laws: the first state's law
+    prev = np.full(reps, k)     # row k: the first state's law
     block = max(1, _BLOCK_ENTRIES // ((k + 1) * reps))
     for s in range(0, n, block):
         b = min(block, n - s)
         # entry j·b·reps + t·reps + r: replicate r's state at step s + t
         # when it steps from law j
-        table = sample_categorical_rows(laws,
+        table = sample_categorical_rows(steps_from,
                                         path_rng.random(b * reps)).ravel()
         cols = np.arange(b * reps).reshape(b, reps)
         for t in range(b):
@@ -167,6 +183,12 @@ def format_value(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def json_value(value: float):
+    """``value`` as every JSON payload writes a number: a finite one as it
+    is, -inf, inf and NaN as the strings "-inf", "inf" and "nan"."""
+    return value if np.isfinite(value) else str(float(value))
 
 
 def _sidecar(path: Path) -> Path:

@@ -96,8 +96,9 @@ import numpy as np
 from . import rng as rngmod
 from .kernels import GAUSS_SUP, smooth_weight, within_ball
 from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    draw_noise, sample_categorical_rows, sample_observations
-from .sampling import Trajectory, check_finite_obs
+    check_thetas, draw_noise, laws, sample_categorical_rows, \
+    sample_observations
+from .sampling import as_observations
 
 
 @dataclass
@@ -117,16 +118,6 @@ class LikelihoodEstimate:
     @property
     def collapsed(self) -> bool:
         return self.collapsed_at is not None
-
-
-def _observations(data) -> np.ndarray:
-    if isinstance(data, Trajectory):
-        obs = data.observations
-    else:
-        obs = np.asarray(data, dtype=float)
-        if obs.ndim == 1:
-            obs = obs[:, None]
-    return check_finite_obs(obs)
 
 
 # entries of one (rows, N) step temporary in a chunk: 8 MB of float64
@@ -251,23 +242,15 @@ def _likelihood_batch(model: ModelSpec, thetas, data, pert: PerturbationSpec,
                       n_particles: int,
                       streams: _StepStreams) -> list[LikelihoodEstimate]:
     """:func:`smc_abc_likelihood_batch` on the step streams of ``streams``,
-    which may have served earlier calls with the same seed."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[0] < 1:
-        raise ValueError("thetas must be a (G, d) array with G >= 1, "
-                         f"got shape {thetas.shape}")
-    thetas = np.stack([check_theta(model, th) for th in thetas])
+    which may have served earlier calls with the same seed.  The batch and
+    the series pass the exact grid's gates, so bad input reads the same."""
+    thetas = check_thetas(model, thetas)
     check_count("n_particles", n_particles, 1)
     n_particles = int(n_particles)
     if not pert.epsilon > 0.0:
         raise ValueError("the particle estimator needs epsilon > 0, got "
                          f"{pert.epsilon}")
-    obs = _observations(data)
-    if obs.shape[0] < 1:
-        raise ValueError("data must contain at least one observation")
-    if obs.ndim != 2 or obs.shape[1] != model.obs_dim:
-        raise ValueError(f"model {model.name!r} emits {model.obs_dim}-D "
-                         f"observations, got data of shape {obs.shape}")
+    obs = as_observations(data, model.obs_dim)
     rows = max(1, _CHUNK_ELEMENTS // n_particles)
     return [est for i in range(0, thetas.shape[0], rows)
             for est in _filter(model, thetas[i:i + rows], obs, pert,
@@ -283,10 +266,7 @@ def _filter(model: ModelSpec, thetas: np.ndarray, obs: np.ndarray,
     eps = pert.epsilon
     n = obs.shape[0]
     g_all = thetas.shape[0]
-    p = np.stack([np.asarray(model.transition_matrix(th), dtype=float)
-                  for th in thetas])
-    q = np.stack([np.asarray(model.initial_dist(th), dtype=float)
-                  for th in thetas])
+    p, q = laws(model, thetas)
     n_states = q.shape[1]
     cap = GAUSS_SUP ** model.obs_dim if pert.kernel == "gaussian" else 1.0
     uniform = pert.kernel == "uniform"

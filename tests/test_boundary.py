@@ -247,6 +247,31 @@ def test_empty_series_is_refused_on_the_exact_path(route):
         calls[route](np.empty(0))
 
 
+@pytest.mark.parametrize("thetas, message", [
+    (np.full((2, 2, 1), 0.7), r"thetas must be a \(G, d\) array .* \(2, 2, 1\)"),
+    (_THETA, r"thetas must be a \(G, d\) array .* \(2,\)"),
+    (np.empty((0, 2)), r"thetas must be a \(G, d\) array .* \(0, 2\)"),
+    ([[0.7]], "expects 2 parameters, got 1"),
+    ([_THETA, [0.7, math.nan]], r"theta\[1\] = nan outside box"),
+    ([_THETA, [9.0, 1.1]], r"theta\[0\] = 9.0 outside box"),
+], ids=["3-d", "1-d", "no-rows", "wrong-d", "nan", "out-of-box"])
+def test_both_batch_entries_refuse_a_bad_batch_alike(thetas, message):
+    # the exact and the particle batch share one gate, so one malformed
+    # batch gets one message from both
+    ys = np.linspace(-1.5, 1.5, 6)
+    pert = PerturbationSpec(epsilon=0.3)
+    calls = [
+        lambda: oracle.forward_loglik_grid(_MODEL, thetas, ys, pert),
+        lambda: smc.smc_abc_likelihood_batch(_MODEL, thetas, ys, pert, 8,
+                                             seed=0)]
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("route", ["forward_score_batch", "boundary_scores"])
 def test_empty_replicate_series_are_refused(route):
     # replicate series with no steps once gave log-likelihood 0 and score 0

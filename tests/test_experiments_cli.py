@@ -469,6 +469,28 @@ def test_cli_estimate_json_is_strict(tmp_path, capsys):
                    if e["value"] != "-inf")
 
 
+def test_cli_likelihood_json_is_strict(tmp_path, capsys):
+    # a collapsed particle run and a zero exact ball probability write
+    # their non-finite numbers as the strings estimate writes
+    data = tmp_path / "series.csv"
+    assert run_cli(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+                    "--n", "60", "--seed", "4", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert run_cli(["likelihood", "--model", "finite_gaussian", "--data",
+                    str(data), "--theta", "0.8", "--epsilon", "0.001",
+                    "--estimator", "smc", "--n-particles", "50", "--seed",
+                    "2", "--json"]) == 0
+    particle = _strict_json(capsys.readouterr().out)
+    assert particle["collapsed_at"] == 0
+    assert (particle["log_ball_probability"], particle["se_proxy"]) \
+        == ("-inf", "inf")
+    assert run_cli(["likelihood", "--model", "iid_pm_theta", "--data",
+                    str(data), "--theta", "0.8", "--epsilon", "0.01",
+                    "--estimator", "oracle", "--json"]) == 0
+    assert _strict_json(capsys.readouterr().out) \
+        == {"estimator": "oracle", "log_ball_probability": "-inf"}
+
+
 def test_cli_fisher_json(capsys):
     rc = run_cli(["fisher", "--model", "finite_gaussian", "--theta", "0.8",
                   "--n", "40", "--replicates", "200", "--seed", "1",

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from abchmm.kernels import NORMS, smooth_weight, within_ball
+from abchmm.kernels import NORMS, ball_uniform, log_ball_volume, \
+    smooth_weight, within_ball
 
 
 def _reference(diff, eps, norm):
@@ -90,3 +91,31 @@ def test_nan_point_weighs_nothing_under_both_kernels(m):
         np.testing.assert_array_equal(within_ball(diff, eps, norm)[nan],
                                       False)
     np.testing.assert_array_equal(within_ball(diff, eps)[~nan], inside[~nan])
+
+
+@pytest.mark.parametrize("m, volume", [
+    (1, lambda eps: 2.0 * eps),
+    (2, lambda eps: math.pi * eps ** 2),
+    (3, lambda eps: 4.0 / 3.0 * math.pi * eps ** 3)])
+def test_l2_ball_volume(m, volume):
+    # the Euclidean ball's closed form, through lgamma: at m = 1 it rounds
+    # in the last digits apart from linf's m * log(2 eps)
+    for eps in (0.3, 1.0, 2.5):
+        assert log_ball_volume(eps, m, "l2") == pytest.approx(
+            math.log(volume(eps)), rel=1e-14, abs=1e-14)
+    assert log_ball_volume(0.3, 1, "l2") == pytest.approx(
+        log_ball_volume(0.3, 1, "linf"), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_l2_ball_draws_are_uniform_in_the_ball(m):
+    # the radius of a uniform point of the unit ball in R^m has
+    # P(|Z| <= r) = r^m
+    from scipy.stats import kstest
+    z = ball_uniform(m, 4000, np.random.default_rng(m), "l2")
+    assert z.shape == (4000, m)
+    radii = np.sqrt(np.sum(z * z, axis=1))
+    assert within_ball(z, 1.0, "l2").all() and radii.max() <= 1.0
+    assert kstest(radii, lambda r: np.clip(r, 0.0, 1.0) ** m).pvalue > 1e-3
+    # the direction is uniform too: every coordinate has mean 0
+    assert np.all(np.abs(z.mean(axis=0)) < 4.0 * math.sqrt(1.0 / 4000))

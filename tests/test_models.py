@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from abchmm import models, oracle, rng, sampling, smc
+from abchmm import estimate, models, oracle, rng, sampling, smc
 from abchmm.errors import ConfigError
 from abchmm.models import (ModelSpec, ParameterVector, PerturbationSpec,
                            builtin_model, check_transition, draw_noise,
@@ -22,6 +22,22 @@ def test_parameter_vector_validation():
         ParameterVector([0.5, math.nan], [[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="lo < hi"):
         ParameterVector([0.5], [[1.0, 0.0]])
+
+
+def test_a_fitted_parameter_vector_is_a_theta():
+    # ParameterVector, what a fit returns, passes check_theta and with it
+    # every one-theta entry
+    model = builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
+    pert = PerturbationSpec(epsilon=0.3)
+    ys = np.linspace(-1.5, 1.5, 6)
+    result = estimate.exact_mle(model, ys, method="grid", grid_points=3)
+    values = result.theta_hat.values
+    assert oracle.forward_loglik(model, result.theta_hat, ys) \
+        == oracle.forward_loglik(model, values, ys) == result.value
+    a, b = (smc.smc_abc_likelihood(model, th, ys, pert, 64, seed=0)
+            for th in (result.theta_hat, values))
+    assert a.step_acceptance.tolist() == b.step_acceptance.tolist()
+    assert a.log_value == b.log_value
 
 
 def test_check_transition():

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from abchmm import kernels, oracle, rng, sampling, smc
 from abchmm.kernels import KERNELS
-from abchmm.models import PerturbationSpec, builtin_model, check_theta
+from abchmm.models import PerturbationSpec, builtin_model, check_theta, laws
 
 
 @pytest.fixture(scope="module")
@@ -1009,3 +1009,60 @@ def test_emission_memory_order_changes_no_bit(name, hyper, theta):
                 lambda m: oracle.boundary_scores(m, theta, pert, y, y_eps,
                                                  boundaries)):
             assert _result_bytes(call(model)) == _result_bytes(call(c_model))
+
+
+def _weight_source(model, pert):
+    """Weights from a source other than ``emission_matrix``: the model's
+    closed-form pair called once per replicate series of ``obs`` (R, m),
+    stacked C-ordered with the replicates last, the weights (m, K, R) and
+    their Jacobian (m, d, K, R)."""
+    name = "emission_ball_prob" if pert.kernel == "uniform" \
+        else "emission_smooth_weight"
+    pair = getattr(model, name + "_jac")
+
+    def source(theta, obs):
+        got = [pair(theta, ys, eps=pert.epsilon) for ys in obs]
+        return (np.ascontiguousarray(np.stack([w for w, _ in got], axis=-1)),
+                np.ascontiguousarray(np.stack(
+                    [np.moveaxis(jac, 0, 1) for _, jac in got], axis=-1)))
+    return source
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_weights_from_another_source_enter_at_both_seams(k, kernel):
+    # the recursions take any weights beside the laws: the model's own
+    # weights, from another source in another memory order, give
+    # forward_loglik_grid through _forward_batch and forward_score_batch
+    # through _forward_segment a block at a time, bit for bit; estimated
+    # weights enter at the same two places
+    gen = np.random.default_rng(k)
+    model = builtin_model("finite_gaussian", hyper={
+        "param": "mean_scale",
+        "transition": gen.dirichlet(np.ones(k), size=k).tolist(),
+        "mu_coeff": gen.uniform(-2.0, 2.0, size=k).tolist()})
+    pert = PerturbationSpec(epsilon=0.4, kernel=kernel)
+    source = _weight_source(model, pert)
+    theta = np.array([0.7, 1.1])
+    obs = np.stack([sampling.simulate(model, theta, 40, seed=s,
+                                      with_hidden=False).observations[:, 0]
+                    for s in range(3)])
+    shift = obs.shape[1] * oracle.log_weight_scale(model, pert)
+
+    thetas = np.array([[0.7, 1.1], [-0.4, 0.6], [1.5, 2.0]])
+    weights = np.ascontiguousarray(
+        [source(th, obs[:1])[0][..., 0] for th in thetas])
+    assert weights.flags.c_contiguous     # emission_matrix's are state-major
+    got = oracle._forward_batch(*laws(model, thetas), weights) - shift
+    assert got.tobytes() \
+        == oracle.forward_loglik_grid(model, thetas, obs[0], pert).tobytes()
+
+    p, dp, init, dinit = oracle._laws_and_jac(model, theta)
+    state = oracle._forward_start(init, dinit, (len(obs),))
+    for s in range(0, obs.shape[1], 7):
+        state = oracle._forward_segment(p, dp, state,
+                                        *source(theta, obs[:, s:s + 7]))
+    ll, score = oracle._forward_finish(state)
+    want_ll, want_score = oracle.forward_score_batch(model, theta, obs, pert)
+    assert (ll - shift).tobytes() == want_ll.tobytes()
+    assert score.tobytes() == want_score.tobytes()

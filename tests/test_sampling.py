@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -250,3 +251,9 @@ def test_simulate_bytes_are_pinned(label, n, seed, digest):
     name, hyper, theta = _PIN_MODELS[label]
     t = sampling.simulate(builtin_model(name, hyper=hyper), theta, n, seed)
     assert _sha256(t.hidden, t.observations) == digest
+
+
+def test_json_value_names_every_non_finite_number():
+    assert [sampling.json_value(v) for v in
+            (-math.inf, math.inf, math.nan, -1.5, 0.0)] \
+        == ["-inf", "inf", "nan", -1.5, 0.0]
