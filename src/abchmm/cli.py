@@ -19,7 +19,7 @@ from . import estimate as est, experiments, fisher as fishermod, \
 from .errors import ConfigError, EstimationFailedError
 from .models import PerturbationSpec, builtin_model, check_count, \
     load_model_config
-from .oracle import exact_smc_target, forward_loglik, has_closed_form
+from .oracle import exact_smc_target, has_closed_form
 from .rng import derive_seed
 
 
@@ -67,21 +67,18 @@ def _add_pert_args(sub):
     sub.add_argument("--epsilon", type=float, help="perturbation tolerance")
     sub.add_argument("--kernel", choices=("uniform", "gaussian"),
                      help="default: uniform")
-    sub.add_argument("--norm", choices=("linf", "l2"), help="default: linf")
 
 
 def _pert_from_args(args) -> PerturbationSpec | None:
     """The perturbation of ``--epsilon``, or None without it; then
-    ``--kernel`` and ``--norm``, which nothing would read, are refused."""
+    ``--kernel``, which nothing would read, is refused.  Every model the
+    command line builds is scalar, where the linf and l2 balls coincide."""
     if args.epsilon is None:
-        given = _given(args, ("kernel", "norm"))
-        if given:
-            raise ConfigError(f"{', '.join(given)} cannot be used without "
-                              "--epsilon")
+        if args.kernel is not None:
+            raise ConfigError("--kernel cannot be used without --epsilon")
         return None
     return PerturbationSpec(epsilon=args.epsilon,
-                            kernel=args.kernel or "uniform",
-                            norm=args.norm or "linf")
+                            kernel=args.kernel or "uniform")
 
 
 # particles of the particle estimator when --n-particles is not given
@@ -131,11 +128,10 @@ def _cmd_likelihood(args) -> int:
     theta = _parse_theta(args.theta)
     pert = _pert_from_args(args)
     if args.estimator == "oracle":
-        if pert is None:
-            key, value = "log_likelihood", forward_loglik(model, theta, data)
-        else:
-            key, value = "log_ball_probability", exact_smc_target(
-                model, theta, data, pert)
+        # at eps = 0 there is no perturbation: the value is the exact one
+        key = "log_likelihood" if pert is None or pert.is_exact \
+            else "log_ball_probability"
+        value = exact_smc_target(model, theta, data, pert)
         payload = {"estimator": "oracle", key: sampling.json_value(value)}
     else:
         if pert is None:
@@ -162,10 +158,17 @@ def _cmd_likelihood(args) -> int:
 
 def _cmd_estimate(args) -> int:
     n_particles = _particles(args)
+    opts = {}
+    if args.grid_points is not None:
+        check_count("--grid-points", args.grid_points, 1)
+        opts["grid_points"] = args.grid_points
     if args.method == "exact":
         # the exact likelihood has no perturbation and one objective
         _refuse_with(args, "--method exact",
-                     ("epsilon", "kernel", "norm", "objective", "n_particles"))
+                     ("epsilon", "kernel", "objective", "n_particles"))
+    if args.optimizer == "nelder_mead":
+        # Nelder-Mead starts from a Latin hypercube, not a grid
+        _refuse_with(args, "--optimizer nelder_mead", ("grid_points",))
     model = _model_from_args(args)
     if (args.data is None) == (args.theta_star is None):
         raise ConfigError("exactly one of --data or --theta-star is required")
@@ -180,10 +183,6 @@ def _cmd_estimate(args) -> int:
                                  seed=derive_seed(args.seed, "data"),
                                  with_hidden=False)
     pert = _pert_from_args(args)
-    opts = {}
-    if args.grid_points is not None:
-        check_count("--grid-points", args.grid_points, 1)
-        opts["grid_points"] = args.grid_points
     if args.method == "exact":
         result = est.exact_mle(model, data, method=args.optimizer,
                                seed=args.seed, **opts)

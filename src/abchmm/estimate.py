@@ -12,8 +12,8 @@ Three objective flavours share one optimizer front end:
 Every objective is a batch objective: it maps a (G, d) array of candidate
 thetas to ``(values, ses)``, one entry per row, and a single probe is a
 one-row call.  The grid stage hands all its candidates over in one call; the
-golden-section stage of a fit looks ahead (below), and the Nelder-Mead stage
-probes one theta per call.
+golden-section stage looks one step ahead (below), and the Nelder-Mead
+stage probes one theta per call.
 
 The particle objective uses common random numbers: one stream key is derived
 from the run seed and reused for every candidate theta, making the objective a
@@ -29,7 +29,7 @@ several of the filter's chunks (see ``smc``).  Every value equals a fresh
 share the filter's draws step by step.  The exact objective runs the
 forward product tree on state-major planes, where every row of a call equals
 its one-row call bit for bit too.  Under both objectives a three-row call
-costs well under three one-row calls, so every fit's golden-section stage
+costs well under three one-row calls.  The golden-section stage always
 looks one step ahead: each call holds the next probe and both probes that
 could follow it, and only the probes the sequential search makes are
 recorded, so the result is the sequential search's, bit for bit.
@@ -60,7 +60,8 @@ import numpy as np
 
 from . import oracle, rng as rngmod, smc as smcmod
 from .errors import EstimationFailedError
-from .models import ModelSpec, ParameterVector, PerturbationSpec, check_count
+from .models import ModelSpec, ParameterVector, PerturbationSpec, \
+    check_box, check_count
 from .sampling import Trajectory, format_value, json_value, noisify
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -133,16 +134,15 @@ def _narrow(lo: float, hi: float, c: float, d: float, keep_left: bool):
 
 
 def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
-                   a: float, b: float, tol: float, lookahead: bool):
-    """Golden-section maximization of coordinate j on [a, b].
+                   a: float, b: float, tol: float):
+    """Golden-section maximization of coordinate j on [a, b], one step ahead.
 
-    Without ``lookahead`` each probe is a one-row call of the objective.
-    With it, the two bracket points share one call, and each later call
-    holds the next probe together with both probes that could follow it:
-    which of the two the search makes depends on the value of the first,
-    and the next step takes it without a call.  Only the probes the search
-    makes are recorded, in its order, so the trace is the same either way
-    when every row of a call equals its one-row call bit for bit.
+    The two bracket points share one call, and each later call holds the
+    next probe together with both probes that could follow it: which of the
+    two the search makes depends on the value of the first, and the next
+    step takes it without a call.  Only the probes the search makes are
+    recorded, in its order, so the trace is the sequential search's when
+    every row of a call equals its one-row call bit for bit.
     """
     def probe(xs):
         """``(theta, value, se)`` at each point of ``xs``, in one call."""
@@ -153,8 +153,7 @@ def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
     lo, hi = a, b
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
-    bracket = probe([c, d]) if lookahead else probe([c]) + probe([d])
-    fc, fd = [rec.record(*row) for row in bracket]
+    fc, fd = [rec.record(*row) for row in probe([c, d])]
     ahead = {}          # keep_left -> the probe that step makes, evaluated
     while (hi - lo) > tol:
         keep_left = fc >= fd
@@ -162,7 +161,7 @@ def _golden_refine(rec: _Recorder, theta: np.ndarray, j: int,
         row = ahead.get(keep_left)
         if row is None:
             nxt = [_narrow(lo, hi, c, d, k)[1] for k in (True, False)] \
-                if lookahead and (hi - lo) > tol else []
+                if (hi - lo) > tol else []
             row, *rest = probe([x, *nxt])
             ahead = dict(zip((True, False), rest))
         else:
@@ -188,27 +187,28 @@ class _CollapsedSimplex(Exception):
 
 
 def maximize(batch_objective, box, method: str = "grid_then_golden", *,
-             lookahead: bool = False, grid_points: int = 21, sweeps: int = 2,
+             grid_points: int = 21, sweeps: int = 2,
              section_tol: float | None = None, restarts: int = 5,
              seed: int = 0):
     """Maximize ``batch_objective(thetas) -> (values, ses)`` over a box.
 
-    ``thetas`` is a (G, d) array of candidates, and ``values`` and ``ses``
-    hold one entry per row; a single probe is a one-row call.  Returns
-    ``(theta_hat, value, trace, n_failures, settings)``.  The grid stage
-    evaluates all its points in one call; ties resolve to the lowest
-    (row-major first) index.  The Nelder-Mead stage probes one theta per
-    call, and so does the golden-section stage unless ``lookahead``.
+    ``box`` is checked by :func:`abchmm.models.check_box`.  ``thetas`` is a
+    (G, d) array of candidates, and ``values`` and ``ses`` hold one entry
+    per row; a single probe is a one-row call.  A row's value must not
+    depend on the rows beside it: every row of a call must equal its
+    one-row call bit for bit, as under both objectives of :func:`abc_mle`
+    (the particle objective's common random numbers and the exact forward
+    tree's row-independent planes).  Returns ``(theta_hat, value, trace,
+    n_failures, settings)``.  The grid stage evaluates all its points in one
+    call; ties resolve to the lowest (row-major first) index.  The
+    Nelder-Mead stage probes one theta per call.
 
-    With ``lookahead``, the golden-section stage looks one step ahead: each
-    call evaluates the next probe and both probes that could follow it.  The
+    The golden-section stage looks one step ahead: each call evaluates the
+    next probe and both probes that could follow it, up to three rows.  The
     speculative probe the search does not take is evaluated but not
     recorded, so ``trace`` (and with it ``n_evaluations`` and
     ``n_failures``) holds only the probes of the sequential search, in its
-    order, and the result is the same as without ``lookahead`` -- provided
-    every row of a call equals its one-row call bit for bit, as under both
-    objectives of :func:`abc_mle`: the particle objective's common random
-    numbers and the exact forward tree's row-independent planes.
+    order, and the result is the sequential search's.
     """
     check_count("grid_points", grid_points, 1)
     check_count("sweeps", sweeps, 0)
@@ -216,7 +216,7 @@ def maximize(batch_objective, box, method: str = "grid_then_golden", *,
     if section_tol is not None and not 0.0 < section_tol < math.inf:
         raise ValueError("section_tol must be a positive finite number, "
                          f"got {section_tol!r}")
-    box = np.asarray(box, dtype=float)
+    box = check_box(box, "maximize: box")
     d = box.shape[0]
     rec = _Recorder(batch_objective)
     used = {"method": method, "grid_points": grid_points, "sweeps": sweeps,
@@ -237,7 +237,7 @@ def maximize(batch_objective, box, method: str = "grid_then_golden", *,
                     b = min(box[j, 1], current[j] + step)
                     tol = section_tol if section_tol is not None \
                         else max(step * 1e-3, 1e-10)
-                    _golden_refine(rec, current, j, a, b, tol, lookahead)
+                    _golden_refine(rec, current, j, a, b, tol)
                     if rec.best_theta is not None:
                         current = rec.best_theta.copy()
     elif method == "nelder_mead":
@@ -283,9 +283,9 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
 
     Every row of a call equals its one-row call bit for bit (see
     ``oracle._forward_tree``), and a three-row call, which covers two
-    golden-section steps, costs about 1.7 one-row calls (1.8 against 1.1 ms
-    for a two-state series of 2,000 steps under the uniform kernel, on a
-    shared 2-CPU VM), so a fit's golden-section stage looks ahead on it.
+    golden-section steps of the look-ahead search, costs about 1.7 one-row
+    calls (1.8 against 1.1 ms for a two-state series of 2,000 steps under
+    the uniform kernel, on a shared 2-CPU VM).
     """
     if not oracle.has_closed_form(model, pert):
         raise ValueError(f"model {model.name!r} has no oracle objective for "
@@ -305,9 +305,8 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
     """Particle batch objective on common random numbers.
 
     Every row of a call equals its one-row call bit for bit, and a three-row
-    call costs little more than one row, so a fit's golden-section stage
-    looks one step ahead on it.  All calls share one
-    table of step draws, so each value equals a fresh
+    call of the look-ahead golden-section search costs little more than one
+    row.  All calls share one table of step draws, so each value equals a fresh
     ``smc_abc_likelihood`` at the fit's stream key.  With ``keep_first``,
     for an optimizer that calls the objective more than once, the table
     keeps the first call's draws, so each step is drawn once.
@@ -338,11 +337,9 @@ def _run(model, data, pert, objective, method, n_particles, seed, opts,
     else:
         raise ValueError(f"unknown objective {objective!r}; "
                          "expected 'smc' or 'oracle'")
-    # every row of both objectives equals its one-row call, so the
-    # golden-section stage may look ahead
     theta, value, trace, failures, settings = maximize(
         batch_objective=batch, box=model.theta_box, method=method,
-        lookahead=True, seed=seed, **opts)
+        seed=seed, **opts)
     settings.update({"objective": objective, "seed": seed,
                      "n_particles": n_particles if objective == "smc" else None,
                      "estimator": label})

@@ -48,23 +48,10 @@ class ParameterVector:
     box: Array
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        box = np.asarray(self.box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise ValueError(f"box must have shape (d, 2), got {box.shape}")
-        if box.shape[0] != values.shape[0]:
-            raise ValueError(
-                f"parameter has {values.shape[0]} coordinates but box has "
-                f"{box.shape[0]} rows")
-        if np.any(box[:, 0] >= box[:, 1]):
-            raise ValueError("every box row must satisfy lo < hi")
-        inside = (box[:, 0] <= values) & (values <= box[:, 1])  # False for NaN
-        if not inside.all():
-            bad = int(np.argmin(inside))
-            raise ValueError(
-                f"parameter coordinate {bad} = {values[bad]} outside box "
-                f"[{box[bad, 0]}, {box[bad, 1]}]")
-        object.__setattr__(self, "values", values)
+        box = check_box(self.box, "ParameterVector: box")
+        values = np.asarray(self.values, dtype=float).reshape(1, -1)
+        _check_rows(values, box, "ParameterVector")
+        object.__setattr__(self, "values", values[0])
         object.__setattr__(self, "box", box)
 
     def to_list(self) -> list[float]:
@@ -167,11 +154,12 @@ class ModelSpec:
     one buffer.
     Simulation calls the transform with G=1.
 
-    Construction (``dataclasses.replace`` too) derives ``param_dim``, the
-    number d of ``theta_box`` rows, and ``n_states``, the size K of
-    ``transition_matrix``; ``hyper`` is optional.  It raises a ``ValueError``
-    naming the model unless the box holds d >= 1 finite rows ``[lo, hi]`` with
-    lo < hi, and unless ``transition_matrix`` and ``initial_dist``, evaluated
+    Construction (``dataclasses.replace`` too) stores ``theta_box`` as the
+    float array of :func:`check_box` and derives ``param_dim``, the number d
+    of its rows, and ``n_states``, the size K of ``transition_matrix``;
+    ``hyper`` is optional.  It raises a ``ValueError`` naming the model
+    unless the box holds d >= 1 finite rows ``[lo, hi]`` with lo < hi, and
+    unless ``transition_matrix`` and ``initial_dist``, evaluated
     once at the centre of the box, are a K x K stochastic matrix and a law over
     the K states.  A law that moves with ``theta`` is checked there only; the
     likelihood paths do not check it again.
@@ -196,13 +184,8 @@ class ModelSpec:
     n_states: int = field(init=False)
 
     def __post_init__(self):
-        box = np.asarray(self.theta_box, dtype=float)
-        if box.shape[1:] != (2,) or box.shape[0] < 1 \
-                or not np.all(np.isfinite(box)) \
-                or not np.all(box[:, 0] < box[:, 1]):
-            raise ValueError(
-                f"model {self.name!r}: theta_box must be d >= 1 finite "
-                f"[lo, hi] rows with lo < hi, got {box.tolist()}")
+        box = check_box(self.theta_box, f"model {self.name!r}: theta_box")
+        object.__setattr__(self, "theta_box", box)
         centre = box.mean(axis=1)
         (p,), (init,) = laws(self, centre[None])
         where = f"model {self.name!r} at the theta_box centre {centre.tolist()}"
@@ -219,26 +202,41 @@ class ModelSpec:
         object.__setattr__(self, "n_states", k)
 
 
+def check_box(box, where: str) -> Array:
+    """``box`` as a float (d, 2) array of d >= 1 finite rows ``[lo, hi]``
+    with lo < hi, or a ``ValueError`` (for a numeric box, one that begins
+    with ``where``): the one check of a parameter box."""
+    arr = np.asarray(box, dtype=float)
+    if arr.shape[1:] != (2,) or arr.shape[0] < 1 \
+            or not np.all(np.isfinite(arr)) or not np.all(arr[:, 0] < arr[:, 1]):
+        raise ValueError(f"{where} must be d >= 1 finite [lo, hi] rows with "
+                         f"lo < hi, got {arr.tolist()}")
+    return arr
+
+
+def _check_rows(thetas: Array, box: Array, owner: str) -> Array:
+    """:func:`check_thetas` against a checked ``box``, naming ``owner``."""
+    if thetas.ndim != 2 or thetas.shape[0] < 1:
+        raise ValueError("thetas must be a (G, d) array with G >= 1, "
+                         f"got shape {thetas.shape}")
+    d = box.shape[0]
+    if thetas.shape[1] != d:
+        raise ValueError(f"{owner} expects {d} parameters, "
+                         f"got {thetas.shape[1]}")
+    inside = (box[:, 0] <= thetas) & (thetas <= box[:, 1])  # False for NaN
+    if not inside.all():
+        g, j = divmod(int(np.argmin(inside)), d)
+        raise ValueError(f"theta[{j}] = {thetas[g, j]} outside box "
+                         f"[{box[j, 0]}, {box[j, 1]}] for {owner}")
+    return thetas
+
+
 def check_thetas(model: ModelSpec, thetas) -> Array:
     """Validate a (G, d) batch of parameter rows against the model's box,
     returning a float array; a ``ValueError`` names the first problem: the
     shape, the column count or the first entry outside the box."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[0] < 1:
-        raise ValueError("thetas must be a (G, d) array with G >= 1, "
-                         f"got shape {thetas.shape}")
-    if thetas.shape[1] != model.param_dim:
-        raise ValueError(
-            f"model {model.name!r} expects {model.param_dim} parameters, "
-            f"got {thetas.shape[1]}")
-    box = model.theta_box
-    inside = (box[:, 0] <= thetas) & (thetas <= box[:, 1])  # False for NaN
-    if not inside.all():
-        g, j = divmod(int(np.argmin(inside)), model.param_dim)
-        raise ValueError(
-            f"theta[{j}] = {thetas[g, j]} outside box "
-            f"[{box[j, 0]}, {box[j, 1]}] for model {model.name!r}")
-    return thetas
+    return _check_rows(np.asarray(thetas, dtype=float), model.theta_box,
+                       f"model {model.name!r}")
 
 
 def check_theta(model: ModelSpec, theta) -> Array:

@@ -2,18 +2,21 @@
 problem, and never comes back as a number."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abchmm import cli, estimate, fisher, oracle, smc
+from abchmm import cli, estimate, fisher, oracle, sampling, smc
 from abchmm.kernels import KERNELS
 from abchmm.errors import ConfigError
-from abchmm.models import PerturbationSpec, builtin_model, load_model_config
+from abchmm.models import (ParameterVector, PerturbationSpec, builtin_model,
+                           load_model_config)
 
 _MODEL = builtin_model("finite_gaussian", hyper={"param": "mean_scale"})
 _THETA = [0.7, 1.1]
@@ -306,12 +309,29 @@ def test_cli_refuses_a_header_only_series_on_the_exact_path(tmp_path,
 
 
 def _run_cli(argv):
-    """``cli.main(argv)``'s status and what it wrote to stderr."""
+    """``cli.main(argv)``'s status and what it wrote to stderr, the exit
+    status of an argparse refusal too."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        status = cli.main(argv)
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
     return status, err.getvalue()
+
+
+def _assert_refused(status, err, flags, message):
+    """Exit 2 with the error line ``message``; but the command line has no
+    --norm flag (every model it builds is scalar, where the linf and l2
+    balls are one interval), so argparse refuses a trailing --norm before
+    any handler runs."""
+    assert status == 2
+    if "--norm" in flags:
+        assert err.endswith("abchmm: error: unrecognized arguments: "
+                            f"{' '.join(flags[-2:])}\n")
+    else:
+        assert err == f"error: {message}\n"
 
 
 _EXACT_FIT = ["estimate", "--model", "finite_gaussian", "--theta-star", "0.8",
@@ -322,6 +342,7 @@ _EXACT_FIT = ["estimate", "--model", "finite_gaussian", "--theta-star", "0.8",
     ["--epsilon", "0.3"],
     ["--objective", "smc"],
     ["--epsilon", "0.3", "--objective", "oracle"],
+    ["--kernel", "gaussian"],
     ["--kernel", "gaussian", "--norm", "l2"],
 ], ids=lambda f: "-".join(f[::2]))
 def test_cli_exact_fit_refuses_the_flags_it_ignores(flags):
@@ -329,13 +350,13 @@ def test_cli_exact_fit_refuses_the_flags_it_ignores(flags):
     status, err = _run_cli(_EXACT_FIT)
     assert (status, err) == (0, "")
     status, err = _run_cli(_EXACT_FIT + flags)
-    assert status == 2
-    assert err == ("error: --method exact cannot be combined with "
-                   f"{', '.join(flags[::2])}\n")
+    _assert_refused(status, err, flags, "--method exact cannot be combined "
+                    f"with {', '.join(flags[::2])}")
 
 
 @pytest.mark.parametrize("flags", [
     ["--kernel", "gaussian"], ["--norm", "l2"],
+    pytest.param(["--kernel", "uniform"], id="--kernel-uniform"),
     ["--kernel", "uniform", "--norm", "linf"],
 ], ids=lambda f: "-".join(f[::2]))
 @pytest.mark.parametrize("command", [
@@ -345,8 +366,8 @@ def test_cli_exact_fit_refuses_the_flags_it_ignores(flags):
      "0"],
 ], ids=lambda c: c[0])
 def test_cli_perturbation_flags_need_epsilon(tmp_path, command, flags):
-    # without --epsilon there is no perturbation, and a --kernel or --norm
-    # beside it once went unread; naming a default is refused too
+    # without --epsilon there is no perturbation, and a --kernel beside it
+    # once went unread; naming the default is refused too
     data = tmp_path / "data.csv"
     assert _run_cli(["simulate", "--model", "finite_gaussian", "--theta",
                      "0.8", "--n", "20", "--seed", "4", "--out",
@@ -358,9 +379,8 @@ def test_cli_perturbation_flags_need_epsilon(tmp_path, command, flags):
     assert (status, err) == (0, "")
     status, err = _run_cli(command + ["--model", "finite_gaussian"] + place
                            + flags)
-    assert status == 2
-    assert err == (f"error: {', '.join(flags[::2])} cannot be used without "
-                   "--epsilon\n")
+    _assert_refused(status, err, flags, f"{', '.join(flags[::2])} cannot be "
+                    "used without --epsilon")
 
 
 @pytest.mark.parametrize("summary", [None, "identity", "abs"])
@@ -460,6 +480,63 @@ def test_theta_box_that_is_not_numeric_is_named(box):
                            "--seed", "0"])
     assert status == 2
     assert err.getvalue().startswith("error: theta_box must be numeric")
+
+
+def _custom_model(box):
+    """The built-in finite_gaussian mean model under another name, on
+    ``box``."""
+    return dataclasses.replace(builtin_model("finite_gaussian"),
+                               name="custom", theta_box=box)
+
+
+def _never_called(thetas):
+    raise AssertionError("the objective ran on a bad box")
+
+
+_BOX_GATES = {
+    "ModelSpec": (_custom_model, "model 'custom': theta_box"),
+    "ParameterVector": (lambda box: ParameterVector([0.5], box),
+                        "ParameterVector: box"),
+    "maximize": (lambda box: estimate.maximize(_never_called, box),
+                 "maximize: box"),
+}
+
+
+@pytest.mark.parametrize("box", [
+    [[1.0, 0.0]], [[0.0, 0.0]], [[0.0, math.inf]], [[math.nan, 1.0]],
+    [0.0, 1.0], np.empty((0, 2))],
+    ids=["reversed", "zero-width", "infinite", "nan", "1-D", "empty"])
+@pytest.mark.parametrize("caller", list(_BOX_GATES))
+def test_every_box_goes_through_one_gate(caller, box):
+    # maximize once returned 0.3 on [[1, 0]], searched [[0, 0]], warned
+    # partway through [[0, inf]] and raised a TypeError on a 1-D box
+    build, where = _BOX_GATES[caller]
+    with pytest.raises(ValueError, match=r"^" + re.escape(
+            f"{where} must be d >= 1 finite [lo, hi] rows with lo < hi, "
+            "got ")):
+        build(box)
+
+
+def test_a_list_box_is_stored_as_floats_and_fits_end_to_end():
+    # a list theta_box once passed construction, then every route that
+    # indexed it raised "list indices must be integers or slices, not tuple"
+    listed, arrayed = _custom_model([[-3, 3]]), _custom_model(
+        np.array([[-3.0, 3.0]]))
+    assert listed.theta_box.dtype == float
+    assert listed.theta_box.tolist() == [[-3.0, 3.0]]
+    pert = PerturbationSpec(epsilon=0.5)
+    ys = sampling.simulate(listed, [0.8], 30, seed=1).observations
+    assert ys.tobytes() == sampling.simulate(
+        arrayed, [0.8], 30, seed=1).observations.tobytes()
+    assert oracle.forward_loglik(listed, [0.8], ys, pert) \
+        == oracle.forward_loglik(arrayed, [0.8], ys, pert)
+    assert smc.smc_abc_likelihood(listed, [0.8], ys, pert, 64, 2).log_value \
+        == smc.smc_abc_likelihood(arrayed, [0.8], ys, pert, 64, 2).log_value
+    fit, want = (estimate.abc_mle(m, ys, pert, n_particles=64, seed=3,
+                                  grid_points=5, sweeps=1, section_tol=0.1)
+                 for m in (listed, arrayed))
+    assert fit.theta_hat.values.tobytes() == want.theta_hat.values.tobytes()
+    assert fit.trace == want.trace and len(fit.trace) > 5
 
 
 @pytest.mark.parametrize("points", [0, -3])

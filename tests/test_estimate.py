@@ -248,10 +248,10 @@ def test_save_estimate_round_trip(tmp_path):
     assert any(v == "-inf" for v in values)  # this fit has dead grid points
 
 
-def _reference_golden_refine(rec, theta, j, a, b, tol, lookahead):
+def _reference_golden_refine(rec, theta, j, a, b, tol):
     """The sequential golden-section search, one probe per call, as it was
-    before the particle objective looked ahead: the reference that the
-    lookahead must reproduce bit for bit."""
+    before the search looked ahead: the reference that the look-ahead
+    search must reproduce bit for bit."""
     lo, hi = a, b
     base = theta.copy()
 
@@ -315,27 +315,23 @@ def test_golden_lookahead_matches_sequential_reference(draw):
         widths.append(len(thetas))
         return batch(thetas)
 
-    def run(**kw):
+    def run():
         try:
-            return est.maximize(counted, box, "grid_then_golden", **opts,
-                                **kw)[:4]
+            return est.maximize(counted, box, "grid_then_golden", **opts)[:4]
         except est.EstimationFailedError as exc:
             return exc.diagnostics
 
     with mock.patch.object(est, "_golden_refine", _reference_golden_refine):
         want = run()
-    widths.clear()
-    sequential = run()
-    # without lookahead, every call after the grid's is one probe
+    # the reference makes every call after the grid's one probe
     assert all(w == 1 for w in widths[1:])
     widths.clear()
-    got = run(lookahead=True)
-    for result in (got, sequential):
-        if isinstance(want, dict):
-            assert result == want
-            continue
-        assert result[0].tobytes() == want[0].tobytes()
-        assert repr(result[1:]) == repr(want[1:])   # repr: every bit
+    got = run()
+    if isinstance(want, dict):
+        assert got == want
+    else:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert repr(got[1:]) == repr(want[1:])   # repr: every bit
     # after the grid's call, each call holds at most three probes, and there
     # are fewer calls than recorded golden-section probes
     golden = len(got[2]) - widths[0] if not isinstance(got, dict) else 0
@@ -347,8 +343,8 @@ def test_golden_lookahead_matches_sequential_reference(draw):
 def test_smc_fit_looks_ahead_with_the_same_bytes():
     """The particle fit of the smc_fit benchmark: 7 grid points, one sweep,
     section_tol 0.05 -- ten golden-section probes.  One grid pass plus five
-    lookahead calls, against one plus ten one-row calls, and the same
-    estimate, trace and failure count as the sequential search.  Every
+    look-ahead calls, against one plus ten one-row calls of the sequential
+    reference, and the same estimate, trace and failure count as it.  Every
     evaluation of a fit goes through ``smc._likelihood_batch`` on the fit's
     step-stream table."""
     model = builtin_model("finite_gaussian")
@@ -368,8 +364,10 @@ def test_smc_fit_looks_ahead_with_the_same_bytes():
         assert calls == [7, 2, 3, 3, 3, 3]
         calls.clear()
         batch_fn = est._smc_objective(model, data, pert, 2000, seed=11)
-        theta, value, trace, failures, _ = est.maximize(
-            batch_fn, model.theta_box, seed=11, **opts)
+        with mock.patch.object(est, "_golden_refine",
+                               _reference_golden_refine):
+            theta, value, trace, failures, _ = est.maximize(
+                batch_fn, model.theta_box, seed=11, **opts)
     assert calls == [7] + [1] * 10
     assert res.trace == trace and len(trace) == 17
     assert res.theta_hat.values.tobytes() == theta.tobytes()

@@ -622,6 +622,41 @@ def test_cli_experiment_long_inline_config(tmp_path, capsys):
     assert "'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel", ["uniform", "gaussian"])
+def test_cli_oracle_likelihood_at_eps_zero_is_the_exact_one(tmp_path, capsys,
+                                                            kernel):
+    # at eps = 0 there is no perturbation: the value is the exact
+    # log-likelihood and is labelled so, as without --epsilon (it was once
+    # printed as log_ball_probability)
+    data = tmp_path / "g.csv"
+    run_cli(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+             "--n", "30", "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    likelihood = ["likelihood", "--model", "finite_gaussian", "--theta",
+                  "0.8", "--data", str(data), "--estimator", "oracle",
+                  "--json"]
+    outs = []
+    for flags in ([], ["--epsilon", "0", "--kernel", kernel]):
+        assert run_cli(likelihood + flags) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert list(json.loads(outs[0])) == ["estimator", "log_likelihood"]
+
+
+def test_cli_nelder_mead_refuses_grid_points(tmp_path, capsys):
+    # Nelder-Mead never reads the grid size: the fit with it was once the
+    # fit without it, theta_hat and evaluation count alike
+    fit = ["estimate", "--model", "finite_gaussian", "--theta-star", "0.8",
+           "--n", "20", "--epsilon", "0.5", "--objective", "oracle",
+           "--optimizer", "nelder_mead", "--seed", "1"]
+    assert run_cli(fit + ["--grid-points", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --optimizer nelder_mead cannot be combined with "
+        "--grid-points\n")
+    assert run_cli(fit) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_model_config_file(tmp_path, capsys):
     mc = tmp_path / "model.json"
     mc.write_text(json.dumps({"model": "finite_gaussian",
