@@ -127,10 +127,16 @@ def _cmd_likelihood(args) -> int:
     data = sampling.load_trajectory(args.data)
     theta = _parse_theta(args.theta)
     pert = _pert_from_args(args)
+    # the key names the value: at eps = 0 there is no perturbation and the
+    # value is the exact one; under the gaussian kernel it is the log
+    # expectation of the accumulated smooth weights, not a ball probability
+    if pert is None or pert.is_exact:
+        key = "log_likelihood"
+    elif pert.kernel == "uniform":
+        key = "log_ball_probability"
+    else:
+        key = "log_smooth_weight"
     if args.estimator == "oracle":
-        # at eps = 0 there is no perturbation: the value is the exact one
-        key = "log_likelihood" if pert is None or pert.is_exact \
-            else "log_ball_probability"
         value = exact_smc_target(model, theta, data, pert)
         payload = {"estimator": "oracle", key: sampling.json_value(value)}
     else:
@@ -141,7 +147,7 @@ def _cmd_likelihood(args) -> int:
             0 if args.seed is None else args.seed)
         payload = {
             "estimator": "smc",
-            "log_ball_probability": sampling.json_value(res.log_value),
+            key: sampling.json_value(res.log_value),
             "se_proxy": sampling.json_value(res.se_proxy),
             "n_particles": res.n_particles,
             "collapsed_at": res.collapsed_at,

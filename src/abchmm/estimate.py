@@ -283,9 +283,10 @@ def _oracle_objective(model: ModelSpec, data, pert: PerturbationSpec | None):
 
     Every row of a call equals its one-row call bit for bit (see
     ``oracle._forward_tree``), and a three-row call, which covers two
-    golden-section steps of the look-ahead search, costs about 1.7 one-row
-    calls (1.8 against 1.1 ms for a two-state series of 2,000 steps under
-    the uniform kernel, on a shared 2-CPU VM).
+    golden-section steps of the look-ahead search, costs about 1.9 one-row
+    calls (1.06 against 0.56 ms, medians of 400, for a two-state series of
+    2,000 steps at eps 0.05 under the uniform kernel, on a shared 2-CPU
+    VM).
     """
     if not oracle.has_closed_form(model, pert):
         raise ValueError(f"model {model.name!r} has no oracle objective for "

@@ -5,18 +5,20 @@ reduction: the likelihood is a product of one matrix ``P·diag(e_t)`` per
 step.  The matrices are held state-major, as (K, K, G, L) planes with the
 step axis last, so each level multiplies adjacent pairs with K broadcast
 multiplies and K - 1 adds over long vectors, and exact power-of-two
-rescaling keeps a series of length 10^6 stable.  It is batched over a whole
-grid of parameter candidates; the time blocks are set by n and K alone and
-the rows run in chunks of bounded memory, so every row of a grid call
-equals its one-row call bit for bit.  Two recursions still loop over time
-steps: ``forward_filter``, which returns every filter and restarts after a
-dead step, and one per-step kernel, private to this module, that carries
-the filter together with its derivatives in theta.  The kernel gives the
-scores of a whole batch of replicate series: :func:`forward_score_batch` in
-one emission channel, and :func:`boundary_scores` on the mixed clean/noisy
-sequences of :mod:`abchmm.fisher`, every boundary in one pass that shares
-the clean prefix.  Without derivatives it gives the log-likelihood under a
-transition matrix with zeros that would let the reduction lose a row to
+rescaling, every second level, keeps a series of length 10^6 stable.  It
+is batched over a whole grid of parameter candidates; the time blocks are
+set by n and K alone and the rows run in chunks of bounded memory, so
+every row of a grid call equals its one-row call bit for bit.  Two
+recursions still loop over time steps: ``forward_filter``, which returns
+every filter and restarts after a dead step, and one per-step kernel,
+private to this module, that carries the filter together with its
+derivatives in theta.  The kernel gives the scores of a whole batch of
+replicate series: :func:`forward_score_batch` in one emission channel, and
+:func:`boundary_scores` on the mixed clean/noisy sequences of
+:mod:`abchmm.fisher`, every boundary in one pass that shares the clean
+prefix.  Without derivatives it gives the log-likelihood under a
+transition matrix with zeros, or with a column ratio past
+``_MAX_COLUMN_RATIO``, that would let the reduction lose a row to
 underflow.
 
 The kernel runs time-major, with the replicate rows on the last axes: its
@@ -168,7 +170,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 # Largest ratio between two entries of one column of P that the reduction
 # accepts (see _forward_batch); past it, the batch runs one step at a time.
-_MAX_COLUMN_RATIO = 2.0 ** 256
+_MAX_COLUMN_RATIO = 2.0 ** 64
 
 
 def _column_ratio(p: Array) -> float:
@@ -191,8 +193,13 @@ def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
     after multiplying an odd last matrix into its left neighbour, so L
     steps take ceil(log2(L + 1)) levels and leave one matrix whose rows all
     hold the carried row.  Every matrix is rescaled by an exact power of
-    two (:func:`_rescale`) before the first level and after each one, and
-    the integer exponents are summed.
+    two (:func:`_rescale`) before the first level, after every second level
+    and after the block's last one, and the integer exponents are summed.
+    A power of two scales the products exactly, so skipping the rescale
+    of the odd levels changes no bit (see :func:`_forward_batch`) and
+    nearly halves the rescale calls (7 instead of 12 for 11 levels); the
+    last rescale puts the carried row's sum in [1, 2), as a rescale after
+    every level would.
 
     The block boundaries depend on n and K alone, and the rows run in
     chunks within ``_BLOCK_ENTRIES``.  Every operation acts on each row
@@ -216,12 +223,15 @@ def _forward_tree(p: Array, init: Array, emis: Array) -> Array:
             m[..., 0] = v
             np.multiply(pk[:, :, rows], w, out=m[..., 1:])
             shift += _rescale(m)
+            level = 0
             while m.shape[-1] > 1:
                 if m.shape[-1] % 2:
                     m[..., -2:-1] = _plane_product(m[..., -2:-1], m[..., -1:])
                     m = m[..., :-1]
                 m = _plane_product(m[..., 0::2], m[..., 1::2])
-                shift += _rescale(m)
+                level += 1
+                if level % 2 == 0 or m.shape[-1] == 1:
+                    shift += _rescale(m)
             v = m[0, :, :, 0]
         with np.errstate(divide="ignore"):
             out[rows] = shift * math.log(2.0) + np.log(_state_sum(v))
@@ -341,18 +351,36 @@ def _forward_batch(p: Array, init: Array, emis: Array) -> Array:
     series with a zero-probability step ends in an all-zero row, which
     gives -inf.
 
-    Each partial product is divided by a power of two set by its largest
-    row, so a row more than ~2^1074 below that one underflows to zero.  A
+    The tree rescales each matrix, by a power of two, to a largest row sum
+    in [1, 2) before its first level, after every second level and after
+    a block's last one.  So each product it forms has at most u = 7
+    rescaled factors: two per product after one level, and the odd last
+    matrix folded into its neighbour makes that 3 and then 2 + 2 + 3.  A
     product that starts with P takes each row from the same row of P, so
     when the entries of each column of P lie within a factor r of each
     other (zero columns aside), every entry is within r of the same entry
-    in any other row: no row falls far behind, and what underflows is a
-    share of about r²·2^-1022 of the likelihood or less.  A P that holds a
-    zero beside a nonzero entry in one column (an identity, absorbing or
-    left-to-right chain), or whose r passes ``_MAX_COLUMN_RATIO``, lets the
-    rows drift apart by a factor per step.  Such a batch runs one step at
-    a time through the score kernel with no derivatives, where only the
-    filter row is scaled.
+    in any other row (the rows of a block's first matrix are equal).  A
+    product of u rescaled factors then has its largest row sum in
+    [r^(1-u), 2^u) and every row sum at least r^-u, and since the rows of
+    what multiplies it from the right lie within r of each other too, an
+    entry below the normal range (2^-1022) carries a share of at most
+    about r^(u+1)·2^-1022 of the likelihood, K times that per matrix.  At
+    u = 7 and r at ``_MAX_COLUMN_RATIO`` = 2^64 that is 2^-510.  Scaling
+    by a power of two changes no mantissa, so an operation rounds
+    differently under another rescale cadence only where a value leaves
+    the normal range under one of them.  Such a value is a share far below
+    the result's last bit and is absorbed by the larger terms of the sums
+    it enters, so the result equals that of a rescale after every level
+    bit for bit.  (At r = 2^160 the seven-factor products can lose a likely
+    row to underflow.)
+
+    A P that holds a zero beside a nonzero entry in one column (an
+    identity, absorbing or left-to-right chain), or whose r passes
+    ``_MAX_COLUMN_RATIO`` (a transition less likely than about 5e-20 in a
+    column that holds one near 1, such as a chain that stays put with
+    probability 1 - 1e-20), lets the rows drift apart by a factor per
+    step.  Such a batch runs one step at a time through the score kernel
+    with no derivatives, where only the filter row is scaled.
 
     p: (K, K) or (G, K, K); init: (K,) or (G, K); emis: (G, n, K).
     Returns loglik (G,).

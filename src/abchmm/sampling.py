@@ -106,6 +106,8 @@ def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
     ``initial_dist @ P`` for the first state) at every (step, replicate);
     each replicate then follows its own previous state through that table.
     Step t of replicate r inverts the path stream's (t·reps + r)-th uniform.
+    The table and its comparison planes are allocated once and reused by
+    every block, the last one in a leading part of the same storage.
     """
     (p,), (init,) = laws(model, theta[None])
     k = p.shape[0]
@@ -113,15 +115,22 @@ def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
     states = np.empty((reps, n), dtype=np.int64)
     prev = np.full(reps, k)     # row k: the first state's law
     block = max(1, _BLOCK_ENTRIES // ((k + 1) * reps))
+    width = min(block, n) * reps
+    table_store = np.empty((k + 1) * width, dtype=np.int64)
+    above_store = np.empty((k - 1) * (k + 1) * width, dtype=bool)
     for s in range(0, n, block):
         b = min(block, n - s)
-        # entry j·b·reps + t·reps + r: replicate r's state at step s + t
-        # when it steps from law j
-        table = sample_categorical_rows(steps_from,
-                                        path_rng.random(b * reps)).ravel()
-        cols = np.arange(b * reps).reshape(b, reps)
+        m = b * reps
+        # entry j·m + t·reps + r: replicate r's state at step s + t when it
+        # steps from law j
+        table = table_store[:(k + 1) * m]
+        sample_categorical_rows(steps_from, path_rng.random(m),
+                                out=table.reshape(k + 1, m),
+                                above=above_store[:(k - 1) * (k + 1) * m]
+                                .reshape(k - 1, k + 1, m))
+        cols = np.arange(m).reshape(b, reps)
         for t in range(b):
-            prev = states[:, s + t] = table.take(prev * (b * reps) + cols[t])
+            prev = states[:, s + t] = table.take(prev * m + cols[t])
     obs = sample_observations(model, theta[None], states.reshape(1, -1),
                               draw_noise(model, obs_rng, reps * n))[0]
     return states, obs.reshape(reps, n, -1)

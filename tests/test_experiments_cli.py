@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -641,6 +642,32 @@ def test_cli_oracle_likelihood_at_eps_zero_is_the_exact_one(tmp_path, capsys,
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert list(json.loads(outs[0])) == ["estimator", "log_likelihood"]
+
+
+@pytest.mark.parametrize("estimator", ["oracle", "smc"])
+@pytest.mark.parametrize("kernel, key", [
+    ("uniform", "log_ball_probability"), ("gaussian", "log_smooth_weight")])
+def test_cli_likelihood_key_names_the_kernel_scale(tmp_path, capsys,
+                                                   estimator, kernel, key):
+    # under the gaussian kernel the value is the log expectation of the
+    # smooth weights, not a ball probability, and both estimators say so
+    # (it was once printed as log_ball_probability under either kernel)
+    data = tmp_path / "g.csv"
+    run_cli(["simulate", "--model", "finite_gaussian", "--theta", "0.8",
+             "--n", "30", "--seed", "2", "--out", str(data)])
+    capsys.readouterr()
+    assert run_cli(["likelihood", "--model", "finite_gaussian", "--theta",
+                    "0.8", "--data", str(data), "--epsilon", "0.3",
+                    "--kernel", kernel, "--estimator", estimator,
+                    "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    scales = {"log_likelihood", "log_ball_probability", "log_smooth_weight"}
+    assert scales & set(payload) == {key}
+    assert math.isfinite(payload[key])
+    assert run_cli(["likelihood", "--model", "finite_gaussian", "--theta",
+                    "0.8", "--data", str(data), "--epsilon", "0.3",
+                    "--kernel", kernel, "--estimator", estimator]) == 0
+    assert f"\n{key}: " in "\n" + capsys.readouterr().out
 
 
 def test_cli_nelder_mead_refuses_grid_points(tmp_path, capsys):

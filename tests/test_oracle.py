@@ -441,6 +441,85 @@ def test_grid_rows_equal_their_one_row_calls(draw):
     assert grid.tobytes() == np.array(rows).tobytes()
 
 
+def _every_level_tree(p, init, emis):
+    """``oracle._forward_tree`` with a rescale after every level: the
+    reference its two-level cadence must equal bit for bit."""
+    g, n, k = emis.shape
+    e = np.moveaxis(emis, -1, 0)
+    pk = np.moveaxis(p, 0, -1)[..., None]
+    block = max(1, oracle._BLOCK_ENTRIES // (k * k) - 1)
+    chunk = max(1, oracle._BLOCK_ENTRIES // (k * k * (min(block, n) + 1)))
+    out = np.empty(g)
+    for a in range(0, g, chunk):
+        rows = slice(a, a + chunk)
+        v = init[rows].T
+        shift = np.zeros(v.shape[1], dtype=np.int64)
+        for s in range(0, n, block):
+            w = e[:, rows, s:s + block]
+            m = np.empty((k, k, w.shape[1], w.shape[2] + 1))
+            m[..., 0] = v
+            np.multiply(pk[:, :, rows], w, out=m[..., 1:])
+            shift += oracle._rescale(m)
+            while m.shape[-1] > 1:
+                if m.shape[-1] % 2:
+                    m[..., -2:-1] = oracle._plane_product(m[..., -2:-1],
+                                                          m[..., -1:])
+                    m = m[..., :-1]
+                m = oracle._plane_product(m[..., 0::2], m[..., 1::2])
+                shift += oracle._rescale(m)
+            v = m[0, :, :, 0]
+        with np.errstate(divide="ignore"):
+            out[rows] = shift * math.log(2.0) + np.log(oracle._state_sum(v))
+    return out
+
+
+# lengths on both sides of powers of two, where the tree's level count and
+# the parity of each level's matrix count change
+_TREE_LENGTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64,
+                 65, 127, 128, 129, 255, 256, 257, 511, 512, 513]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_tree_rescaled_every_other_level_equals_every_level(draw):
+    # a power of two scales a product exactly, so rescaling after every
+    # second level (and after a block's last) changes no bit against a
+    # rescale after every level, also with weights from 1e-300 to 1e3 and
+    # zeros, and with P at the column-ratio limit, where a row of a product
+    # of seven rescaled factors may sum to as little as 2^-448
+    k = draw.draw(st.integers(1, 5), label="n_states")
+    g = draw.draw(st.integers(1, 4), label="batch")
+    n = draw.draw(st.sampled_from(_TREE_LENGTHS), label="n")
+    gen = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    if draw.draw(st.booleans(), label="at_ratio_limit"):
+        # off-diagonal entries in [d, 2d) and one of exactly d per column,
+        # with d = 1 / _MAX_COLUMN_RATIO: the diagonal rounds to one, so the
+        # largest column ratio is the limit itself
+        d = 1.0 / oracle._MAX_COLUMN_RATIO
+        p = d * (1.0 + gen.random((g, k, k)))
+        p[:, (np.arange(k) + 1) % k, np.arange(k)] = d
+        p[:, np.arange(k), np.arange(k)] = 0.0
+        p[:, np.arange(k), np.arange(k)] = 1.0 - p.sum(axis=-1)
+        assert k == 1 or oracle._column_ratio(p) == oracle._MAX_COLUMN_RATIO
+    else:
+        p = gen.uniform(0.05, 1.0, size=(g, k, k))
+        p /= p.sum(axis=-1, keepdims=True)
+    init = gen.dirichlet(np.ones(k), size=g)
+    emis = 10.0 ** gen.uniform(-300.0, 3.0, size=(g, n, k))
+    zeros = draw.draw(st.floats(0.0, 0.5), label="zero_share")
+    emis[gen.random((g, n, k)) < zeros] = 0.0
+    budget = oracle._BLOCK_ENTRIES
+    if draw.draw(st.booleans(), label="blocked"):
+        block = draw.draw(st.sampled_from([b for b in _TREE_LENGTHS if b <= n]),
+                          label="block")
+        budget = (block + 1) * k * k
+    with mock.patch.object(oracle, "_BLOCK_ENTRIES", budget):
+        got = oracle._forward_tree(p, init, emis)
+        want = _every_level_tree(p, init, emis)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("p, init", [
     (np.eye(3), [0.0, 0.0, 1.0]),                          # identity
     (np.array([[0.5, 0.5, 0.0],                            # absorbing
