@@ -18,13 +18,15 @@ Presets
 ``bias_curve``
     ABC bias of the finite-Gaussian scale parameter versus tolerance,
     replicated; the bias shrinks near-quadratically until the box edge
-    saturates it.
+    saturates it.  The log-log slope fits the ``_SLOPE_POINTS`` (four)
+    smallest tolerances.
 ``consistency``
     Noise-calibrated ABC at fixed tolerance for growing series lengths;
     median absolute error must shrink.
 ``info_loss``
     Information destroyed by the perturbation versus tolerance (coupled
-    estimator), plus exact-model and huge-tolerance Fisher estimates.
+    estimator), plus exact-model and huge-tolerance Fisher estimates.  The
+    log-log slope fits the ``_SLOPE_POINTS`` (four) smallest tolerances.
 
 The first three run one task kind, ``fit``: simulate ``n`` steps at
 ``theta_star`` and fit them with the exact objective.  A fit task names its
@@ -153,6 +155,12 @@ _PARAM_RULES = {
 # a standard error (bias_curve) or a loss point (info_loss) needs two
 _PRESET_RULES = {"bias_curve": {"n_replicates": _count(2)},
                  "info_loss": {"n_replicates": _count(2)}}
+
+# The curve presets fit their log-log slope on this many of the smallest
+# tolerances.  The slope is the small-epsilon rate, and at the fifth default
+# bias_curve tolerance (0.8) the box edge saturates the bias.  A run with
+# more tolerances writes a row for every one.
+_SLOPE_POINTS = 4
 
 
 def _check_param(key: str, value, rule) -> None:
@@ -382,7 +390,7 @@ def _summarize_bias_curve(config, rows):
             "se": float(biases.std(ddof=1) / math.sqrt(biases.size)),
             "n_replicates": int(biases.size),
         })
-    fit = [s for s in summary[:4] if s["abs_mean_bias"] > 0]
+    fit = [s for s in summary[:_SLOPE_POINTS] if s["abs_mean_bias"] > 0]
     derived = {"slope": fishermod.loglog_slope([s["epsilon"] for s in fit],
                                                [s["abs_mean_bias"] for s in fit])}
     plot = _plot_script(title="ABC scale bias vs tolerance",
@@ -413,9 +421,10 @@ def _summarize_info_loss(config, rows):
     fishers = [r for r in rows if "fisher_frobenius" in r]
     exact = next(r for r in fishers if r["epsilon"] is None)
     huge = next(r for r in fishers if r["epsilon"] is not None)
+    fit = curve[:_SLOPE_POINTS]
     derived = {
-        "slope": fishermod.loglog_slope([r["epsilon"] for r in curve[:4]],
-                                        [r["loss_frobenius"] for r in curve[:4]]),
+        "slope": fishermod.loglog_slope([r["epsilon"] for r in fit],
+                                        [r["loss_frobenius"] for r in fit]),
         "fisher_frobenius": exact["fisher_frobenius"],
         "huge_epsilon_fisher_frobenius": huge["fisher_frobenius"],
         "huge_epsilon_ratio": huge["fisher_frobenius"] / exact["fisher_frobenius"],

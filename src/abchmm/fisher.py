@@ -25,10 +25,11 @@ of full-sequence score outer products, and the summed conditional
 differences) are computed from independent replicates and must agree.
 
 The replicate series come from the chain simulator behind
-:func:`abchmm.sampling.simulate`; the scores come from :mod:`abchmm.oracle`:
-``forward_score_batch`` for whole series in one channel, and
-``boundary_scores`` for the mixed sequences, all the boundaries of one
-replicate batch in one pass over time that shares their clean prefix.
+:func:`abchmm.sampling.simulate`; the scores come from one pass over time
+in :mod:`abchmm.oracle`: ``boundary_scores`` for the mixed sequences, all
+the boundaries of one replicate batch at once, sharing their clean prefix,
+and ``forward_score_batch``, its one-boundary case, for whole series in
+one channel.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .models import ModelSpec, PerturbationSpec, check_count, check_theta
+from .models import ModelSpec, PerturbationSpec, check_count, check_seed, \
+    check_theta
 from .oracle import boundary_scores, forward_score_batch
 from .sampling import _simulate_series
 
@@ -158,6 +160,7 @@ def estimate_fisher(model: ModelSpec, theta, *, n: int, n_replicates: int,
     theta = check_theta(model, theta)
     check_count("n", n, 1)
     check_count("n_replicates", n_replicates, 2)
+    check_seed(seed)
     y = _coupled_obs(_replicates(model, theta, n_replicates, n, seed), pert,
                      seed)
     _, scores = forward_score_batch(model, theta, y, pert=pert)

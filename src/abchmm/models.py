@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -76,9 +77,13 @@ class PerturbationSpec:
     norm: str = "linf"
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+        eps = self.epsilon
+        # a bool is a Real, and a string would fail math.isfinite with a
+        # TypeError
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) \
+                or not (math.isfinite(eps) and eps >= 0.0):
             raise ValueError(f"epsilon must be a finite number >= 0, "
-                             f"got {self.epsilon}")
+                             f"got {eps!r}")
         if self.kernel not in kernels.KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; expected one of {kernels.KERNELS}")
@@ -255,12 +260,25 @@ def laws(model: ModelSpec, thetas: Array) -> tuple[Array, Array]:
     return p, init
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, least: int):
     """A ``ValueError`` naming ``name`` unless ``value`` is an int >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
+    if not _is_integer(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, "
                          f"got {value!r}")
+
+
+def check_seed(seed):
+    """A ``ValueError`` naming ``seed`` unless it is a Python or NumPy
+    integer, of any sign.  Streams are derived from the seed as given, so a
+    float or a bool would draw streams that the recorded ``int(seed)`` does
+    not reproduce."""
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def is_law(values: Array, k: int) -> bool:

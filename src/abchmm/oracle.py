@@ -12,14 +12,14 @@ every row of a grid call equals its one-row call bit for bit.  Two
 recursions still loop over time steps: ``forward_filter``, which returns
 every filter and restarts after a dead step, and one per-step kernel,
 private to this module, that carries the filter together with its
-derivatives in theta.  The kernel gives the scores of a whole batch of
-replicate series: :func:`forward_score_batch` in one emission channel, and
-:func:`boundary_scores` on the mixed clean/noisy sequences of
-:mod:`abchmm.fisher`, every boundary in one pass that shares the clean
-prefix.  Without derivatives it gives the log-likelihood under a
-transition matrix with zeros, or with a column ratio past
-``_MAX_COLUMN_RATIO``, that would let the reduction lose a row to
-underflow.
+derivatives in theta.  One pass drives it for every score of a batch of
+replicate series: :func:`boundary_scores` scores the mixed clean/noisy
+sequences of :mod:`abchmm.fisher`, every boundary at once, sharing the
+clean prefix, and :func:`forward_score_batch`, with every step in one
+emission channel, is its one-boundary case.  Without derivatives the
+kernel gives the log-likelihood under a transition matrix with zeros, or
+with a column ratio past ``_MAX_COLUMN_RATIO``, that would let the
+reduction lose a row to underflow.
 
 The kernel runs time-major, with the replicate rows on the last axes: its
 state is (1+d, K, *rows) and its inputs are (L, K, *rows) weights and an
@@ -54,7 +54,8 @@ differences of ``forward_loglik`` therefore remain an independent check.
 Input passes the particle estimator's gates (``check_theta``,
 ``check_thetas``, :func:`as_obs_1d`), the laws come from ``models.laws``,
 and weights from any source enter at ``_forward_batch(*laws(model,
-thetas), weights)`` or through ``_emission_blocks``.
+thetas), weights)`` or, with their Jacobian, through
+``_emissions_and_jac``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, PerturbationSpec, check_theta, check_thetas, \
-    is_law, laws
+from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
+    check_thetas, is_law, laws
 from .sampling import as_observations, check_finite_obs
 
 Array = np.ndarray
@@ -551,17 +552,51 @@ def _emissions_and_jac(model, theta, obs, pert):
             jac.transpose(0, 2, 1).reshape(d, k, m, r).transpose(2, 0, 1, 3))
 
 
-def _emission_blocks(model, theta, obs, pert):
-    """The weights and Jacobian of :func:`_emissions_and_jac` on the series
-    ``obs`` (R, n), a block of whole steps at a time: about ``_SCORE_BLOCK``
-    observations each, one step at least.  A block is computed only when
-    the last one is spent, so no array spans the whole batch.  The
-    callables act on each observation alone, so blocking changes no
-    value."""
-    r, n = obs.shape
+def _score_pass(model, theta, pert, y, y_eps, bs):
+    """Log-likelihoods (B, R) on the kernel-weight scale and scores (B, R,
+    d) of the mixed sequences ``y[:, :b] ++ y_eps[:, b:]``, one per
+    boundary of the sorted, distinct ``bs`` in [0, n]: the one pass behind
+    every score.
+
+    The first ``b`` steps use the exact emission channel on the clean
+    series ``y``, the rest the ``pert`` channel on the noisy ``y_eps``.
+    Sequences of different boundaries agree on every step before the
+    smaller one, so a clean chain of R rows runs the sensitivity recursion
+    once, and at each boundary a copy of its state joins the noisy branches
+    (the chain itself joins at the last one).  Chain and branches advance
+    in separate :func:`_forward_segment` calls on the same blocks of whole
+    steps, about ``_SCORE_BLOCK`` observations each; a block's weights and
+    Jacobian, (L, K, 1, R) and (L, d, K, 1, R), are computed only when the
+    last block is spent, and their unit branch axis broadcasts them over
+    every branch.  So the clean weights are evaluated once on steps [0,
+    b_last), the noisy ones once on [b_first, n), and no array spans the
+    whole batch.  Every operation acts on one row alone, so each row
+    equals, bit for bit, a separate kernel run over its own sequence.
+    """
+    r, n = y.shape
+    p, dp, init, dinit = _laws_and_jac(model, theta)
     step = max(1, _SCORE_BLOCK // max(r, 1))
-    for s in range(0, n, step):
-        yield _emissions_and_jac(model, theta, obs[:, s:s + step], pert)
+
+    def advance(state, obs, channel):
+        for s in range(0, obs.shape[1], step):
+            e, de = _emissions_and_jac(model, theta, obs[:, s:s + step],
+                                       channel)
+            state = _forward_segment(p, dp, state, e[..., None, :],
+                                     de[..., None, :])
+        return state
+
+    chain = advance(_forward_start(init, dinit, (1, r)), y[:, :bs[0]], None)
+    branches = None
+    for b, nxt in zip(bs, [*bs[1:], n]):
+        # _forward_segment leaves the state passed in as it was, so the
+        # chain's state serves as the joining branch's copy
+        branches = chain if branches is None else (
+            np.concatenate([branches[0], chain[0]], axis=2),
+            np.concatenate([branches[1], chain[1]]))
+        if b < bs[-1]:
+            chain = advance(chain, y[:, b:nxt], None)
+        branches = advance(branches, y_eps[:, b:nxt], pert)
+    return _forward_finish(branches)
 
 
 def forward_score(model: ModelSpec, theta, data,
@@ -588,89 +623,43 @@ def forward_score_batch(model: ModelSpec, theta, obs_batch: Array,
                         pert: PerturbationSpec | None = None):
     """Log-likelihood and score for a batch of replicate series (R, n).
 
-    Every step uses the emission channel ``pert`` selects;
-    :func:`boundary_scores` scores sequences that mix the two.  P and the
-    initial law are differentiated by central differences, exact zeros
-    where they do not move with theta.  Returns ``(loglik (R,), score (R,
-    d))``; a series of loglik -inf has a NaN score.
+    Every step uses the emission channel ``pert`` selects: the one-boundary
+    case of :func:`boundary_scores`, at boundary 0, whose sequences mix the
+    two.  P and the initial law are differentiated by central differences,
+    exact zeros where they do not move with theta.  Returns ``(loglik (R,),
+    score (R, d))``; a series of loglik -inf has a NaN score.
     """
     theta = check_theta(model, theta)
     obs_batch = _replicate_batch(obs_batch)
-    r, n = obs_batch.shape
-    p, dp, init, dinit = _laws_and_jac(model, theta)
-    state = _forward_start(init, dinit, (r,))
-    for emis, demis in _emission_blocks(model, theta, obs_batch, pert):
-        state = _forward_segment(p, dp, state, emis, demis)
-    ll, score = _forward_finish(state)
-    return ll - n * log_weight_scale(model, pert), score
+    ll, score = _score_pass(model, theta, pert, obs_batch, obs_batch, [0])
+    return ll[0] - obs_batch.shape[1] * log_weight_scale(model, pert), score[0]
 
 
 def boundary_scores(model: ModelSpec, theta, pert: PerturbationSpec,
                     y: Array, y_eps: Array, boundaries) -> dict:
     """Scores of the mixed sequences ``y[:, :b] ++ y_eps[:, b:]`` (R, n), one
-    per boundary ``b`` in [0, n]: ``{b: scores (R, d)}``.
+    per integer boundary ``b`` in [0, n]: ``{b: scores (R, d)}``, in
+    increasing ``b``.
 
     The first ``b`` steps use the exact emission channel on the clean
-    series ``y``, the rest the ``pert`` channel on the noisy ``y_eps``.  Two
-    sequences of different boundaries agree on every step before the
-    smaller one, so the filter of that clean prefix is shared.  With the
-    boundaries sorted, the clean emissions and their Jacobian are evaluated
-    once on steps ``[0, b_last)`` and the noisy ones once on
-    ``[b_first, n)``, a block of whole steps at a time.  A clean chain of R
-    rows runs the sensitivity recursion up to ``b_first``.  At each
-    boundary but the last, a copy of the chain's rows is stacked on as a
-    new branch, which takes the noisy emissions from then on; at the last
-    boundary the chain itself turns noisy and becomes that boundary's
-    branch.  So n kernel steps serve
-    every boundary, and each score equals, bit for bit, the one a separate
-    kernel run over that boundary's whole mixed sequence gives (boundary n
-    is ``forward_score_batch(model, theta, y)``, boundary 0
+    series ``y``, the rest the ``pert`` channel on the noisy ``y_eps``.  One
+    pass over time serves every boundary, sharing the clean prefix (see
+    ``_score_pass``), and each score equals, bit for bit, the one a
+    separate kernel run over that boundary's whole mixed sequence gives
+    (boundary n is ``forward_score_batch(model, theta, y)``, boundary 0
     ``forward_score_batch(model, theta, y_eps, pert)``).  A series of zero
     likelihood has a NaN score.
     """
     theta = check_theta(model, theta)
     y, y_eps = _replicate_batch(y), _replicate_batch(y_eps)
+    boundaries = list(boundaries)
+    for b in boundaries:
+        check_count("boundary", b, 0)
     bs = sorted(set(int(b) for b in boundaries))
-    if y.shape != y_eps.shape or not bs or bs[0] < 0 or bs[-1] > y.shape[1]:
+    if y.shape != y_eps.shape or not bs or bs[-1] > y.shape[1]:
         raise ValueError(f"need y and y_eps of one shape, got {y.shape} and "
                          f"{y_eps.shape}, and boundaries in [0, n], got {bs}")
-    lo, hi = bs[0], bs[-1]
-    p, dp, init, dinit = _laws_and_jac(model, theta)
-
-    def blocks(obs, channel, a, b):
-        # time-major weights of steps [a, b) with a unit branch axis before
-        # the R replicates, (L, K, 1, R) and (L, d, K, 1, R), so they
-        # broadcast over every branch
-        for e, de in _emission_blocks(model, theta, obs[:, a:b], channel):
-            yield e[..., None, :], de[..., None, :]
-
-    # rows (1 + branches, R): the chain first, then one branch per boundary
-    state = _forward_start(init, dinit, (1, y.shape[0]))
-    for e, de in blocks(y, None, 0, lo):
-        state = _forward_segment(p, dp, state, e, de)
-    for b, nxt in zip(bs, bs[1:]):
-        v, shift = state
-        state = (np.concatenate([v, v[:, :, :1]], axis=2),
-                 np.concatenate([shift, shift[:1]]))
-        rows = len(state[1])
-        for (e, de), (e_eps, de_eps) in zip(blocks(y, None, b, nxt),
-                                            blocks(y_eps, pert, b, nxt)):
-            state = _forward_segment(
-                p, dp, state, _chain_then_branches(e, e_eps, rows),
-                _chain_then_branches(de, de_eps, rows))
-    for e, de in blocks(y_eps, pert, hi, y.shape[1]):
-        state = _forward_segment(p, dp, state, e, de)
-    scores = _forward_finish(state)[1]
-    return dict(zip([hi] + bs[:-1], scores))
-
-
-def _chain_then_branches(chain: Array, branch: Array, rows: int) -> Array:
-    """(..., rows, R) weights of one segment from the (..., 1, R) clean ones
-    of the chain and noisy ones of the branches: the chain's in row 0, the
-    noisy ones in every branch row."""
-    out = np.empty((*chain.shape[:-2], rows, chain.shape[-1]))
-    out[..., :1, :], out[..., 1:, :] = chain, branch
-    return out
+    return dict(zip(bs, _score_pass(model, theta, pert, y, y_eps, bs)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rngmod
-from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    draw_noise, laws, sample_categorical_rows, sample_observations
+from .models import ModelSpec, PerturbationSpec, check_count, check_seed, \
+    check_theta, draw_noise, laws, sample_categorical_rows, sample_observations
 
 
 @dataclass
@@ -146,6 +146,7 @@ def simulate(model: ModelSpec, theta, n: int, seed: int,
     """
     theta = check_theta(model, theta)
     check_count("n", n, 1)
+    check_seed(seed)
     states, obs = _simulate_series(model, theta, 1, n,
                                    rngmod.stream(seed, "path"),
                                    rngmod.stream(seed, "obs"))
@@ -166,6 +167,7 @@ def noisify(traj: Trajectory, pert: PerturbationSpec, seed: int) -> Trajectory:
     This is the data-side half of the noisy ABC construction: the returned
     trajectory records ``noise_epsilon`` and refuses to be noisified twice.
     """
+    check_seed(seed)
     if traj.meta.get("noise_epsilon") is not None:
         raise ValueError("trajectory is already noisified "
                          f"(noise_epsilon={traj.meta['noise_epsilon']})")

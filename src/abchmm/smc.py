@@ -95,8 +95,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .kernels import GAUSS_SUP, smooth_weight, within_ball
-from .models import ModelSpec, PerturbationSpec, check_count, check_theta, \
-    check_thetas, draw_noise, laws, sample_categorical_rows, \
+from .models import ModelSpec, PerturbationSpec, check_count, check_seed, \
+    check_theta, check_thetas, draw_noise, laws, sample_categorical_rows, \
     sample_observations
 from .sampling import as_observations
 
@@ -144,10 +144,13 @@ class _StepStreams:
     passes reach the steps, so a pass that collapses early leaves the later
     steps to the first pass that gets there.  Every array handed out is
     read-only.  A table serves one model and one particle count, for one
-    call of the public functions below or for one particle fit.
+    call of the public functions below or for one particle fit.  The seed
+    must be an integer (``check_seed``), so the one every estimate records
+    reproduces it.
     """
 
     def __init__(self, seed: int, keep_first: bool = False):
+        check_seed(seed)
         self.seed = seed
         self.keep_first = keep_first
         self._saved = {}        # k -> the fresh generators' states

@@ -178,12 +178,17 @@ def test_malformed_input_raises_and_returns_no_number(draw):
         assert err.getvalue().startswith("error: ") \
             and "transition" in err.getvalue()
     elif kind == "epsilon":
-        # NaN once gave NaN likelihoods and noisy data, and inf a failed fit
+        # NaN once gave NaN likelihoods and noisy data, and inf a failed
+        # fit; a bool was taken for tolerance 1, and a string raised a bare
+        # TypeError
         eps = draw.draw(st.one_of(
             st.just(math.nan), st.just(math.inf),
-            st.floats(max_value=0.0, exclude_max=True)), label="epsilon")
+            st.floats(max_value=0.0, exclude_max=True),
+            st.sampled_from([True, np.True_, "0.3"])), label="epsilon")
         with pytest.raises(ValueError, match="epsilon must be"):
             PerturbationSpec(epsilon=eps, kernel=pert.kernel)
+        if not isinstance(eps, float):
+            return              # --epsilon reads a float, or argparse exits
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             status = cli.main(["fisher", "--model", "finite_gaussian",
@@ -288,6 +293,72 @@ def test_empty_replicate_series_are_refused(route):
     }
     with pytest.raises(ValueError, match=_EMPTY_MESSAGE):
         calls[route]()
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, np.True_, "2", None, -1],
+                         ids=["fraction", "float", "bool", "numpy-bool",
+                              "string", "none", "negative"])
+def test_boundary_scores_refuse_a_non_integer_boundary(bad):
+    # int() once truncated bad boundaries into plausible scores:
+    # boundaries [2.7, True] gave the keys {1, 2}
+    model = builtin_model("finite_gaussian")
+    pert = PerturbationSpec(epsilon=0.3)
+    y = np.linspace(-1.0, 1.0, 10).reshape(2, 5)
+    with pytest.raises(ValueError, match="boundary must be an integer >= 0, "
+                       f"got {re.escape(repr(bad))}"):
+        oracle.boundary_scores(model, [0.8], pert, y, y, [1, bad])
+    # NumPy integers stay accepted, as the same boundaries
+    got = oracle.boundary_scores(model, [0.8], pert, y, y,
+                                 np.array([5, 2, 1]))
+    want = oracle.boundary_scores(model, [0.8], pert, y, y, [1, 2, 5])
+    assert list(got) == list(want) == [1, 2, 5]
+    for b in want:
+        assert got[b].tobytes() == want[b].tobytes()
+
+
+_SEED_MODEL = builtin_model("finite_gaussian")
+_SEED_PERT = PerturbationSpec(epsilon=0.3)
+
+
+def _seeded(entry, seed):
+    """The result bytes and the recorded seed of ``entry`` run at
+    ``seed``."""
+    data = sampling.simulate(_SEED_MODEL, [0.8], 20, seed=4)
+    if entry == "simulate":
+        traj = sampling.simulate(_SEED_MODEL, [0.8], 20, seed=seed)
+        return traj.observations.tobytes() + traj.hidden.tobytes(), \
+            traj.meta["seed"]
+    if entry == "noisify":
+        traj = sampling.noisify(data, _SEED_PERT, seed)
+        return traj.observations.tobytes(), traj.meta["noise_seed"]
+    if entry == "estimate_fisher":
+        fe = fisher.estimate_fisher(_SEED_MODEL, [0.8], n=10, n_replicates=4,
+                                    seed=seed)
+        return fe.matrix.tobytes(), fe.seed
+    if entry == "smc_abc_likelihood":
+        est = smc.smc_abc_likelihood(_SEED_MODEL, [0.8], data, _SEED_PERT,
+                                     50, seed=seed)
+    else:
+        est = smc.smc_abc_likelihood_batch(_SEED_MODEL, [[0.8]], data,
+                                           _SEED_PERT, 50, seed=seed)[0]
+    return est.step_acceptance.tobytes(), est.seed
+
+
+@pytest.mark.parametrize("entry", ["simulate", "noisify", "smc_abc_likelihood",
+                                   "smc_abc_likelihood_batch",
+                                   "estimate_fisher"])
+def test_a_recorded_seed_reproduces_its_result(entry):
+    # the streams come from the seed as given, and the record from
+    # int(seed): seed 2.5 once drew other streams than the seed 2 it
+    # reported, and True reported seed 1
+    for bad in (2.5, True, np.True_):
+        with pytest.raises(ValueError, match="seed must be an integer, got "
+                           f"{re.escape(repr(bad))}"):
+            _seeded(entry, bad)
+    got, recorded = _seeded(entry, np.int64(7))
+    assert (got, recorded) == _seeded(entry, 7)
+    assert recorded == 7 and type(recorded) is int
+    assert _seeded(entry, -3)[1] == -3
 
 
 # --method exact takes no --epsilon, which it would ignore

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abchmm import cli, experiments, sampling
+from abchmm import cli, experiments, fisher, sampling
 from abchmm.errors import ConfigError
 
 
@@ -225,6 +226,25 @@ def test_bias_curve_outputs(tmp_path):
     manifest = _strict_json((run / "manifest.json").read_text())
     assert "slope" in manifest["derived"]
     assert "timestamp" not in json.dumps(manifest).lower()
+
+
+def test_info_loss_slope_fits_the_four_smallest_tolerances(tmp_path):
+    # a curve of five tolerances writes five rows, and its slope is the
+    # small-epsilon rate of the first four (experiments._SLOPE_POINTS)
+    epsilons = [0.05, 0.1, 0.2, 0.4, 0.8]
+    cfg = {"preset": "info_loss", "seed": 5, "n_replicates": 50,
+           "fisher_replicates": 10, "fisher_n": 10, "window": 4,
+           "epsilons": epsilons}
+    run = experiments.run_experiment(cfg, tmp_path, workers=1)
+    with open(run / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    eps = [float(r["epsilon"]) for r in rows]
+    loss = [float(r["loss_frobenius"]) for r in rows]
+    assert eps == epsilons
+    manifest = _strict_json((run / "manifest.json").read_text())
+    slope = manifest["derived"]["slope"]
+    assert slope == fisher.loglog_slope(eps[:4], loss[:4])
+    assert slope != fisher.loglog_slope(eps, loss)
 
 
 def test_bias_curve_slope_needs_two_points():

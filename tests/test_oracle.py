@@ -158,6 +158,28 @@ def test_score_batch_extremes_match_single(gauss, short_data):
         np.testing.assert_array_equal(ends[b], score)
 
 
+@pytest.mark.parametrize("r", [1, 3])
+def test_every_score_is_a_c_ordered_rows_first_array(gauss, r):
+    # the kernel carries its rows last, and _forward_finish hands the scores
+    # out rows-first in C order, so a reduction over the replicates
+    # (fisher._outer_mean_se) adds in one order whatever the kernel's
+    # layout: both channels, and boundaries at 0, inside and at n, alone
+    # and together
+    pert = PerturbationSpec(epsilon=0.5)
+    g = rng.stream(4, "c-order")
+    y = g.normal(size=(r, 6))
+    y_eps = y + g.uniform(-0.5, 0.5, size=y.shape)
+    theta = [0.4, 1.2]
+    scores = [oracle.forward_score_batch(gauss, theta, y, channel)[1]
+              for channel in (None, pert)]
+    for bs in ([0], [3], [6], [0, 3, 6]):
+        got = oracle.boundary_scores(gauss, theta, pert, y, y_eps, bs)
+        assert list(got) == bs
+        scores += got.values()
+    for score in scores:
+        assert score.shape == (r, 2) and score.flags.c_contiguous
+
+
 def test_long_series_stability():
     model = builtin_model("finite_gaussian")
     data = sampling.simulate(model, [1.0], 1_000_000, seed=8,
