@@ -61,7 +61,7 @@ import numpy as np
 from . import oracle, rng as rngmod, smc as smcmod
 from .errors import EstimationFailedError
 from .models import ModelSpec, ParameterVector, PerturbationSpec, \
-    check_box, check_count
+    check_box, check_count, check_seed
 from .sampling import Trajectory, format_value, json_value, noisify
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -325,6 +325,7 @@ def _smc_objective(model: ModelSpec, data, pert: PerturbationSpec,
 
 def _run(model, data, pert, objective, method, n_particles, seed, opts,
          label):
+    check_seed(seed)
     if method is None:
         method = "grid_then_golden" if model.param_dim <= 2 else "nelder_mead"
     if objective == "oracle":
@@ -341,7 +342,7 @@ def _run(model, data, pert, objective, method, n_particles, seed, opts,
     theta, value, trace, failures, settings = maximize(
         batch_objective=batch, box=model.theta_box, method=method,
         seed=seed, **opts)
-    settings.update({"objective": objective, "seed": seed,
+    settings.update({"objective": objective, "seed": int(seed),
                      "n_particles": n_particles if objective == "smc" else None,
                      "estimator": label})
     return EstimateResult(

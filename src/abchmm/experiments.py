@@ -54,7 +54,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,6 +294,8 @@ def _run_tasks(tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         rows = [run_task(t) for t in tasks]
     else:
+        # imported here, so that importing the package loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(run_task, tasks))
     return sorted(rows, key=lambda row: row["task"])

@@ -25,11 +25,14 @@ of full-sequence score outer products, and the summed conditional
 differences) are computed from independent replicates and must agree.
 
 The replicate series come from the chain simulator behind
-:func:`abchmm.sampling.simulate`; the scores come from one pass over time
-in :mod:`abchmm.oracle`: ``boundary_scores`` for the mixed sequences, all
-the boundaries of one replicate batch at once, sharing their clean prefix,
-and ``forward_score_batch``, its one-boundary case, for whole series in
-one channel.
+:func:`abchmm.sampling.simulate`, whose sampler temporaries are one chunk of
+the batch, and their noisy twins are written into the perturbation's own
+draw; so a task's peak is the three batch-sized arrays it holds while it
+simulates (the hidden paths, the noise and the observations).  The scores
+come from one pass over time in :mod:`abchmm.oracle`: ``boundary_scores``
+for the mixed sequences, all the boundaries of one replicate batch at once,
+sharing their clean prefix, and ``forward_score_batch``, its one-boundary
+case, for whole series in one channel.
 """
 
 from __future__ import annotations
@@ -130,11 +133,12 @@ def _replicates(model: ModelSpec, theta: Array, reps: int, n: int,
 
 def _coupled_obs(y: Array, pert: PerturbationSpec | None, seed: int) -> Array:
     """The noisy twins of clean observations ``y`` (R, n) under ``pert``;
-    ``y`` itself when there is no perturbation."""
+    ``y`` itself when there is no perturbation.  The twins are written into
+    the noise draw itself, so coupling allocates one array of y's size."""
     if pert is None or pert.is_exact:
         return y
-    z = pert.noise(1, y.size, rngmod.stream(seed, "pertnoise"))[:, 0]
-    return y + z.reshape(y.shape)
+    z = pert.noise(1, y.size, rngmod.stream(seed, "pertnoise")).reshape(y.shape)
+    return np.add(y, z, out=z)
 
 
 def _outer_mean_se(samples: Array):
@@ -203,11 +207,12 @@ def loss_point(model: ModelSpec, theta, epsilon: float, *, window: int = 32,
     theta = check_theta(model, theta)
     check_count("window", window, 0)
     check_count("n_replicates", n_replicates, 2)
+    check_seed(seed)
+    pert = PerturbationSpec(epsilon=epsilon, kernel=kernel)
     if not epsilon > 0:
         raise ValueError("tolerance must be positive")
     length = 2 * window + 1
     centre = window
-    pert = PerturbationSpec(epsilon=float(epsilon), kernel=kernel)
     scores = _conditional_score_diffs(
         model, theta, pert, n_replicates, length,
         boundaries=(centre, centre + 1), seed=seed)
@@ -238,7 +243,8 @@ def missing_information_check(model: ModelSpec, theta, epsilon: float, *,
         raise ValueError(f"short-horizon check requires n <= 8, got {n}")
     if model.n_states > 3:
         raise ValueError("short-horizon check requires at most 3 states")
-    pert = PerturbationSpec(epsilon=float(epsilon), kernel=kernel)
+    check_seed(seed)
+    pert = PerturbationSpec(epsilon=epsilon, kernel=kernel)
 
     # route A: conditional differences, boundaries 0..n
     scores = _conditional_score_diffs(

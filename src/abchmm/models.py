@@ -101,12 +101,18 @@ class PerturbationSpec:
         return kernels.log_ball_volume(self.epsilon, m, self.norm)
 
     def noise(self, m: int, size: int, rng: np.random.Generator) -> Array:
-        """Draw ``size`` perturbation offsets (already scaled by epsilon)."""
+        """Draw ``size`` perturbation offsets (size, m), already scaled by
+        epsilon.  The draw is scaled in place (u·eps is eps·u bit for bit),
+        so the result is the one fresh C-ordered array, which a caller may
+        write into."""
         if self.epsilon == 0.0:
             return np.zeros((size, m))
         if self.kernel == "uniform":
-            return self.epsilon * kernels.ball_uniform(m, size, rng, self.norm)
-        return self.epsilon * rng.standard_normal((size, m))
+            u = kernels.ball_uniform(m, size, rng, self.norm)
+        else:
+            u = rng.standard_normal((size, m))
+        u *= self.epsilon
+        return u
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +156,18 @@ class ModelSpec:
     ``obs_sampler(theta, states, noise)`` is the deterministic transform,
     batched over parameters: ``theta`` is (G, d), ``states`` (G, N) integer
     states, ``noise`` one ``obs_noise`` draw of size N, and the result (G,
-    N, obs_dim) holds row g's pseudo-observations at ``theta[g]``.  Every
-    row reads the same noise, so the particle filter runs a whole batch of
-    candidate parameters on one set of draws (common random numbers), and a
-    particle fit keeps or replays each step's noise after its first draw.  The
-    states and the noise are read-only: a transform that writes into either
-    raises.  Nor may it keep them: the filter draws each step's states into
-    one buffer.
-    Simulation calls the transform with G=1.
+    N, obs_dim) holds row g's pseudo-observations at ``theta[g]``.  It acts
+    per particle: entry (g, i) reads only ``theta[g]``, ``states[g, i]`` and
+    ``noise[i]``, so a call on a slice of the particles returns that slice of
+    the whole call, bit for bit.  Every row reads the same noise, so the
+    particle filter runs a whole batch of candidate parameters on one set of
+    draws (common random numbers), and a particle fit keeps or replays each
+    step's noise after its first draw.  The states and the noise are
+    read-only: a transform that writes into either raises.  Nor may it keep
+    them: the filter draws each step's states into one buffer.
+    Simulation calls the transform with G=1, on consecutive slices of a
+    series laid end to end, so that no temporary of the transform is as
+    large as the series.
 
     Construction (``dataclasses.replace`` too) stores ``theta_box`` as the
     float array of :func:`check_box` and derives ``param_dim``, the number d

@@ -7,6 +7,13 @@ bit-exact for float64.
 
 A per-step summary S(Y_t) is fitted with a model whose ``obs_sampler`` emits
 it; a sidecar that records a ``summary`` other than ``identity`` is refused.
+
+One chain simulator serves :func:`simulate` (one series) and the Fisher
+replicates (a batch of series).  It draws the hidden paths a time block at a
+time, then the observations of the paths laid end to end: one ``obs_noise``
+draw, and ``obs_sampler`` calls on chunks of at most ``_BLOCK_ENTRIES``
+observations written into one output, so that no temporary of the sampler
+is as large as the batch.
 """
 
 from __future__ import annotations
@@ -65,11 +72,11 @@ class Trajectory:
 def check_finite_obs(obs: np.ndarray) -> np.ndarray:
     """Return ``obs`` (n, ...) unchanged, or raise ``ValueError`` naming the
     first step whose observation is not finite."""
-    bad = ~np.isfinite(obs)
-    if bad.any():
-        t = int(np.argmax(bad.reshape(obs.shape[0], -1).any(axis=1)))
-        raise ValueError(f"observation at step {t} is not finite: {obs[t]}")
-    return obs
+    if np.isfinite(obs).all():
+        return obs
+    finite = np.isfinite(obs).reshape(obs.shape[0], -1).all(axis=1)
+    t = int(np.argmin(finite))
+    raise ValueError(f"observation at step {t} is not finite: {obs[t]}")
 
 
 def as_observations(data, obs_dim: int) -> np.ndarray:
@@ -89,27 +96,25 @@ def as_observations(data, obs_dim: int) -> np.ndarray:
 
 
 # Most entries of one time block's draw table in _simulate_series (at least
-# one step per block), as in the forward recursion's time blocks.
+# one step per block), as in the forward recursion's time blocks, and most
+# observations of one obs_sampler call there.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
-                     path_rng: np.random.Generator,
-                     obs_rng: np.random.Generator):
-    """``reps`` series of ``n`` steps at ``theta``: hidden paths (reps, n)
-    and observations (reps, n, obs_dim), drawn from the paths laid end to
-    end by one ``obs_noise`` draw from ``obs_rng`` and one ``obs_sampler``
-    call.
+def _draw_paths(p: np.ndarray, init: np.ndarray, reps: int, n: int,
+                path_rng: np.random.Generator) -> np.ndarray:
+    """``reps`` hidden paths (reps, n) of the chain with transition matrix
+    ``p`` whose state before the first step has law ``init``.
 
     Per time block, one :func:`sample_categorical_rows` call draws the next
     state under every law the chain steps from (the rows of P, and
-    ``initial_dist @ P`` for the first state) at every (step, replicate);
-    each replicate then follows its own previous state through that table.
-    Step t of replicate r inverts the path stream's (t·reps + r)-th uniform.
-    The table and its comparison planes are allocated once and reused by
-    every block, the last one in a leading part of the same storage.
+    ``init @ P`` for the first state) at every (step, replicate); each
+    replicate then follows its own previous state through that table.  Step
+    t of replicate r inverts the path stream's (t·reps + r)-th uniform.  The
+    table and its comparison planes are allocated once and reused by every
+    block, the last one in a leading part of the same storage; they are
+    released when the paths are drawn.
     """
-    (p,), (init,) = laws(model, theta[None])
     k = p.shape[0]
     steps_from = np.vstack([p, init @ p])
     states = np.empty((reps, n), dtype=np.int64)
@@ -131,8 +136,32 @@ def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
         cols = np.arange(m).reshape(b, reps)
         for t in range(b):
             prev = states[:, s + t] = table.take(prev * m + cols[t])
-    obs = sample_observations(model, theta[None], states.reshape(1, -1),
-                              draw_noise(model, obs_rng, reps * n))[0]
+    return states
+
+
+def _simulate_series(model: ModelSpec, theta: np.ndarray, reps: int, n: int,
+                     path_rng: np.random.Generator,
+                     obs_rng: np.random.Generator):
+    """``reps`` series of ``n`` steps at ``theta``: hidden paths (reps, n)
+    from :func:`_draw_paths` and observations (reps, n, obs_dim).
+
+    The observations come from the paths laid end to end and one
+    ``obs_noise`` draw of size reps·n from ``obs_rng``, through
+    ``obs_sampler`` calls on consecutive chunks of at most
+    ``_BLOCK_ENTRIES`` of them, each written into one float output.  Entry
+    i of a call reads only the i-th state and noise entry (the
+    ``ModelSpec`` contract), so the chunks give the bytes of one whole call
+    and no temporary of the sampler's is full-size.
+    """
+    (p,), (init,) = laws(model, theta[None])
+    states = _draw_paths(p, init, reps, n, path_rng)
+    flat = states.reshape(1, -1)
+    noise = draw_noise(model, obs_rng, flat.size)
+    obs = np.empty((flat.size, model.obs_dim))
+    for s in range(0, flat.size, _BLOCK_ENTRIES):
+        obs[s:s + _BLOCK_ENTRIES] = sample_observations(
+            model, theta[None], flat[:, s:s + _BLOCK_ENTRIES],
+            noise[s:s + _BLOCK_ENTRIES])[0]
     return states, obs.reshape(reps, n, -1)
 
 

@@ -361,6 +361,54 @@ def test_a_recorded_seed_reproduces_its_result(entry):
     assert _seeded(entry, -3)[1] == -3
 
 
+def _fit(entry, seed):
+    data = sampling.simulate(_SEED_MODEL, [0.8], 20, seed=4)
+    if entry == "exact_mle":
+        return estimate.exact_mle(_SEED_MODEL, data, method="grid",
+                                  grid_points=5, seed=seed)
+    fit = estimate.noisy_abc_mle if entry == "noisy_abc_mle" \
+        else estimate.abc_mle
+    return fit(_SEED_MODEL, data, _SEED_PERT,
+               objective="oracle" if entry == "abc_mle-oracle" else "smc",
+               method="grid", grid_points=5, n_particles=50, seed=seed)
+
+
+@pytest.mark.parametrize("entry", ["abc_mle-smc", "abc_mle-oracle",
+                                   "noisy_abc_mle", "exact_mle"])
+def test_every_fit_refuses_a_seed_that_is_not_an_integer(entry):
+    # seed 2.5 and True once ran and were recorded in settings as they
+    # were given, under both objectives
+    for bad in (2.5, True, np.True_, "7"):
+        with pytest.raises(ValueError, match="seed must be an integer, got "
+                           f"{re.escape(repr(bad))}"):
+            _fit(entry, bad)
+    got, want = _fit(entry, np.int64(7)), _fit(entry, 7)
+    assert got.trace == want.trace
+    assert got.settings == want.settings
+    assert type(got.settings["seed"]) is int
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 2.5), ("seed", True), ("seed", "7"),
+    ("epsilon", True), ("epsilon", np.True_), ("epsilon", "0.3")],
+    ids=lambda v: repr(v))
+@pytest.mark.parametrize("entry", ["loss_point", "missing_information_check"])
+def test_fisher_entries_refuse_a_bad_seed_or_tolerance(entry, name, value):
+    # loss_point once ran epsilon True at tolerance 1 and raised a bare
+    # TypeError on "0.3", which missing_information_check ran at 0.3; both
+    # derived their streams from seed 2.5 as a float
+    args = {"epsilon": 0.3, "seed": 0, name: value}
+    call = fisher.loss_point if entry == "loss_point" \
+        else fisher.missing_information_check
+    sizes = {"window": 2} if entry == "loss_point" else {"n": 2}
+    message = "seed must be an integer" if name == "seed" \
+        else "epsilon must be a finite number >= 0"
+    with pytest.raises(ValueError,
+                       match=f"{message}, got {re.escape(repr(value))}"):
+        call(_MODEL, _THETA, args["epsilon"], n_replicates=4,
+             seed=args["seed"], **sizes)
+
+
 # --method exact takes no --epsilon, which it would ignore
 @pytest.mark.parametrize("command", [
     ["likelihood", "--epsilon", "0.3", "--theta", "0.7", "--estimator",

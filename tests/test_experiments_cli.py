@@ -540,10 +540,10 @@ import json, sys
 from abchmm import (PerturbationSpec, abc_mle, builtin_model, cli, simulate,
                     smc_abc_likelihood)
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(roots=("scipy",)):
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
 
-stages = {}
+stages = {"pool": loaded(("concurrent", "multiprocessing"))}
 model, pert = builtin_model("finite_gaussian"), PerturbationSpec(0.3)
 data = simulate(model, [0.8], 40, seed=1, with_hidden=False)
 smc_abc_likelihood(model, [0.8], data, pert, 200, seed=2)
@@ -569,12 +569,15 @@ def test_only_closed_forms_and_nelder_mead_load_scipy(tmp_path, child_env):
     # the particle path is forward simulation alone: importing the package,
     # simulating, particle likelihoods, a particle fit and the simulate
     # command load no scipy module; an exact emission loads scipy.special
-    # on its first call, and only Nelder-Mead loads scipy.optimize
+    # on its first call, and only Nelder-Mead loads scipy.optimize.
+    # Importing the package loads no process pool either: only a run on
+    # more than one worker starts one
     r = subprocess.run([sys.executable, "-c", _COLD_START,
                         str(tmp_path / "series.csv")],
                        capture_output=True, text=True, env=child_env)
     assert r.returncode == 0, r.stderr
     stages = json.loads(r.stdout.splitlines()[-1])
+    assert stages["pool"] == []
     assert stages["particle"] == []
     assert "scipy.special" in stages["oracle"]
     assert "scipy.optimize" not in stages["oracle"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abchmm import fisher, oracle, rng, sampling
+from abchmm import fisher, kernels, oracle, rng, sampling
 from abchmm.kernels import KERNELS
 from abchmm.models import PerturbationSpec, builtin_model, check_theta
 
@@ -304,6 +304,52 @@ def test_score_memory_does_not_grow_with_the_series(gauss2, route):
             tracemalloc.stop()
     weights = 200 * gauss2.n_states * r * 8
     assert peaks[1] - peaks[0] < weights, peaks
+
+
+@pytest.mark.parametrize("task", ["estimate_fisher", "estimate_fisher_eps",
+                                  "loss_point"])
+def test_replicate_tasks_peak_below_four_batches(gauss2, task):
+    # a Fisher task holds the hidden paths, the noise and the observations
+    # of its replicate batch, each one (R, n) array, while it simulates;
+    # the sampler's temporaries are one chunk, not a fourth batch, and the
+    # noisy twins are written into their own draw.  Once that peak read
+    # about 4.2 batches
+    theta = np.array([1.0, 1.0])
+    pert = PerturbationSpec(100.0) if task == "estimate_fisher_eps" else None
+
+    def call(reps, n):
+        if task == "loss_point":        # series of 2 * window + 1 steps
+            fisher.loss_point(gauss2, theta, 0.1, window=(n - 1) // 2,
+                              n_replicates=reps, seed=3)
+        else:
+            fisher.estimate_fisher(gauss2, theta, n=n, n_replicates=reps,
+                                   seed=3, pert=pert)
+
+    reps, n = (4000, 129) if task == "loss_point" else (2000, 200)
+    call(20, 5)                             # warm caches and imports
+    tracemalloc.start()
+    try:
+        call(reps, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (reps * n * 8) <= 3.5, peak
+
+
+@pytest.mark.parametrize("kernel, norm", [("uniform", "linf"),
+                                          ("uniform", "l2"),
+                                          ("gaussian", "linf")])
+def test_coupled_twins_are_the_clean_series_plus_scaled_noise(kernel, norm):
+    # the twins are written into the draw, which the perturbation scales in
+    # place: y + eps * u, bit for bit
+    pert = PerturbationSpec(epsilon=0.3, kernel=kernel, norm=norm)
+    y = np.linspace(-2.0, 2.0, 21 * 5).reshape(21, 5)
+    g = rng.stream(7, "pertnoise")
+    u = kernels.ball_uniform(1, y.size, g, norm) if kernel == "uniform" \
+        else g.standard_normal((y.size, 1))
+    want = y + (pert.epsilon * u)[:, 0].reshape(y.shape)
+    got = fisher._coupled_obs(y, pert, seed=7)
+    assert got.shape == y.shape and got.tobytes() == want.tobytes()
 
 
 def test_score_functions_take_a_batch_of_no_series(gauss2):

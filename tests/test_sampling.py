@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abchmm import rng, sampling
-from abchmm.models import PerturbationSpec, builtin_model, draw_noise, \
-    sample_observations
+from abchmm.models import ModelSpec, PerturbationSpec, builtin_model, \
+    draw_noise, sample_observations
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,57 @@ def test_simulate_series_matches_per_step_inversion(draw):
         assert got[0].dtype == np.int64
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def _two_dim_model(sizes):
+    """A three-state model of 2-D observations whose sampler acts per
+    particle, and appends the size of each call to ``sizes``."""
+    base = builtin_model("finite_gaussian")
+    means = np.array([[-1.0, 0.5], [0.0, 2.0], [3.0, -1.0]])
+
+    def obs_sampler(theta, states, noise):
+        sizes.append(states.shape[1])
+        y = means[states] * theta[:, None, :1]
+        y[..., 1] += np.sin(noise[:, 0]) * noise[:, 1]
+        y[..., 0] += noise[:, 0] ** 3
+        return y
+
+    return ModelSpec(
+        name="two_dim", obs_dim=2, theta_box=base.theta_box,
+        transition_matrix=lambda th: np.array([[0.6, 0.3, 0.1],
+                                               [0.2, 0.5, 0.3],
+                                               [0.3, 0.0, 0.7]]),
+        initial_dist=lambda th: np.array([0.2, 0.3, 0.5]),
+        obs_sampler=obs_sampler,
+        obs_noise=lambda g, size: g.standard_normal((size, 2)))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_simulate_series_chunks_keep_every_observation(budget):
+    # the sampler runs on consecutive chunks of at most _BLOCK_ENTRIES
+    # observations of the series laid end to end; entry i of a call reads
+    # only the i-th state and noise, so the chunks give the whole call's
+    # bytes
+    sizes = []
+    model = _two_dim_model(sizes)
+    theta = np.array([0.7])
+    reps, n = 3, 50
+
+    def run():
+        return sampling._simulate_series(model, theta, reps, n,
+                                         rng.stream(9, "p"),
+                                         rng.stream(9, "o"))
+
+    want = run()
+    assert sizes == [reps * n]
+    sizes.clear()
+    with mock.patch.object(sampling, "_BLOCK_ENTRIES", budget):
+        got = run()
+    assert sizes == [budget] * (reps * n // budget) \
+        + ([reps * n % budget] if reps * n % budget else [])
+    assert got[1].shape == (reps, n, 2) and got[1].dtype == np.float64
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def _sha256(*arrays):
